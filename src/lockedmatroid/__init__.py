@@ -1,6 +1,7 @@
 """Locked subsets, locked lattices, and the bases polytope of small matroids."""
 
 from .matroid import (
+    MAX_N,
     GroundSet,
     Matroid,
     from_bases,

@@ -94,7 +94,7 @@ def mk4() -> Matroid:
 
 def whirl3() -> Matroid:
     """Rank-3 whirl: the K4 cycle matroid with the rim triangle {d,e,f}
-    relaxed into a basis (exchange axiom revalidated on construction)."""
+    relaxed into a basis (basis axioms revalidated on construction)."""
     return relax(mk4(), (3, 4, 5), name="whirl3")
 
 

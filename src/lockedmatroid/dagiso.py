@@ -135,7 +135,8 @@ def canonical_form(g: ColoredDigraph) -> CanonicalForm:
             done.append(v)
 
     dfs(refine(_dense(list(g.colors))), [])
-    assert best_perm is not None
+    if best_perm is None:
+        raise errors.LockedMatroidError("canonical search reached no leaf")
     colors_canon, arcs_canon = best_key
     return CanonicalForm(tuple(best_perm), colors_canon, arcs_canon,
                          _digest(n, colors_canon, arcs_canon))
@@ -161,8 +162,10 @@ def are_isomorphic(g1: ColoredDigraph, g2: ColoredDigraph):
     for v, p in enumerate(cf2.perm):
         inv2[p] = v
     mapping = tuple(inv2[cf1.perm[v]] for v in range(g1.vertex_count))
-    assert all(g1.colors[v] == g2.colors[mapping[v]] for v in range(g1.vertex_count))
-    assert sorted((mapping[u], mapping[v]) for (u, v) in g1.arcs) == sorted(g2.arcs)
+    if any(g1.colors[v] != g2.colors[mapping[v]] for v in range(g1.vertex_count)):
+        raise errors.LockedMatroidError("iso witness does not preserve colors")
+    if sorted((mapping[u], mapping[v]) for (u, v) in g1.arcs) != sorted(g2.arcs):
+        raise errors.LockedMatroidError("iso witness does not carry arcs onto arcs")
     return True, mapping
 
 

@@ -104,7 +104,8 @@ def mip_bruteforce(m1: Matroid, m2: Matroid, max_n: int = 10) -> IsoReport:
     if not found:
         return IsoReport(False, "bruteforce", timings={"search": elapsed})
     mapped = {mask_of(witness[e] for e in b) for b in m1.bases}
-    assert mapped == set(m2._basis_mask_set), "witness does not carry bases onto bases"
+    if mapped != m2._basis_mask_set:
+        raise errors.LockedMatroidError("witness does not carry bases onto bases")
     return IsoReport(True, "bruteforce", witness=witness,
                      timings={"search": elapsed})
 

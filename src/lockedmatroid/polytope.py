@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 from . import errors, simplex
 from ._bits import mask_of
 from .locked import LockedStructure
-from .matroid import Matroid
+from .matroid import MAX_N, Matroid
 
 
 @dataclass(frozen=True)
@@ -79,9 +79,9 @@ def member(sys: LinearSystem, point: Sequence) -> tuple[bool, Optional[Row]]:
 
 def member_Q(m: Matroid, point: Sequence) -> bool:
     """Exact check of x(E) = r(E), the unit box, and x(A) <= r(A) for every
-    subset A.  Scans all 2^n subsets, so the ground set is capped at 16."""
-    if m.n > 16:
-        raise errors.TooLarge("member_Q scans 2^n subsets; |E| capped at 16")
+    subset A.  Scans all 2^n subsets, so the ground set is capped at MAX_N."""
+    if m.n > MAX_N:
+        raise errors.TooLarge("member_Q scans 2^n subsets; |E| capped at %d" % MAX_N)
     x = _as_fractions(point)
     if len(x) != m.n:
         raise errors.DimensionMismatch("point dimension mismatch")
@@ -153,8 +153,10 @@ def lp_maximize(sys: LinearSystem, weights: Sequence, add_box: bool = True
         raise errors.Unbounded("objective is unbounded over the system")
     value = Fraction(value, scale)
     ok, bad_row = member(sys, point)
-    assert ok, "LP witness violates %r" % (bad_row,)
-    assert sum(f * c for f, c in zip(fracs, point)) == value
+    if not ok:
+        raise errors.LockedMatroidError("LP witness violates %r" % (bad_row,))
+    if sum(f * c for f, c in zip(fracs, point)) != value:
+        raise errors.LockedMatroidError("LP witness does not attain the optimum")
     return value, point
 
 
@@ -171,7 +173,9 @@ def greedy_max_basis(m: Matroid, weights: Sequence[int]) -> tuple[int, tuple[int
         if ind[cand]:
             current = cand
             chosen.append(e)
-    assert len(chosen) == m.rank
+    if len(chosen) != m.rank:
+        raise errors.LockedMatroidError("greedy scan found %d elements, rank is %d"
+                                        % (len(chosen), m.rank))
     return sum(weights[e] for e in chosen), tuple(sorted(chosen))
 
 

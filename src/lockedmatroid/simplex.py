@@ -171,7 +171,8 @@ class SimplexProgram:
                 c_vec[j] = -1
             obj = self._objective_row(rows, dens, basis, c_vec)
             status, obj = self._bland(rows, dens, basis, obj, frozenset())
-            assert status == OPTIMAL  # -sum of artificials is bounded above by 0
+            if status != OPTIMAL:  # -sum of artificials is bounded above by 0
+                raise errors.LockedMatroidError("phase one of the simplex is unbounded")
             onums, oden = obj
             if onums[-1] != 0:  # optimum of -sum(artificials) below zero
                 self.feasible = False

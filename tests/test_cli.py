@@ -173,6 +173,24 @@ def test_missing_file_exit_2(capsys):
     assert code == 2 and "error" in err
 
 
+def test_non_utf8_file_exit_2(tmp_path, capsys):
+    p = tmp_path / "latin1.matroid"
+    p.write_bytes("matroid x\nelements \u00e9,b\nbasis \u00e9\nbasis b\n".encode("latin-1"))
+    code, out, err = run(capsys, "locked", str(p))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "UTF-8" in err
+
+
+def test_seventeen_element_file_exit_2(tmp_path, capsys):
+    names = ["e%d" % i for i in range(17)]
+    p = tmp_path / "u1_17.matroid"
+    p.write_text("matroid u\nelements %s\n%s\n"
+                 % (",".join(names), "\n".join("basis " + nm for nm in names)))
+    code, out, err = run(capsys, "locked", str(p))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "capped at 16" in err
+
+
 def test_usage_error_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["iso", "only-one-file"])

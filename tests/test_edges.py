@@ -1,6 +1,11 @@
 """Edge cases that sit just off the main corpus paths."""
 
+import ast
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -97,3 +102,33 @@ def test_k_locked_rejects_bad_parameters():
         lm.k_locked_decision(lm.mk4(), -1)
     with pytest.raises(errors.InvalidParams):
         lm.k_locked_decision(lm.mk4(), 1, c=0)
+
+
+SRC = Path(lm.__file__).resolve().parent
+
+_UNDER_O = """
+import lockedmatroid as lm
+from lockedmatroid import errors
+assert False, "asserts still run"
+try:
+    lm.from_bases(4, [(0, 1), (2, 3)])
+except errors.ExchangeViolation as exc:
+    print(exc.basis1, exc.basis2, exc.element)
+m = lm.vamos()
+print(lm.mip_bruteforce(m, lm.relabel(m, [1, 0, 3, 2, 5, 4, 7, 6])).answer,
+      lm.mip_locked(m, m.dual()).answer, lm.mip_locked(m, lm.uniform(4, 8)).answer)
+"""
+
+
+def test_checks_hold_under_python_O():
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    run = subprocess.run([sys.executable, "-O", "-c", _UNDER_O], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines() == ["(0, 1) (2, 3) 0", "True True False"]
+
+
+def test_no_assert_statements_in_package():
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        assert not any(isinstance(node, ast.Assert) for node in ast.walk(tree)), path.name

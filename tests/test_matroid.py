@@ -1,9 +1,14 @@
 import itertools
+from math import comb
+from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import lockedmatroid as lm
 from lockedmatroid import errors
+from lockedmatroid._bits import mask_of
+from lockedmatroid.matroid import GroundSet, Matroid, _check_exchange
 from helpers import naive_rank, naive_connected, naive_dual_bases, spanning_trees
 
 K4_EDGES = ((0, 2), (0, 1), (0, 3), (1, 2), (1, 3), (2, 3))
@@ -43,6 +48,71 @@ def test_from_bases_exchange_violation():
 def test_from_bases_out_of_range():
     with pytest.raises(errors.OutOfRange):
         lm.from_bases(3, [(0, 3)])
+
+
+def _verdict(check):
+    """None when check() passes, else the (B1, B2, e) it raises."""
+    try:
+        check()
+    except errors.ExchangeViolation as exc:
+        return exc.basis1, exc.basis2, exc.element
+    return None
+
+
+def _assert_same_verdict(n, family):
+    # the old from_bases scanned the masks in integer order
+    masks = sorted({mask_of(b) for b in family})
+    expected = _verdict(lambda: _check_exchange(masks, set(masks)))
+    assert _verdict(lambda: lm.from_bases(n, family)) == expected, (n, family)
+    # the old validate() scanned them in canonical (lexicographic) order
+    m = Matroid(GroundSet.default(n), masks)
+    lex = m._basis_masks
+    assert _verdict(m.validate) == _verdict(lambda: _check_exchange(lex, set(lex))), (n, family)
+    return expected is None
+
+
+def test_from_bases_agrees_with_exchange_scan_on_small_families():
+    accepted = rejected = 0
+    for n in range(1, 7):
+        for r in range(n + 1):
+            if comb(n, r) > 10:
+                continue
+            subsets = list(itertools.combinations(range(n), r))
+            for k in range(1, len(subsets) + 1):
+                for family in itertools.combinations(subsets, k):
+                    if _assert_same_verdict(n, family):
+                        accepted += 1
+                    else:
+                        rejected += 1
+    assert (accepted, rejected) == (625, 1731)
+
+
+def test_from_bases_agrees_with_exchange_scan_on_random_families():
+    rng = Random(20171010)
+    verdicts = set()
+    for n, r in ((6, 2), (6, 3), (7, 3), (7, 4)):
+        subsets = list(itertools.combinations(range(n), r))
+        for i in range(150):
+            if i % 2:  # near U(r, n): a few bases removed
+                drop = set(rng.sample(subsets, rng.randint(1, 4)))
+                family = [b for b in subsets if b not in drop]
+            else:
+                p = rng.random()
+                family = [b for b in subsets if rng.random() < p] or subsets[:1]
+            verdicts.add(_assert_same_verdict(n, family))
+    assert verdicts == {True, False}
+
+
+def test_from_bases_size_guard():
+    assert lm.MAX_N == 16
+    with pytest.raises(errors.TooLarge):
+        lm.from_bases(17, [(0,), (16,)])
+    with pytest.raises(errors.TooLarge):
+        lm.uniform(1, 17)
+    m = Matroid(GroundSet.default(17), [1, 1 << 16])
+    with pytest.raises(errors.TooLarge):
+        m.validate()
+    assert m._ranks is None  # refused before any 2^n table
 
 
 def test_rank_zero_matroid():
@@ -317,6 +387,40 @@ def test_text_reader_canonicalizes():
     m = lm.from_text(text)
     assert m.bases == ((0, 1), (0, 2), (1, 2))
     assert lm.to_text(m) == "matroid x\nelements a,b,c\nbasis a b\nbasis a c\nbasis b c\n"
+
+
+_NAME = st.sampled_from(("a", "b", "c", "d", "e", "f", "g", "h", "\u00e9", "", "x y"))
+
+
+@st.composite
+def _matroid_files(draw):
+    """Equicardinal basis lines over a few names; one in four files gets
+    one foreign line: a basis of another size, an unknown element or junk."""
+    names = draw(st.lists(_NAME, min_size=1, max_size=6, unique=True))
+    r = draw(st.integers(0, len(names)))
+    bases = draw(st.lists(st.lists(st.sampled_from(names), min_size=r, max_size=r, unique=True),
+                          min_size=1, max_size=12))
+    lines = ["matroid " + draw(st.text(max_size=4)), "elements " + ",".join(names)]
+    lines += [" ".join(["basis", *b]) for b in bases]
+    if draw(st.integers(0, 3)) == 0:
+        foreign = st.one_of(
+            st.lists(st.sampled_from(names), max_size=len(names)).map(
+                lambda b: " ".join(["basis", *b])),
+            st.just("basis zz"),
+            st.text(max_size=8))
+        lines.insert(draw(st.integers(0, len(lines))), draw(foreign))
+    return "\n".join(lines)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_matroid_files(), st.text(max_size=40)))
+def test_from_text_fuzz_returns_matroid_or_package_error(text):
+    try:
+        m = lm.from_text(text)
+    except errors.LockedMatroidError:
+        return
+    assert isinstance(m, lm.Matroid)
+    assert lm.from_text(lm.to_text(m)) == m
 
 
 def test_text_reader_errors():
