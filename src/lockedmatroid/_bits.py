@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable
 
 
 def mask_of(elements: Iterable[int]) -> int:
@@ -19,16 +19,6 @@ def bits_of(mask: int) -> tuple[int, ...]:
         out.append(low.bit_length() - 1)
         mask ^= low
     return tuple(out)
-
-
-def submasks(mask: int) -> Iterator[int]:
-    """All submasks of ``mask``, including 0 and ``mask`` itself."""
-    s = mask
-    while True:
-        yield s
-        if s == 0:
-            return
-        s = (s - 1) & mask
 
 
 def subset_key(t: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:

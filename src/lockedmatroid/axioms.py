@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Optional
+from typing import Callable, Iterable, Iterator, Mapping, Optional
 
 from . import errors
 from ._bits import bits_of, mask_of, subset_key
@@ -126,9 +126,14 @@ def system_from_structure(s: LockedStructure) -> LockedSystem:
 class RankExtender:
     """Computes ranks outside the structured family by the P1..P4 chains.
 
-    down()/up() are the pure one-directional chain values (memoized
-    recursions, used by the L18/L19 checks); value() is the mixed-chain
-    fixpoint over the whole subset lattice, computed once on demand.
+    The rules live in one place: _down_steps yields the P1/P2 steps out of
+    a set and _up_steps the P3/P4 steps, each as (rule, witness, next set,
+    offset), where the step's value is offset + value(next set).  down()
+    and up() are the pure one-directional chain values (memoized
+    recursions over one kind of step, used by the L18/L19 checks); value()
+    is the mixed-chain fixpoint over the whole subset lattice, computed
+    once on demand, and trace() follows the first step, in rule order,
+    that attains it.
     """
 
     def __init__(self, sys: LockedSystem, extra: Optional[Mapping] = None):
@@ -151,59 +156,52 @@ class RankExtender:
         self._up: dict[int, Optional[int]] = {}
         self._mixed: Optional[list[int]] = None
 
-    # -- chain values -----------------------------------------------------
+    # -- the rules ----------------------------------------------------------
 
-    def down(self, m: int) -> Optional[int]:
-        if m in self.base:
-            return self.base[m]
-        got = self._down.get(m, -1)
-        if got != -1:
-            return got
-        best: Optional[int] = None
+    def _down_steps(self, m: int) -> Iterator[tuple[str, int, int, int]]:
         for lm in self.locked_masks:
             if lm and lm & ~m == 0 and lm != m:
-                sub = self.down(m & ~lm)
-                if sub is not None:
-                    v = self.base[lm] + sub
-                    if best is None or v < best:
-                        best = v
+                yield "P1", lm, m & ~lm, self.base[lm]
         for pm in self.parallel_masks:
             if pm & m:
-                sub = self.down(m & ~pm)
-                if sub is not None:
-                    v = self.base[pm] + sub
-                    if best is None or v < best:
-                        best = v
-        self._down[m] = best
-        return best
+                yield "P2", pm, m & ~pm, self.base[pm]
 
-    def up(self, m: int) -> Optional[int]:
-        if m in self.base:
-            return self.base[m]
-        got = self._up.get(m, -1)
-        if got != -1:
-            return got
-        best: Optional[int] = None
+    def _up_steps(self, m: int) -> Iterator[tuple[str, int, int, int]]:
         for lm in self.locked_masks:
             if lm != self.full and m & ~lm == 0 and m != lm:
-                sup = self.up(m | (self.full ^ lm))
-                if sup is not None:
-                    v = self.base[lm] + sup - self.r_e
-                    if best is None or v < best:
-                        best = v
+                yield "P3", lm, m | (self.full ^ lm), self.base[lm] - self.r_e
         for sm in self.coparallel_masks:
             if sm & ~m:
                 comp = self.full ^ sm
                 if comp not in self.base:
                     raise errors.DomainMismatch(
                         "system is missing r(E\\S) for S=%r" % (bits_of(sm),))
-                sup = self.up(m | sm)
-                if sup is not None:
-                    v = self.base[comp] + sup + (sm & m).bit_count() - self.r_e
-                    if best is None or v < best:
-                        best = v
-        self._up[m] = best
-        return best
+                yield "P4", sm, m | sm, self.base[comp] + (sm & m).bit_count() - self.r_e
+
+    def _steps(self, m: int) -> Iterator[tuple[str, int, int, int]]:
+        return itertools.chain(self._down_steps(m), self._up_steps(m))
+
+    # -- chain values -----------------------------------------------------
+
+    def down(self, m: int) -> Optional[int]:
+        return self._chain(m, self._down_steps, self._down)
+
+    def up(self, m: int) -> Optional[int]:
+        return self._chain(m, self._up_steps, self._up)
+
+    def _chain(self, m: int, steps, memo: dict) -> Optional[int]:
+        # every step strictly shrinks (down) or grows (up) the set, so the
+        # recursion ends
+        if m in self.base:
+            return self.base[m]
+        if m not in memo:
+            best = None
+            for _, _, nxt, off in steps(m):
+                v = self._chain(nxt, steps, memo)
+                if v is not None and (best is None or off + v < best):
+                    best = off + v
+            memo[m] = best
+        return memo[m]
 
     # -- mixed-chain fixpoint ------------------------------------------------
 
@@ -223,31 +221,9 @@ class RankExtender:
                 if m in self.base:
                     continue
                 best = v[m]
-                for lm in self.locked_masks:
-                    if lm and lm & ~m == 0 and lm != m:
-                        c = v[m & ~lm]
-                        if c < self._INF and self.base[lm] + c < best:
-                            best = self.base[lm] + c
-                for pm in self.parallel_masks:
-                    if pm & m:
-                        c = v[m & ~pm]
-                        if c < self._INF and self.base[pm] + c < best:
-                            best = self.base[pm] + c
-                for lm in self.locked_masks:
-                    if lm != self.full and m & ~lm == 0 and m != lm:
-                        c = v[m | (self.full ^ lm)]
-                        if c < self._INF and self.base[lm] + c - self.r_e < best:
-                            best = self.base[lm] + c - self.r_e
-                for sm in self.coparallel_masks:
-                    if sm & ~m:
-                        comp = self.full ^ sm
-                        if comp not in self.base:
-                            raise errors.DomainMismatch(
-                                "system is missing r(E\\S) for S=%r" % (bits_of(sm),))
-                        c = v[m | sm]
-                        cand = self.base[comp] + c + (sm & m).bit_count() - self.r_e
-                        if c < self._INF and cand < best:
-                            best = cand
+                for _, _, nxt, off in self._steps(m):
+                    if v[nxt] < self._INF and off + v[nxt] < best:
+                        best = off + v[nxt]
                 if best < v[m]:
                     v[m] = best
                     changed = True
@@ -280,43 +256,13 @@ class RankExtender:
                 raise errors.NoDecomposition("trace cycles at %r" % (bits_of(m),))
             seen.add(m)
             want = v[m]
-            step = None
-            for lm in self.locked_masks:
-                if lm and lm & ~m == 0 and lm != m:
-                    rest = m & ~lm
-                    if v[rest] < self._INF and self.base[lm] + v[rest] == want:
-                        step = ("P1", bits_of(m), bits_of(lm), want)
-                        m = rest
-                        break
-            if step is None:
-                for pm in self.parallel_masks:
-                    if pm & m:
-                        rest = m & ~pm
-                        if v[rest] < self._INF and self.base[pm] + v[rest] == want:
-                            step = ("P2", bits_of(m), bits_of(pm), want)
-                            m = rest
-                            break
-            if step is None:
-                for lm in self.locked_masks:
-                    if lm != self.full and m & ~lm == 0 and m != lm:
-                        grown = m | (self.full ^ lm)
-                        if v[grown] < self._INF and self.base[lm] + v[grown] - self.r_e == want:
-                            step = ("P3", bits_of(m), bits_of(lm), want)
-                            m = grown
-                            break
-            if step is None:
-                for sm in self.coparallel_masks:
-                    if sm & ~m:
-                        grown = m | sm
-                        cand = (self.base[self.full ^ sm] + v[grown]
-                                + (sm & m).bit_count() - self.r_e)
-                        if v[grown] < self._INF and cand == want:
-                            step = ("P4", bits_of(m), bits_of(sm), want)
-                            m = grown
-                            break
-            if step is None:  # pragma: no cover - fixpoint value implies a step
+            for rule, witness, nxt, off in self._steps(m):
+                if v[nxt] < self._INF and off + v[nxt] == want:
+                    steps.append((rule, bits_of(m), bits_of(witness), want))
+                    m = nxt
+                    break
+            else:  # pragma: no cover - fixpoint value implies a step
                 raise errors.NoDecomposition("trace failed at %r" % (bits_of(m),))
-            steps.append(step)
 
 
 def _family_tuple(sys: LockedSystem) -> tuple[tuple[int, ...], ...]:

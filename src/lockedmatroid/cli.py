@@ -267,7 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("matroid2")
     p.add_argument("--method", choices=("bruteforce", "lattice", "l0", "both"),
                    default="lattice")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.set_defaults(fn=_cmd_iso)
 
     p = sub.add_parser("selfdual", help="self-duality test")

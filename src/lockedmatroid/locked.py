@@ -9,7 +9,9 @@ the rank values of all of them (plus the empty set and E).
 
 Enumeration is exhaustive over each component's subsets, in canonical
 order (cardinality, then lexicographic), with the cheap rank/corank tests
-applied before the connectivity scans.
+applied before the connectivity scans.  Both scans are matroid.separator
+on the same rank table: one on L, and one on E\\L with L contracted,
+because M*|(E\\L) is connected exactly when (M/L)|(E\\L) is.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from typing import Iterator, Optional
 
 from . import errors
 from ._bits import bits_of, mask_of, subset_key
-from .matroid import Matroid, closures
+from .matroid import Matroid, _reject_loops_coloops, closures, components, separator
 
 
 @dataclass(frozen=True)
@@ -56,61 +58,6 @@ class KLockedVerdict:
         return self.locked_count is not None
 
 
-def _restriction_separator(ranks, sub: int) -> Optional[int]:
-    """A submask A of ``sub`` with rank(A)+rank(sub\\A) = rank(sub), if any."""
-    if sub.bit_count() <= 1:
-        return None
-    low = sub & -sub
-    rest = sub ^ low
-    r_sub = ranks[sub]
-    b = (rest - 1) & rest
-    while True:
-        a = low | b
-        if ranks[a] + ranks[sub ^ a] == r_sub:
-            return a
-        if b == 0:
-            return None
-        b = (b - 1) & rest
-
-
-def _corestriction_separator(ranks, comp: int, sub: int) -> Optional[int]:
-    """Separator of (M|comp)* restricted to ``sub`` (sub within comp)."""
-    if sub.bit_count() <= 1:
-        return None
-    r_comp = ranks[comp]
-
-    def rstar(x: int) -> int:
-        return x.bit_count() + ranks[comp ^ x] - r_comp
-
-    low = sub & -sub
-    rest = sub ^ low
-    r_sub = rstar(sub)
-    b = (rest - 1) & rest
-    while True:
-        a = low | b
-        if rstar(a) + rstar(sub ^ a) == r_sub:
-            return a
-        if b == 0:
-            return None
-        b = (b - 1) & rest
-
-
-def _component_masks(ranks, mask: int) -> list[int]:
-    sep = _restriction_separator(ranks, mask)
-    if sep is None:
-        return [mask]
-    return _component_masks(ranks, sep) + _component_masks(ranks, mask ^ sep)
-
-
-def _reject_loops_coloops(m: Matroid) -> None:
-    lo = m.loops()
-    if lo:
-        raise errors.LoopPresent(lo[0])
-    co = m.coloops()
-    if co:
-        raise errors.ColoopPresent(co[0])
-
-
 def is_locked(m: Matroid, subset) -> bool:
     """Direct definition of lockedness of one subset (M itself connected or not,
     the test is for M|L, M*|(E\\L) connected with both ranks >= 2)."""
@@ -131,16 +78,16 @@ def _is_locked_in_component(ranks, comp: int, lm: int) -> bool:
     co_rank = (comp ^ lm).bit_count() + r_l - ranks[comp]
     if co_rank < 2:
         return False
-    if _restriction_separator(ranks, lm) is not None:
+    if separator(ranks, lm) is not None:
         return False
-    return _corestriction_separator(ranks, comp, comp ^ lm) is None
+    return separator(ranks, comp ^ lm, lm) is None
 
 
 def _locked_iter(m: Matroid) -> Iterator[tuple[int, ...]]:
     """Locked subsets, per connected component, each component in
     (cardinality, lex) order.  Not globally sorted across components."""
     ranks = m._rank_table()
-    for comp in sorted(_component_masks(ranks, m.full_mask)):
+    for comp in sorted(components(ranks, m.full_mask)):
         cbits = bits_of(comp)
         for k in range(1, len(cbits)):
             for sub in itertools.combinations(cbits, k):
@@ -150,7 +97,6 @@ def _locked_iter(m: Matroid) -> Iterator[tuple[int, ...]]:
 
 def locked_structure(m: Matroid) -> LockedStructure:
     """Enumerate the locked subsets and assemble the full quadruple."""
-    _reject_loops_coloops(m)
     parallel, coparallel = closures(m)
     locked = tuple(sorted(_locked_iter(m), key=subset_key))
     ranks = m._rank_table()

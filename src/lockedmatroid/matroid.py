@@ -10,6 +10,11 @@ Ranks of arbitrary subsets come from scanning the basis list; modules that
 need many rank queries share a full rank table (2^n entries), built once per
 matroid.  That is the intended scale here: validated construction accepts
 ground sets of at most MAX_N = 16 elements.
+
+Every connectivity test goes through one primitive, separator(ranks, X, C),
+which looks up a 1-separation of the minor (M/C)|X in M's rank table;
+components, find_separator, is_connected and the lockedness tests of the
+locked module are built on it.
 """
 
 from __future__ import annotations
@@ -367,21 +372,53 @@ def restriction(m: Matroid, elements: Iterable[int]) -> Matroid:
     return minor(m, delete=bits_of(m.full_mask & ~keep))
 
 
+def separator(ranks: Sequence[int], x: int, c: int = 0) -> Optional[int]:
+    """A separator of the minor (M/C)|X, read from M's rank table: a submask
+    A of X that holds X's lowest element, with A != X and
+    r(A+C) + r(X-A+C) = r(X+C) + r(C).  Submasks are tried largest first.
+    None when (M/C)|X is connected; X of at most one element always is.
+
+    This one test covers every connectivity question here: M|X is
+    connected when separator(ranks, X) is None, and M*|(E\\L) is connected
+    exactly when (M/L)|(E\\L) is, because (M*)|Y = (M/(E\\Y))* and
+    connectivity does not change under duality.
+    """
+    if x & (x - 1) == 0:
+        return None
+    low = x & -x
+    rest = x ^ low
+    # C folded into the loop constants: lowc | b = A+C, restc ^ b = X-A+C
+    lowc = low | c
+    restc = rest | c
+    target = ranks[x | c] + ranks[c]
+    b = (rest - 1) & rest
+    while True:
+        if ranks[lowc | b] + ranks[restc ^ b] == target:
+            return low | b
+        if b == 0:
+            return None
+        b = (b - 1) & rest
+
+
+def components(ranks: Sequence[int], x: int) -> list[int]:
+    """The connected components of M|X, as masks."""
+    a = separator(ranks, x)
+    if a is None:
+        return [x]
+    return components(ranks, a) + components(ranks, x ^ a)
+
+
 def find_separator(m: Matroid) -> Optional[tuple[int, ...]]:
     """First (cardinality, then lexicographic) subset A with
-    rank(A) + rank(E\\A) = rank(E), both sides nonempty; None if connected."""
-    n = m.n
-    if n == 1:
+    rank(A) + rank(E\\A) = rank(E), both sides nonempty; None if connected.
+
+    Separators are the proper unions of components, so this is the
+    smallest component, lexicographically first.
+    """
+    comps = components(m._rank_table(), m.full_mask)
+    if len(comps) == 1:
         return None
-    ranks = m._rank_table()
-    full = m.full_mask
-    r_e = ranks[full]
-    for k in range(1, n):
-        for comb in itertools.combinations(range(n), k):
-            a = mask_of(comb)
-            if ranks[a] + ranks[full ^ a] == r_e:
-                return comb
-    return None
+    return min((bits_of(c) for c in comps), key=subset_key)
 
 
 def is_connected(m: Matroid) -> bool:
@@ -389,42 +426,32 @@ def is_connected(m: Matroid) -> bool:
     return find_separator(m) is None
 
 
-def closures(m: Matroid) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
-    """(parallel classes, coparallel classes) of a loopless, coloopless matroid.
-
-    Parallel classes are the maximal sets of pairwise rank-1 pairs; coparallel
-    classes are the parallel classes of the dual.  Each family partitions E.
-    """
+def _reject_loops_coloops(m: Matroid) -> None:
     lo = m.loops()
     if lo:
         raise errors.LoopPresent(lo[0])
     co = m.coloops()
     if co:
         raise errors.ColoopPresent(co[0])
+
+
+def closures(m: Matroid) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+    """(parallel classes, coparallel classes) of a loopless, coloopless matroid.
+
+    Parallel classes are the maximal sets of pairwise rank-1 pairs; coparallel
+    classes are the parallel classes of the dual.  Without loops and coloops
+    both relations are equivalences, so each family partitions E and the
+    class of e is every f related to it.
+    """
+    _reject_loops_coloops(m)
     n = m.n
     ranks = m._rank_table()
     full = m.full_mask
     r_e = ranks[full]
 
     def classes(same) -> tuple[tuple[int, ...], ...]:
-        parent = list(range(n))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for e in range(n):
-            for f in range(e + 1, n):
-                if same(e, f):
-                    re_, rf = find(e), find(f)
-                    if re_ != rf:
-                        parent[rf] = re_
-        groups: dict[int, list[int]] = {}
-        for e in range(n):
-            groups.setdefault(find(e), []).append(e)
-        return tuple(sorted((tuple(sorted(g)) for g in groups.values()), key=subset_key))
+        found = {tuple(f for f in range(n) if f == e or same(e, f)) for e in range(n)}
+        return tuple(sorted(found, key=subset_key))
 
     parallel = classes(lambda e, f: ranks[(1 << e) | (1 << f)] == 1)
     coparallel = classes(lambda e, f: ranks[full ^ (1 << e) ^ (1 << f)] == r_e - 1)

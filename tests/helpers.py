@@ -18,16 +18,7 @@ def naive_rank(bases, subset) -> int:
 
 
 def naive_connected(n, bases) -> bool:
-    if n == 1:
-        return True
-    r_full = naive_rank(bases, range(n))
-    elems = list(range(n))
-    for k in range(1, n):
-        for part in itertools.combinations(elems, k):
-            rest = [e for e in elems if e not in part]
-            if naive_rank(bases, part) + naive_rank(bases, rest) == r_full:
-                return False
-    return True
+    return naive_minor_connected(bases, list(range(n)))
 
 
 def naive_dual_bases(n, bases):
@@ -53,18 +44,23 @@ def naive_is_locked(n, bases, subset) -> bool:
     dual = naive_dual_bases(n, bases)
     if naive_rank(bases, l) < 2 or naive_rank(dual, comp) < 2:
         return False
-    return (_naive_sub_connected(bases, sorted(l))
-            and _naive_sub_connected(dual, comp))
+    return (naive_minor_connected(bases, sorted(l))
+            and naive_minor_connected(dual, comp))
 
 
-def _naive_sub_connected(bases, ground) -> bool:
-    if len(ground) <= 1:
-        return True
-    r_full = naive_rank(bases, ground)
+def naive_minor_connected(bases, ground, contract=()) -> bool:
+    """(M/C)|X connected, from the definition: with r'(Y) = r(Y+C) - r(C),
+    no split of X into nonempty parts A, B has r'(A) + r'(B) = r'(X)."""
+    c = set(contract)
+
+    def r(y):
+        return naive_rank(bases, set(y) | c) - naive_rank(bases, c)
+
+    r_full = r(ground)
     for k in range(1, len(ground)):
         for part in itertools.combinations(ground, k):
             rest = [e for e in ground if e not in part]
-            if naive_rank(bases, part) + naive_rank(bases, rest) == r_full:
+            if r(part) + r(rest) == r_full:
                 return False
     return True
 

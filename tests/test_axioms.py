@@ -1,11 +1,12 @@
 import dataclasses
+import hashlib
 import itertools
 
 import pytest
 
 import lockedmatroid as lm
 from lockedmatroid import errors
-from lockedmatroid._bits import mask_of
+from lockedmatroid._bits import bits_of, mask_of
 
 
 def oracle_for(m):
@@ -169,6 +170,45 @@ def test_rank_extend_trace_consistent(corpus):
                 for rule, subset, witness, value in steps:
                     if rule != "base":
                         assert value == ext.value(subset)
+
+
+# sha256 of (X, down, up, value, trace) over every subset X, pinned from the
+# implementation that wrote each P1..P4 rule out separately in down, up, the
+# fixpoint and the trace
+EXTENDER_DIGESTS = {
+    "uniform(1,3)": "42782c92171b32970308d1e037c6e63d62440b769b166cb8055a51194dbc500a",
+    "uniform(2,3)": "ea2a849d5c18f9d66ef768f5c9ee116b75af3fc06c94aef68a1d1632b6f3d513",
+    "uniform(2,4)": "e0795828612c3bae5fb6e993c02a70cadbbe15f016ef4ff280636d4ca439d6c4",
+    "uniform(2,5)": "fd45878aee712c6b2742a6cb053156d7e53714bf30629aad96a619aec829fe23",
+    "uniform(3,5)": "e94322d6d469471209b9a47712553ad2e0bc9f4d0a139b6b3e825c30a79063ed",
+    "uniform(2,6)": "08fcd10cfb7b99781101ed252165b457d8d599bb559f174a74d94f7c78b35004",
+    "uniform(3,6)": "d3091946e5861337dfecaa22bd7037dae0f456c2be2062adad138e46780ed834",
+    "uniform(3,7)": "99881e2b2297fa1a24bb53113178476e6f524d1ee0bbd61f78563140b34d1b47",
+    "uniform(4,8)": "1c8dbdadcab5b5c1a22d0a73b579ca427c3e0b69af75ba5b51c330da86a5c259",
+    "mk4": "3dd3808ade82b701124248e79f05a50869e7b99a30d1df047250ddcb108b9f90",
+    "whirl3": "4a0f3508e62e418456ec9b24780f841daff143f503ac6edb8eb9f5259349613f",
+    "q6": "307b4d3b3f3c3e3eed258db8fb870f712b4c77a868ecbf56826759c238836af2",
+    "p6": "91354ccb7daa5c387fab0a4fd6d0e6b8f371db22a036b5a6fdad2e30c75fdd42",
+    "vamos": "6965ee89ec851a67a163777fb1417a4e50402235cbfe170fdd3677baf0ded8bc",
+    "dual(mk4)": "d944a97ca9c627f29636fe1e8e9195f44569915576a022dff073045109f42c04",
+    "dual(vamos)": "bca17944a5c4e9e4d2089a4e1750ef18f7a7a3588dd86839ae45ed0b7abd1d93",
+    "mk4_doubled": "a57405c323c526986a68053c02ace583ddb1344dff383a03f029eccefd6d8be9",
+    "dual(mk4_doubled)": "7783ebf4aefb218b8ce2987f2777afa94cd4221a682663ec18afbacc561f575a",
+    "twosum1": "109e66885817969903cb9993d11f7da5e9f574086046622d876ecf5f3debaac8",
+    "twosum2": "8a258b9eb6b5c862cb26a0566db8100e8f3765097f6910aa586c5a35f03c857b",
+    "twosum3": "4d507fc193a9e1de9f7fc69e5217baaedc05ff716c26ffe5d22729ebadc9ca20",
+}
+
+
+def test_rank_extender_outputs_pinned(corpus):
+    assert [m.name for m in corpus] == list(EXTENDER_DIGESTS)
+    for m in corpus:
+        ext = lm.RankExtender(lm.extract_system(m))
+        h = hashlib.sha256()
+        for x in range(1 << m.n):
+            h.update(repr((x, ext.down(x), ext.up(x), ext.value(bits_of(x)),
+                           ext.trace(bits_of(x)))).encode())
+        assert h.hexdigest() == EXTENDER_DIGESTS[m.name], m.name
 
 
 def test_mixed_chain_needed_on_two_sum(corpus_by_name):

@@ -195,3 +195,12 @@ def test_usage_error_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["iso", "only-one-file"])
     assert exc.value.code == 2
+
+
+def test_iso_has_no_seed_option(tmp_path, capsys):
+    p = tmp_path / "mk4.matroid"
+    lm.save(lm.mk4(), p)
+    with pytest.raises(SystemExit) as exc:
+        main(["iso", str(p), str(p), "--seed", "3"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err

@@ -5,6 +5,7 @@ import itertools
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -132,3 +133,23 @@ def test_no_assert_statements_in_package():
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         assert not any(isinstance(node, ast.Assert) for node in ast.walk(tree)), path.name
+
+
+def _names_used(node):
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.alias):
+            yield sub.name
+
+
+def test_every_module_level_definition_is_used_in_package():
+    # re-exports from __init__ count as uses; a function calling itself does not
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))]
+    used = Counter(name for tree in trees for name in _names_used(tree))
+    unused = [node.name for tree in trees for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and used[node.name] == Counter(_names_used(node))[node.name]]
+    assert unused == []

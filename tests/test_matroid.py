@@ -8,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 import lockedmatroid as lm
 from lockedmatroid import errors
 from lockedmatroid._bits import mask_of
-from lockedmatroid.matroid import GroundSet, Matroid, _check_exchange
-from helpers import naive_rank, naive_connected, naive_dual_bases, spanning_trees
+from lockedmatroid.matroid import GroundSet, Matroid, _check_exchange, separator
+from helpers import (naive_connected, naive_dual_bases, naive_minor_connected, naive_rank,
+                     spanning_trees)
 
 K4_EDGES = ((0, 2), (0, 1), (0, 3), (1, 2), (1, 3), (2, 3))
 
@@ -280,12 +281,67 @@ def test_is_connected_examples(corpus):
         assert lm.is_connected(m) == naive_connected(m.n, m.bases)
 
 
+def test_separator_matches_minor_definition(corpus):
+    # every disjoint pair (X, C): element e is outside both, in X or in C
+    for m in corpus:
+        if m.n > 6:
+            continue
+        ranks = m._rank_table()
+        for place in itertools.product(range(3), repeat=m.n):
+            xs = [e for e in range(m.n) if place[e] == 1]
+            cs = [e for e in range(m.n) if place[e] == 2]
+            x, c = mask_of(xs), mask_of(cs)
+            a = separator(ranks, x, c)
+            assert (a is None) == naive_minor_connected(m.bases, xs, cs), (m.name, xs, cs)
+            if a is not None:
+                part = [e for e in xs if a >> e & 1]
+                rest = [e for e in xs if not a >> e & 1]
+                assert part[0] == xs[0] and rest, (m.name, xs, cs)
+                assert (naive_rank(m.bases, part + cs) + naive_rank(m.bases, rest + cs)
+                        == naive_rank(m.bases, xs + cs) + naive_rank(m.bases, cs))
+
+
+def _direct_sum(parts, rng):
+    """Direct sum of (n, bases) parts, elements shuffled by rng."""
+    n, bases = 0, [()]
+    for pn, pbases in parts:
+        bases = [b + tuple(e + n for e in pb) for b in bases for pb in pbases]
+        n += pn
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return lm.from_bases(n, [[perm[e] for e in b] for b in bases])
+
+
+def _first_separator(m):
+    full = set(range(m.n))
+    for k in range(1, m.n):
+        for a in itertools.combinations(range(m.n), k):
+            if naive_rank(m.bases, a) + naive_rank(m.bases, full - set(a)) == m.rank:
+                return a
+    return None
+
+
 def test_disconnected_witness():
     # direct sum of two rank-1 two-element matroids
     m = lm.from_bases(4, [(0, 2), (0, 3), (1, 2), (1, 3)])
     sep = lm.find_separator(m)
     assert sep == (0, 1)
     assert not lm.is_connected(m)
+    # loops, coloops and three or more components, against the first
+    # (cardinality, lex) separator found by brute force
+    loop, coloop = (1, [()]), (1, [(0,)])
+    u12, u13, u24 = ((n, list(itertools.combinations(range(n), r)))
+                     for r, n in ((1, 2), (1, 3), (2, 4)))
+    k4 = (6, list(lm.mk4().bases))
+    sums = [(loop, coloop), (loop, loop, u13), (coloop, u12, u13), (u12, u12, u13),
+            (u13, u24, loop), (u12, k4), (k4, loop, coloop), (u24, u13, u12),
+            (u12, u12, u12, u12), (u13, coloop, u24), (loop, coloop, u12, u13)]
+    rng = Random(11)
+    for parts in sums:
+        for _ in range(4):
+            m = _direct_sum(parts, rng)
+            assert lm.find_separator(m) == _first_separator(m), (parts, m.bases)
+            assert not lm.is_connected(m)
 
 
 # -- closures ----------------------------------------------------------------------
