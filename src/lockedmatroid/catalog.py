@@ -12,7 +12,7 @@ import itertools
 from typing import Iterable, Optional, Sequence
 
 from . import errors
-from .matroid import GroundSet, Matroid, from_bases, relax
+from .matroid import GroundSet, Matroid, _refuse_large, from_bases, relax
 
 # K4 on vertices 0..3; edge order fixes the element labels a..f so that the
 # triangles come out as {a,b,d}, {a,c,f}, {b,c,e} and the rim {d,e,f}.
@@ -45,25 +45,16 @@ def uniform(r: int, n: int, prefix: str = "e", name: Optional[str] = None) -> Ma
 
 def graphic(n_vertices: int, edges: Sequence[tuple[int, int]],
             names: Optional[Sequence[str]] = None, name: str = "graphic") -> Matroid:
-    """Cycle matroid of a connected multigraph: bases are the spanning trees."""
+    """Cycle matroid of a connected multigraph: bases are the spanning trees.
+    A multigraph is connected exactly when it has one, so DisconnectedGraph
+    is raised when the scan of the edge subsets finds none."""
     if n_vertices < 1 or not edges:
         raise errors.InvalidParams("need at least one vertex and one edge")
     for (u, v) in edges:
         if not (0 <= u < n_vertices and 0 <= v < n_vertices):
             raise errors.InvalidParams("edge endpoint out of range: %r" % ((u, v),))
-    reach = {0}
-    frontier = [0]
-    while frontier:
-        x = frontier.pop()
-        for (u, v) in edges:
-            for a, b in ((u, v), (v, u)):
-                if a == x and b not in reach:
-                    reach.add(b)
-                    frontier.append(b)
-    if len(reach) != n_vertices:
-        raise errors.DisconnectedGraph("input graph is not connected")
-
     m = len(edges)
+    _refuse_large(m)
     r = n_vertices - 1
     bases = []
     for comb in itertools.combinations(range(m), r):
@@ -85,6 +76,8 @@ def graphic(n_vertices: int, edges: Sequence[tuple[int, int]],
             parent[ru] = rv
         if ok:
             bases.append(comb)
+    if not bases:
+        raise errors.DisconnectedGraph("input graph is not connected")
     return from_bases(m, bases, names=names, name=name)
 
 

@@ -21,7 +21,7 @@ from .corpus import standard_corpus
 from .isoengine import mip_bruteforce, mip_locked, mip_zero_locked, tsd
 from .lattice import augmented_lattice, dot_text, reduced_lattice, series_encode
 from .locked import locked_structure, structure_text
-from .matroid import load, save, two_sum, with_names
+from .matroid import Matroid, load, save, two_sum, with_names
 from .polytope import (
     build_P,
     greedy_max_basis,

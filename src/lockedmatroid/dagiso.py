@@ -110,26 +110,22 @@ def canonical_form(g: ColoredDigraph) -> CanonicalForm:
         if cell is None:
             leaf(col)
             return
+        # orbit[w] names w's orbit under the automorphisms found so far that
+        # fix every vertex of `fixed`; each automorphism is merged in once
+        orbit = list(range(n))
+        merged = 0
         done: list[int] = []
         for v in cell:
             if done:
-                gens = [a for a in autos if all(a[f] == f for f in fixed)]
-                if gens:
-                    parent = list(range(n))
-
-                    def find(x):
-                        while parent[x] != x:
-                            parent[x] = parent[parent[x]]
-                            x = parent[x]
-                        return x
-
-                    for a in gens:
+                for a in autos[merged:]:
+                    if all(a[f] == f for f in fixed):
                         for w in range(n):
-                            rw, ra = find(w), find(a[w])
-                            if rw != ra:
-                                parent[rw] = ra
-                    if any(find(v) == find(d) for d in done):
-                        continue
+                            old, new = orbit[w], orbit[a[w]]
+                            if old != new:
+                                orbit = [new if o == old else o for o in orbit]
+                merged = len(autos)
+                if any(orbit[v] == orbit[d] for d in done):
+                    continue
             split = [c * 2 + (0 if u == v else 1) for c, u in zip(col, range(n))]
             dfs(refine(_dense(split)), fixed + [v])
             done.append(v)

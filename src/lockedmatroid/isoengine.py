@@ -26,7 +26,7 @@ from . import errors
 from ._bits import bits_of, mask_of
 from .dagiso import are_isomorphic
 from .lattice import reduced_lattice, series_encode, to_colored
-from .locked import _locked_iter, dual_structure, locked_structure
+from .locked import LockedStructure, _locked_iter, dual_structure, locked_structure
 from .matroid import Matroid, closures, is_connected
 
 
@@ -110,6 +110,9 @@ def mip_bruteforce(m1: Matroid, m2: Matroid, max_n: int = 10) -> IsoReport:
                      timings={"search": elapsed})
 
 
+_ROUTES = {"labels": ("labels",), "series": ("series",), "both": ("labels", "series")}
+
+
 def mip_locked(m1: Matroid, m2: Matroid, route: str = "labels") -> IsoReport:
     """Locked-lattice isomorphism test.
 
@@ -117,22 +120,32 @@ def mip_locked(m1: Matroid, m2: Matroid, route: str = "labels") -> IsoReport:
     "series" compares their unlabeled series-arc encodings; "both" runs the
     two and insists they agree.
     """
+    if route not in _ROUTES:
+        raise errors.InvalidParams("unknown mip_locked route %r" % route)
     t0 = time.perf_counter()
-    s1 = locked_structure(m1)
-    s2 = locked_structure(m2)
+    return _compare_lattices(locked_structure(m1), locked_structure(m2), _ROUTES[route],
+                             (m1.name, m2.name), t0)
+
+
+def _compare_lattices(s1: LockedStructure, s2: LockedStructure, routes: tuple[str, ...],
+                      names: tuple[str, str], t0: float) -> IsoReport:
+    """Build the reduced lattices of s1 and s2 and compare them on each
+    route in turn; the routes must agree.  t0 is when building began."""
     d1 = reduced_lattice(s1)
     d2 = reduced_lattice(s2)
     t1 = time.perf_counter()
     answers = {}
-    if route in ("labels", "both"):
-        answers["labels"] = are_isomorphic(to_colored(d1), to_colored(d2))[0]
-    if route in ("series", "both"):
-        answers["series"] = are_isomorphic(series_encode(d1), series_encode(d2))[0]
-    if route == "both" and answers["labels"] != answers["series"]:
+    for route in routes:
+        if route == "labels":
+            g1, g2 = to_colored(d1), to_colored(d2)
+        else:
+            g1, g2 = series_encode(d1), series_encode(d2)
+        answers[route] = are_isomorphic(g1, g2)[0]
+    if len(set(answers.values())) > 1:
         raise errors.LockedMatroidError(
-            "lattice routes disagree on %s vs %s: %r" % (m1.name, m2.name, answers))
+            "lattice routes disagree on %s vs %s: %r" % (names + (answers,)))
     t2 = time.perf_counter()
-    return IsoReport(next(iter(answers.values())), "lattice",
+    return IsoReport(answers[routes[0]], "lattice",
                      locked_counts=(len(s1.locked), len(s2.locked)),
                      timings={"build": t1 - t0, "iso": t2 - t1})
 
@@ -196,19 +209,9 @@ def tsd(m: Matroid, method: str = "lattice") -> IsoReport:
     two reduced lattices; the bruteforce method searches for an explicit
     bijection between M and its dual."""
     if method == "bruteforce":
-        rep = mip_bruteforce(m, m.dual())
-        return IsoReport(rep.answer, "bruteforce", witness=rep.witness,
-                         timings=rep.timings)
+        return mip_bruteforce(m, m.dual())
     if method != "lattice":
         raise errors.InvalidParams("unknown tsd method %r" % method)
     t0 = time.perf_counter()
     s = locked_structure(m)
-    sd = dual_structure(s)
-    d1 = reduced_lattice(s)
-    d2 = reduced_lattice(sd)
-    t1 = time.perf_counter()
-    answer = are_isomorphic(to_colored(d1), to_colored(d2))[0]
-    t2 = time.perf_counter()
-    return IsoReport(answer, "lattice",
-                     locked_counts=(len(s.locked), len(sd.locked)),
-                     timings={"build": t1 - t0, "iso": t2 - t1})
+    return _compare_lattices(s, dual_structure(s), ("labels",), (m.name, "its dual"), t0)

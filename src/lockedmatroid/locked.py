@@ -97,8 +97,12 @@ def _locked_iter(m: Matroid) -> Iterator[tuple[int, ...]]:
 
 def locked_structure(m: Matroid) -> LockedStructure:
     """Enumerate the locked subsets and assemble the full quadruple."""
+    return _assemble(m, _locked_iter(m))
+
+
+def _assemble(m: Matroid, locked_sets) -> LockedStructure:
     parallel, coparallel = closures(m)
-    locked = tuple(sorted(_locked_iter(m), key=subset_key))
+    locked = tuple(sorted(locked_sets, key=subset_key))
     ranks = m._rank_table()
     r_e = ranks[m.full_mask]
     rho: dict = {(): 0, tuple(range(m.n)): r_e}
@@ -115,12 +119,12 @@ def k_locked_decision(m: Matroid, k: int, c=1) -> KLockedVerdict:
         raise errors.InvalidParams("k must be a natural number and c positive")
     _reject_loops_coloops(m)
     threshold = math.ceil(Fraction(c) * Fraction(m.n) ** k)
-    count = 0
-    for _ in _locked_iter(m):
-        count += 1
-        if count > threshold:
+    found = []
+    for sub in _locked_iter(m):
+        found.append(sub)
+        if len(found) > threshold:
             return KLockedVerdict(k, threshold, None, None)
-    return KLockedVerdict(k, threshold, count, locked_structure(m))
+    return KLockedVerdict(k, threshold, len(found), _assemble(m, found))
 
 
 def dual_structure(s: LockedStructure) -> LockedStructure:

@@ -73,6 +73,12 @@ def _check_elements(n: int, elements: Iterable[int]) -> int:
 MAX_N = 16
 
 
+def _refuse_large(n: int) -> None:
+    if n > MAX_N:
+        raise errors.TooLarge("validation builds a 2^n rank table; |E| capped at %d, got %d"
+                              % (MAX_N, n))
+
+
 def _check_exchange(masks: Sequence[int], mask_set: set[int]) -> None:
     for b1 in masks:
         for b2 in masks:
@@ -144,9 +150,6 @@ def _check_bases(m: "Matroid", scan_order: Sequence[int]) -> None:
     cards = {b.bit_count() for b in scan_order}
     if len(cards) != 1:
         raise errors.UnequalCardinality("bases of different sizes: %s" % sorted(cards))
-    if m.n > MAX_N:
-        raise errors.TooLarge("validation builds a 2^n rank table; |E| capped at %d, got %d"
-                              % (MAX_N, m.n))
     if _locally_submodular(m._rank_table(), m.n):
         return
     _check_exchange(scan_order, set(scan_order))
@@ -306,6 +309,7 @@ class Matroid:
         the table stays as this matroid's memo.  Raises UnequalCardinality,
         TooLarge (n > MAX_N) or ExchangeViolation with a concrete triple.
         """
+        _refuse_large(self.n)
         _check_bases(self, self._basis_masks)
 
 
@@ -323,8 +327,9 @@ def from_bases(n: int, bases: Iterable[Iterable[int]], names: Optional[Sequence[
 
     Raises EmptyBases, UnequalCardinality or ExchangeViolation (with a
     concrete failing triple) when the input is not a matroid, and TooLarge
-    when n > MAX_N, before any 2^n table is allocated.
+    when n > MAX_N, before it reads any basis.
     """
+    _refuse_large(n)
     ground = GroundSet(n, tuple(names)) if names is not None else GroundSet.default(n)
     masks = sorted({_check_elements(n, b) for b in bases})
     m = Matroid(ground, masks, name)

@@ -1,10 +1,10 @@
 """Exact two-phase simplex with Bland's rule.
 
-Rows are integer vectors with one shared positive denominator per row, so
-pivoting is integer arithmetic with a gcd cleanup; every value the solver
-reports is an exact rational.  Tableau rows are not rescaled to unit
-pivots: a basic variable's value is rhs divided by its own column entry,
-whose positivity is a maintained invariant.
+Constraint rows are primitive integer vectors: every value is a ratio
+inside one row, so a row needs no denominator (the objective row keeps
+one).  Pivoting is integer arithmetic with a gcd cleanup, and tableau rows
+are not rescaled to unit pivots: a basic variable's value is rhs divided
+by its own column entry, whose positivity is a maintained invariant.
 
 Variables are nonnegative in ``nonneg`` mode and free (split into a
 difference of nonnegative parts) otherwise.  Phase one minimizes the sum
@@ -29,12 +29,10 @@ INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 
-def _normalize_row(nums: list[int], den: int) -> tuple[list[int], int]:
-    g = reduce(math.gcd, nums, den)
-    if g > 1:
-        nums = [x // g for x in nums]
-        den //= g
-    return nums, den
+def _primitive(nums: list[int]) -> list[int]:
+    """nums divided by their gcd; an all-zero row stays as it is."""
+    g = reduce(math.gcd, nums)
+    return [x // g for x in nums] if g > 1 else nums
 
 
 class SimplexProgram:
@@ -46,7 +44,6 @@ class SimplexProgram:
         self.n_struct = n_vars if nonneg else 2 * n_vars
 
         rows: list[list[int]] = []
-        dens: list[int] = []
         basis: list[int] = []
 
         normd = []
@@ -90,15 +87,14 @@ class SimplexProgram:
                 basis.append(art_at)
                 art_at += 1
             rows.append(row)
-            dens.append(1)
 
         self.ncols = ncols
-        self._phase1(rows, dens, basis)
+        self._phase1(rows, basis)
 
     # -- pivoting ------------------------------------------------------------
 
     @staticmethod
-    def _pivot(rows, dens, basis, obj, r: int, c: int) -> tuple[list[int], int]:
+    def _pivot(rows, basis, obj, r: int, c: int) -> tuple[list[int], int]:
         """Pivot row r on column c; returns the updated objective row."""
         prow = rows[r]
         if prow[c] < 0:
@@ -110,19 +106,16 @@ class SimplexProgram:
             a = row[c]
             if a == 0:
                 continue
-            rows[i], dens[i] = _normalize_row(
-                [x * p - a * y for x, y in zip(row, prow)], dens[i] * p
-            )
+            rows[i] = _primitive([x * p - a * y for x, y in zip(row, prow)])
         onums, oden = obj
         a = onums[c]
         if a != 0:
-            onums, oden = _normalize_row(
-                [x * p - a * y for x, y in zip(onums, prow)], oden * p
-            )
+            *onums, oden = _primitive(
+                [x * p - a * y for x, y in zip(onums, prow)] + [oden * p])
         basis[r] = c
         return onums, oden
 
-    def _bland(self, rows, dens, basis, obj, banned: frozenset[int]) -> tuple[str, tuple]:
+    def _bland(self, rows, basis, obj, banned: frozenset[int]) -> tuple[str, tuple]:
         onums, oden = obj
         ncols = self.ncols
         while True:
@@ -144,33 +137,32 @@ class SimplexProgram:
                     leave, lb, la = i, b, a
             if leave < 0:
                 return UNBOUNDED, (onums, oden)
-            onums, oden = self._pivot(rows, dens, basis, (onums, oden), leave, enter)
+            onums, oden = self._pivot(rows, basis, (onums, oden), leave, enter)
 
-    def _objective_row(self, rows, dens, basis, c_vec: Sequence[int]) -> tuple[list[int], int]:
+    def _objective_row(self, rows, basis, c_vec: Sequence[int]) -> tuple[list[int], int]:
         """Row of z_j - c_j values (rhs cell carries z) for an integer objective."""
         vals = [Fraction(-c) for c in c_vec] + [Fraction(0)]
         for i, row in enumerate(rows):
             cb = c_vec[basis[i]]
             if cb:
-                # per-row denominators cancel inside a_ij / a_i,basis(i)
                 scale = Fraction(cb, row[basis[i]])
                 for j, rv in enumerate(row):
                     if rv:
                         vals[j] += scale * rv
         den = reduce(lambda acc, f: acc * f.denominator // math.gcd(acc, f.denominator),
                      vals, 1)
-        nums = [int(f * den) for f in vals]
-        return _normalize_row(nums, den)
+        # den is the least common denominator: the row is already in lowest terms
+        return [int(f * den) for f in vals], den
 
     # -- phases ----------------------------------------------------------------
 
-    def _phase1(self, rows, dens, basis) -> None:
+    def _phase1(self, rows, basis) -> None:
         if self.art_cols:
             c_vec = [0] * (self.ncols)
             for j in self.art_cols:
                 c_vec[j] = -1
-            obj = self._objective_row(rows, dens, basis, c_vec)
-            status, obj = self._bland(rows, dens, basis, obj, frozenset())
+            obj = self._objective_row(rows, basis, c_vec)
+            status, obj = self._bland(rows, basis, obj, frozenset())
             if status != OPTIMAL:  # -sum of artificials is bounded above by 0
                 raise errors.LockedMatroidError("phase one of the simplex is unbounded")
             onums, oden = obj
@@ -189,12 +181,11 @@ class SimplexProgram:
                     if pivot_col < 0:
                         drop.append(i)  # redundant constraint
                     else:
-                        obj = self._pivot(rows, dens, basis, obj, i, pivot_col)
+                        obj = self._pivot(rows, basis, obj, i, pivot_col)
             for i in reversed(drop):
-                del rows[i], dens[i], basis[i]
+                del rows[i], basis[i]
         self.feasible = True
         self._rows0 = [row[:] for row in rows]
-        self._dens0 = dens[:]
         self._basis0 = basis[:]
 
     def maximize(self, objective: Sequence[int]) -> tuple[str, Optional[Fraction], Optional[tuple]]:
@@ -208,15 +199,14 @@ class SimplexProgram:
         if not self.feasible:
             return INFEASIBLE, None, None
         rows = [row[:] for row in self._rows0]
-        dens = self._dens0[:]
         basis = self._basis0[:]
         c_vec = [0] * self.ncols
         for j, w in enumerate(objective):
             c_vec[j] = w
             if not self.nonneg:
                 c_vec[self.n_vars + j] = -w
-        obj = self._objective_row(rows, dens, basis, c_vec)
-        status, obj = self._bland(rows, dens, basis, obj, self.art_cols)
+        obj = self._objective_row(rows, basis, c_vec)
+        status, obj = self._bland(rows, basis, obj, self.art_cols)
         if status != OPTIMAL:
             return status, None, None
         onums, oden = obj

@@ -1,6 +1,10 @@
+import inspect
+import typing
+
 import pytest
 
 import lockedmatroid as lm
+from lockedmatroid import cli
 from lockedmatroid.cli import main
 
 
@@ -204,3 +208,20 @@ def test_iso_has_no_seed_option(tmp_path, capsys):
         main(["iso", str(p), str(p), "--seed", "3"])
     assert exc.value.code == 2
     assert "--seed" in capsys.readouterr().err
+
+
+def test_gen_oversized_uniform_refused_at_once(tmp_path, capsys):
+    out = tmp_path / "u20_40.matroid"
+    code, stdout, err = run(capsys, "gen", "uniform:20,40", str(out))
+    assert code == 2 and stdout == ""
+    assert "capped at 16" in err
+    assert not out.exists()
+
+
+def test_cli_type_hints_resolve():
+    # every annotation in cli names something the module imports
+    fns = [f for f in vars(cli).values()
+           if inspect.isfunction(f) and f.__module__ == cli.__name__]
+    assert fns
+    for f in fns:
+        typing.get_type_hints(f)

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 from random import Random
 
@@ -132,3 +133,40 @@ def test_canonical_form_separates_small_nonisomorphic():
     for g1 in graphs:
         for g2 in graphs:
             assert lm.are_isomorphic(g1, g2)[0] == lm.brute_force_iso(g1, g2)
+
+
+def _pinned_canonical_inputs(corpus, structures):
+    """Every corpus matroid's reduced lattice (labels and series routes),
+    augmented lattice and dual-structure lattice, then the seeded random
+    digraphs of test_agreement_battery_random_pairs."""
+    for m in corpus:
+        s = structures[m.name]
+        d = lm.reduced_lattice(s)
+        yield lm.to_colored(d)
+        yield lm.series_encode(d)
+        yield lm.to_colored(lm.augmented_lattice(s))
+        yield lm.to_colored(lm.reduced_lattice(lm.dual_structure(s)))
+    rng = Random(20240915)
+    for trial in range(1000):
+        n = rng.randint(1, 8)
+        arcs1, cols1 = random_colored_dag(rng, n)
+        yield ColoredDigraph(n, tuple(arcs1), cols1)
+        if trial % 2 == 0:
+            arcs2, cols2 = permute_digraph(rng, n, arcs1, cols1)
+        else:
+            arcs2, cols2 = random_colored_dag(rng, n)
+        yield ColoredDigraph(n, tuple(arcs2), cols2)
+
+
+def test_canonical_forms_pinned(corpus, structures):
+    # sha256 over (digest, perm) of every input, computed with the orbit
+    # pruning that rebuilt a union-find before each sibling: the incremental
+    # orbit partition must reproduce the same search tree and minimum key
+    h = hashlib.sha256()
+    count = 0
+    for g in _pinned_canonical_inputs(corpus, structures):
+        cf = canonical_form(g)
+        h.update(repr((cf.digest, cf.perm)).encode("utf-8"))
+        count += 1
+    assert count == 4 * len(corpus) + 2000
+    assert h.hexdigest() == "604b7ad1378006a014d4e8c46690a189998def868a8007977a34e513abfced50"

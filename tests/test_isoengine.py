@@ -1,10 +1,11 @@
 import math
+from dataclasses import replace
 from random import Random
 
 import pytest
 
 import lockedmatroid as lm
-from lockedmatroid import errors
+from lockedmatroid import errors, isoengine
 
 
 def test_bruteforce_mk4_relabeled():
@@ -120,3 +121,29 @@ def test_tsd_witness_from_bruteforce():
     d = v.dual()
     mapped = {tuple(sorted(rep.witness[e] for e in b)) for b in v.bases}
     assert mapped == set(d.bases)
+
+
+def test_mip_locked_unknown_route():
+    with pytest.raises(errors.InvalidParams):
+        lm.mip_locked(lm.mk4(), lm.mk4(), route="bogus")
+
+
+def test_tsd_bruteforce_is_mip_bruteforce_against_the_dual(corpus):
+    for m in corpus:
+        a = lm.tsd(m, method="bruteforce")
+        b = lm.mip_bruteforce(m, m.dual())
+        # timings are wall-clock measurements; every other field must agree
+        assert a.timings.keys() == b.timings.keys()
+        assert replace(a, timings={}) == replace(b, timings={}), m.name
+
+
+def test_lattice_routes_disagreement_message(monkeypatch):
+    # "both" insists the routes agree; a forced disagreement keeps its message
+    labelled = iter([lm.ColoredDigraph(1, (), (0,)), lm.ColoredDigraph(1, (), (1,))])
+    monkeypatch.setattr(isoengine, "to_colored", lambda d: next(labelled))
+    monkeypatch.setattr(isoengine, "series_encode",
+                        lambda d: lm.ColoredDigraph(1, (), (0,)))
+    with pytest.raises(errors.LockedMatroidError,
+                       match=r"lattice routes disagree on mk4 vs q6: "
+                             r"\{'labels': False, 'series': True\}"):
+        lm.mip_locked(lm.mk4(), lm.q6(), route="both")

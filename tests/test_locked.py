@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 import lockedmatroid as lm
-from lockedmatroid import errors
+from lockedmatroid import errors, locked
 from helpers import naive_is_locked, naive_locked_sets
 
 # locked counts of the corpus, frozen after a first run of the naive oracle
@@ -205,3 +205,25 @@ def test_structure_text_mk4():
     assert out.startswith("# format: 1\nground 6\nelements a,b,c,d,e,f\nrank 3\n")
     assert "L: {a,b,d} rank=2" in out
     assert out == lm.structure_text(lm.locked_structure(lm.mk4()))  # bit-exact
+
+
+def test_k_locked_decision_enumerates_once(corpus, monkeypatch):
+    # the verdict's structure is assembled from the sets it counted: equal to
+    # locked_structure, for as many lockedness tests as one enumeration
+    calls = [0]
+    original = locked._is_locked_in_component
+
+    def counted(*args):
+        calls[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(locked, "_is_locked_in_component", counted)
+    k5 = tuple(itertools.combinations(range(5), 2))
+    for m in list(corpus) + [lm.graphic(5, k5, name="mk5")]:
+        calls[0] = 0
+        s = lm.locked_structure(m)
+        once = calls[0]
+        calls[0] = 0
+        verdict = lm.k_locked_decision(m, 2)
+        assert verdict.yes and verdict.structure == s, m.name
+        assert calls[0] == once, m.name

@@ -116,6 +116,44 @@ def test_from_bases_size_guard():
     assert m._ranks is None  # refused before any 2^n table
 
 
+def test_size_guard_reads_no_basis():
+    def bases():
+        raise AssertionError("a basis was read")
+        yield (0,)
+
+    with pytest.raises(errors.TooLarge):
+        lm.from_bases(22, bases())
+    with pytest.raises(errors.TooLarge):
+        lm.uniform(10, 20)  # C(20, 10) = 184,756 bases, none enumerated
+    k10 = tuple(itertools.combinations(range(10), 2))
+    with pytest.raises(errors.TooLarge):
+        lm.graphic(10, k10)  # 45 edges; C(45, 9) edge subsets, none scanned
+
+
+def test_graphic_connectivity_matches_search():
+    # a multigraph is connected exactly when some edge subset is a spanning
+    # tree: graphic's DisconnectedGraph must agree with a reachability search
+    rng = Random(7)
+    for _ in range(300):
+        nv = rng.randint(1, 6)
+        edges = [(rng.randrange(nv), rng.randrange(nv)) for _ in range(rng.randint(1, 9))]
+        reach, frontier = {0}, [0]
+        while frontier:
+            x = frontier.pop()
+            for (u, v) in edges:
+                for a, b in ((u, v), (v, u)):
+                    if a == x and b not in reach:
+                        reach.add(b)
+                        frontier.append(b)
+        try:
+            m = lm.graphic(nv, edges)
+        except errors.DisconnectedGraph as exc:
+            assert len(reach) < nv and str(exc) == "input graph is not connected"
+        else:
+            assert len(reach) == nv
+            assert set(m.bases) == set(spanning_trees(nv, edges))
+
+
 def test_rank_zero_matroid():
     m = lm.uniform(0, 3)
     assert m.rank == 0

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 from fractions import Fraction
 from random import Random
@@ -6,7 +7,7 @@ import pytest
 
 import lockedmatroid as lm
 from lockedmatroid import errors
-from lockedmatroid.polytope import build_P, member, member_Q, sample_rational_points
+from lockedmatroid.polytope import build_P, lp_maximize, member, member_Q, sample_rational_points
 from helpers import exhaustive_max_basis
 
 
@@ -243,3 +244,24 @@ def test_sample_points_on_hyperplane():
     for p in pts:
         assert sum(p) == 2
         assert all(isinstance(c, Fraction) for c in p)
+
+
+def _k5_edges():
+    return tuple(itertools.combinations(range(5), 2))
+
+
+def test_lp_maximize_pinned(corpus):
+    # sha256 over lp_maximize's (value, point), with and without the unit
+    # box, for 30 seeded integer weights on the corpus, U(5,10) and M(K5);
+    # computed when the simplex still carried per-row denominators
+    ms = list(corpus) + [lm.uniform(5, 10), lm.graphic(5, _k5_edges(), name="mk5")]
+    h = hashlib.sha256()
+    for m in ms:
+        sys = system_for(m)
+        rng = Random(m.name)
+        for _ in range(30):
+            w = [rng.randint(-10, 10) for _ in range(m.n)]
+            for add_box in (True, False):
+                out = lp_maximize(sys, w, add_box=add_box)
+                h.update(repr((m.name, w, add_box, out)).encode("utf-8"))
+    assert h.hexdigest() == "438152661c529f5750f313e15f8fce8e60f4055c01268b42db9f7fde77b2158e"
