@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Iterator
 
 
 def mask_of(elements: Iterable[int]) -> int:
@@ -21,6 +21,26 @@ def bits_of(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def complement(n: int, x: tuple[int, ...]) -> tuple[int, ...]:
+    """E \\ x for the ground set E = {0, ..., n-1}."""
+    return bits_of(((1 << n) - 1) ^ mask_of(x))
+
+
+def splits(mask: int) -> Iterator[int]:
+    """Submasks of mask that hold its lowest element, mask itself excluded,
+    largest first: one side of each split of mask into two nonempty parts."""
+    low = mask & -mask
+    rest = b = mask ^ low
+    while b:
+        b = (b - 1) & rest
+        yield low | b
+
+
 def subset_key(t: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
     """Canonical order for subsets: by cardinality, then lexicographic."""
     return (len(t), t)
+
+
+def subset_text(names: tuple[str, ...], t: tuple[int, ...]) -> str:
+    """A subset written with element names, as "{a,b}"."""
+    return "{%s}" % ",".join(names[i] for i in t)

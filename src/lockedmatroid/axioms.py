@@ -52,10 +52,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from . import errors
-from ._bits import bits_of, mask_of, subset_key
+from ._bits import bits_of, complement, mask_of, splits, subset_key, subset_text
 from .locked import LockedStructure, locked_structure
 from .matroid import Matroid
 
@@ -93,33 +93,34 @@ class AxiomReport:
         return "".join("%s %s\n" % (v.axiom, v.message) for v in self.violations)
 
 
-def _complement(n: int, x: tuple[int, ...]) -> tuple[int, ...]:
-    return bits_of(((1 << n) - 1) ^ mask_of(x))
+def _stored_domain(s) -> list[tuple[int, ...]]:
+    """The subsets whose ranks a system stores, of a LockedSystem or a
+    LockedStructure: empty, E, each parallel and then each coparallel class
+    followed by its complement, then the locked sets."""
+    n = s.ground_size
+    out = [(), tuple(range(n))]
+    for x in itertools.chain(s.parallel, s.coparallel):
+        out += (x, complement(n, x))
+    return out + list(s.locked)
 
 
 def extract_system(m: Matroid) -> LockedSystem:
     """Locked system of a matroid, with true ranks on the whole domain."""
     s = locked_structure(m)
     ranks = m._rank_table()
-    r: dict = dict(s.rho)
-    for fam in (s.parallel, s.coparallel):
-        for x in fam:
-            comp = _complement(s.ground_size, x)
-            r[comp] = ranks[mask_of(comp)]
+    r = {x: ranks[mask_of(x)] for x in _stored_domain(s)}
     return LockedSystem(s.ground_size, s.names, s.parallel, s.coparallel, s.locked, r)
 
 
 def system_from_structure(s: LockedStructure) -> LockedSystem:
     """Locked system from a bare structure; the complement ranks that the
-    structure does not store are filled in by the closure formulas (L9/L11)."""
+    structure does not store are filled in by the closure formulas (L9/L11),
+    which take precedence over a stored rank of the same set."""
     n, re = s.ground_size, s.rank
-    r: dict = dict(s.rho)
-    for x in s.parallel:
-        comp = _complement(n, x)
-        r[comp] = min(len(comp), re)
-    for x in s.coparallel:
-        comp = _complement(n, x)
-        r[comp] = min(len(comp), re + 1 - len(x))
+    formula = {complement(n, x): min(n - len(x), re) for x in s.parallel}
+    formula.update((complement(n, x), min(n - len(x), re + 1 - len(x)))
+                   for x in s.coparallel)
+    r = {x: formula[x] if x in formula else s.rho[x] for x in _stored_domain(s)}
     return LockedSystem(n, s.names, s.parallel, s.coparallel, s.locked, r)
 
 
@@ -136,16 +137,10 @@ class RankExtender:
     that attains it.
     """
 
-    def __init__(self, sys: LockedSystem, extra: Optional[Mapping] = None):
-        self.sys = sys
+    def __init__(self, sys: LockedSystem):
         self.n = sys.ground_size
         self.full = (1 << self.n) - 1
-        self.base: dict[int, int] = {}
-        for t, val in sys.r.items():
-            self.base[mask_of(t)] = val
-        if extra:
-            for t, val in extra.items():
-                self.base.setdefault(mask_of(t), val)
+        self.base = {mask_of(t): val for t, val in sys.r.items()}
         if self.full not in self.base:
             raise errors.DomainMismatch("system is missing r(E)")
         self.r_e = self.base[self.full]
@@ -270,13 +265,12 @@ def _family_tuple(sys: LockedSystem) -> tuple[tuple[int, ...], ...]:
     return tuple(sys.parallel) + tuple(sys.coparallel) + tuple(sys.locked) + ((), full)
 
 
-def rank_extend(sys: LockedSystem, subset: Iterable[int],
-                extra: Optional[Mapping] = None) -> tuple[int, list[tuple]]:
+def rank_extend(sys: LockedSystem, subset: Iterable[int]) -> tuple[int, list[tuple]]:
     """Rank of a subset outside the structured family, with the chain trace."""
     x = tuple(sorted(subset))
     if x in set(_family_tuple(sys)):
         raise ValueError("rank_extend expects a set outside the structured family")
-    ext = RankExtender(sys, extra)
+    ext = RankExtender(sys)
     return ext.value(x), ext.trace(x)
 
 
@@ -289,13 +283,8 @@ def validate(sys: LockedSystem, rank_oracle: RankOracle) -> AxiomReport:
     """
     n = sys.ground_size
     full = tuple(range(n))
-    required: list[tuple[int, ...]] = [(), full]
-    for fam in (sys.parallel, sys.coparallel):
-        for x in fam:
-            required.append(x)
-            required.append(_complement(n, x))
-    required.extend(sys.locked)
-    missing = [x for x in required if x not in sys.r]
+    fullmask = (1 << n) - 1
+    missing = [x for x in _stored_domain(sys) if x not in sys.r]
     if missing:
         raise errors.DomainMismatch("missing stored ranks for %r" % (missing[:3],))
 
@@ -310,7 +299,7 @@ def validate(sys: LockedSystem, rank_oracle: RankOracle) -> AxiomReport:
         out.append(Violation(axiom, tuple(witnesses), message))
 
     def fmt(t: tuple[int, ...]) -> str:
-        return "{%s}" % ",".join(sys.names[i] for i in t)
+        return subset_text(sys.names, t)
 
     # L1
     if n < 1:
@@ -325,7 +314,7 @@ def validate(sys: LockedSystem, rank_oracle: RankOracle) -> AxiomReport:
             if xm == 0 or xm & seen:
                 ok = False
             seen |= xm
-        if not ok or seen != (1 << n) - 1:
+        if not ok or seen != fullmask:
             bad("L2", tuple(fam), "%s classes do not partition the ground set" % tag)
 
     # L3
@@ -342,7 +331,7 @@ def validate(sys: LockedSystem, rank_oracle: RankOracle) -> AxiomReport:
     seen_locked = set()
     for x in sys.locked:
         xm = mask_of(x)
-        if xm == 0 or xm == (1 << n) - 1:
+        if xm == 0 or xm == fullmask:
             bad("L4", (x,), "locked set %s is not proper and nonempty" % fmt(x))
         if x in closure_set:
             bad("L4", (x,), "locked set %s equals a closure class" % fmt(x))
@@ -382,14 +371,14 @@ def validate(sys: LockedSystem, rank_oracle: RankOracle) -> AxiomReport:
 
     # L8..L11
     for p in sys.parallel:
-        comp = _complement(n, p)
+        comp = complement(n, p)
         if sys.r[p] != min(1, r_e):
             bad("L8", (p,), "r(%s)=%d, expected %d" % (fmt(p), sys.r[p], min(1, r_e)))
         want = min(len(comp), r_e)
         if sys.r[comp] != want:
             bad("L9", (p,), "r(E\\%s)=%d, expected %d" % (fmt(p), sys.r[comp], want))
     for s in sys.coparallel:
-        comp = _complement(n, s)
+        comp = complement(n, s)
         want = min(len(s), r_e)
         if sys.r[s] != want:
             bad("L10", (s,), "r(%s)=%d, expected %d" % (fmt(s), sys.r[s], want))
@@ -429,43 +418,23 @@ def validate(sys: LockedSystem, rank_oracle: RankOracle) -> AxiomReport:
     # L15: every 2-split of a locked set is rank-deficient
     for l in sys.locked:
         lm = mask_of(l)
-        low = lm & -lm
-        rest = lm ^ low
-        b = (rest - 1) & rest if rest else 0
-        while rest:
-            xm = low | b
-            ym = lm ^ xm
-            if ym:
-                x, y = bits_of(xm), bits_of(ym)
-                if r_of(l) >= r_of(x) + r_of(y):
-                    bad("L15", (l, x, y),
-                        "r(%s)=%d not below r(%s)+r(%s)"
-                        % (fmt(l), r_of(l), fmt(x), fmt(y)))
-            if b == 0:
-                break
-            b = (b - 1) & rest
+        for xm in splits(lm):
+            x, y = bits_of(xm), bits_of(lm ^ xm)
+            if r_of(l) >= r_of(x) + r_of(y):
+                bad("L15", (l, x, y),
+                    "r(%s)=%d not below r(%s)+r(%s)"
+                    % (fmt(l), r_of(l), fmt(x), fmt(y)))
 
     # L16: dual splits through every covering pair meeting in the locked set
     for l in sys.locked:
         lm = mask_of(l)
-        comp = ((1 << n) - 1) ^ lm
-        if comp.bit_count() < 2:
-            continue
-        low = comp & -comp
-        rest = comp ^ low
-        b = (rest - 1) & rest if rest else 0
-        while rest:
-            am = low | b
-            bm = comp ^ am
-            if bm:
-                x, y = bits_of(lm | am), bits_of(lm | bm)
-                if r_of(l) >= r_of(x) + r_of(y) - r_e:
-                    bad("L16", (l, x, y),
-                        "r(%s)=%d not below r(%s)+r(%s)-r(E)"
-                        % (fmt(l), r_of(l), fmt(x), fmt(y)))
-            if b == 0:
-                break
-            b = (b - 1) & rest
+        comp = fullmask ^ lm
+        for am in splits(comp):
+            x, y = bits_of(lm | am), bits_of(lm | (comp ^ am))
+            if r_of(l) >= r_of(x) + r_of(y) - r_e:
+                bad("L16", (l, x, y),
+                    "r(%s)=%d not below r(%s)+r(%s)-r(E)"
+                    % (fmt(l), r_of(l), fmt(x), fmt(y)))
 
     # L18/L19: decompositions of intersections and unions of locked pairs
     ext = RankExtender(sys)
@@ -485,7 +454,7 @@ def validate(sys: LockedSystem, rank_oracle: RankOracle) -> AxiomReport:
                         % (fmt(it), want, got))
             union = m1 | m2
             ut = bits_of(union)
-            if union != (1 << n) - 1 and ut not in locked_set:
+            if union != fullmask and ut not in locked_set:
                 got = ext.up(union)
                 want = r_of(ut)
                 if got != want:

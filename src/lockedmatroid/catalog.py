@@ -9,7 +9,7 @@ K4 rim triangle), the six-element rank-3 matroids q6 and p6 (two resp. one
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import errors
 from .matroid import GroundSet, Matroid, _refuse_large, from_bases, relax

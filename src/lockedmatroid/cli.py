@@ -14,12 +14,12 @@ import sys
 from random import Random
 
 from . import errors
-from ._bits import mask_of
+from ._bits import mask_of, subset_text
 from .axioms import extract_system, validate
 from .catalog import catalog, uniform
 from .corpus import standard_corpus
 from .isoengine import mip_bruteforce, mip_locked, mip_zero_locked, tsd
-from .lattice import augmented_lattice, dot_text, reduced_lattice, series_encode
+from .lattice import augmented_lattice, dot_text, label_text, reduced_lattice, series_encode
 from .locked import locked_structure, structure_text
 from .matroid import Matroid, load, save, two_sum, with_names
 from .polytope import (
@@ -102,7 +102,7 @@ def _cmd_locked(args) -> int:
         sys.stdout.write(structure_text(s))
     else:
         for x in s.locked:
-            print("locked {%s} rank=%d" % (",".join(s.names[i] for i in x), s.rho[x]))
+            print("locked %s rank=%d" % (subset_text(s.names, x), s.rho[x]))
         print("count %d" % len(s.locked))
     return 0
 
@@ -118,10 +118,8 @@ def _cmd_lattice(args) -> int:
     print("# format: 1")
     print("lattice %s vertices=%d arcs=%d" % (kind, d.vertex_count, len(d.arcs)))
     for v in range(d.vertex_count):
-        lab = d.labels[v]
-        text = "(%d,%d)" % lab if len(lab) == 2 else "%d" % lab
-        prov = ",".join(s.names[i] for i in d.provenance[v])
-        print("v%d %s label=%s {%s}" % (v, d.levels[v], text, prov))
+        print("v%d %s label=%s %s" % (v, d.levels[v], label_text(d.labels[v]),
+                                      subset_text(s.names, d.provenance[v])))
     for (u, v) in d.arcs:
         print("a v%d v%d" % (u, v))
     return 0

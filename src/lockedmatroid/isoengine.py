@@ -36,7 +36,7 @@ class IsoReport:
     method: str  # bruteforce | lattice | zero-locked
     witness: Optional[tuple[int, ...]] = None  # witness[e] = image of element e
     locked_counts: Optional[tuple[int, int]] = None
-    timings: dict = field(default_factory=dict)
+    timings: dict = field(default_factory=dict, compare=False)  # wall clock, not identity
     opcount: Optional[int] = None
 
 

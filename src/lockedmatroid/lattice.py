@@ -208,13 +208,16 @@ def to_colored(d: LabeledDag) -> ColoredDigraph:
     return ColoredDigraph(d.vertex_count, d.arcs, tuple(colors))
 
 
+def label_text(lab: tuple[int, ...]) -> str:
+    """A vertex label as text: "(c,r)" for a pair, "m" for one number."""
+    return "(%d,%d)" % lab if len(lab) == 2 else "%d" % lab
+
+
 def dot_text(d: LabeledDag) -> str:
-    """Deterministic DOT export; labels are "(c,r)" or "m"."""
+    """Deterministic DOT export, with label_text labels."""
     lines = ["digraph locked_lattice {"]
     for v in range(d.vertex_count):
-        lab = d.labels[v]
-        text = "(%d,%d)" % lab if len(lab) == 2 else "%d" % lab
-        lines.append('  v%d [label="%s"];' % (v, text))
+        lines.append('  v%d [label="%s"];' % (v, label_text(d.labels[v])))
     for (u, v) in d.arcs:
         lines.append("  v%d -> v%d;" % (u, v))
     lines.append("}")

@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Iterator, Optional
 
 from . import errors
-from ._bits import bits_of, mask_of, subset_key
+from ._bits import bits_of, complement, mask_of, subset_key, subset_text
 from .matroid import Matroid, _reject_loops_coloops, closures, components, separator
 
 
@@ -133,9 +133,7 @@ def dual_structure(s: LockedStructure) -> LockedStructure:
     rank through rho*(X) = rho(E\\X) + |X| - rank."""
     n, r = s.ground_size, s.rank
     full = tuple(range(n))
-    fullmask = (1 << n) - 1
-    locked = tuple(sorted((bits_of(fullmask ^ mask_of(x)) for x in s.locked),
-                          key=subset_key))
+    locked = tuple(sorted((complement(n, x) for x in s.locked), key=subset_key))
     rho: dict = {(): 0, full: n - r}
     for p in s.coparallel:  # parallel classes of the dual
         rho[p] = min(1, n - r)
@@ -143,17 +141,13 @@ def dual_structure(s: LockedStructure) -> LockedStructure:
         # has rank r*(E), not its cardinality
         rho[c] = min(len(c), n - r)
     for x in s.locked:
-        comp = bits_of(fullmask ^ mask_of(x))
+        comp = complement(n, x)
         rho[comp] = s.rho[x] + len(comp) - r
     return LockedStructure(n, n - r, s.names, s.coparallel, s.parallel, locked, rho)
 
 
 def structure_text(s: LockedStructure) -> str:
     """Deterministic text dump: P/S/L sections with rank annotations."""
-
-    def fmt(x: tuple[int, ...]) -> str:
-        return "{%s}" % ",".join(s.names[i] for i in x)
-
     lines = [
         "# format: 1",
         "ground %d" % s.ground_size,
@@ -162,5 +156,5 @@ def structure_text(s: LockedStructure) -> str:
     ]
     for tag, fam in (("P", s.parallel), ("S", s.coparallel), ("L", s.locked)):
         for x in fam:
-            lines.append("%s: %s rank=%d" % (tag, fmt(x), s.rho[x]))
+            lines.append("%s: %s rank=%d" % (tag, subset_text(s.names, x), s.rho[x]))
     return "\n".join(lines) + "\n"

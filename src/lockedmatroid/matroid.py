@@ -160,8 +160,8 @@ def _check_bases(m: "Matroid", scan_order: Sequence[int]) -> None:
 class Matroid:
     """A matroid given by the explicit list of its bases.
 
-    Values are immutable after construction; the rank/independence tables
-    are internal memos computed at most once.
+    Values are immutable after construction; the rank table is an internal
+    memo computed at most once.
     """
 
     __slots__ = (
@@ -172,7 +172,6 @@ class Matroid:
         "index_map",
         "_basis_masks",
         "_basis_mask_set",
-        "_ind",
         "_ranks",
     )
 
@@ -190,7 +189,6 @@ class Matroid:
         self.index_map = index_map
         self._basis_masks = tuple(mask_of(b) for b in bases)
         self._basis_mask_set = frozenset(self._basis_masks)
-        self._ind = None
         self._ranks = None
 
     # -- identity ----------------------------------------------------------
@@ -238,11 +236,6 @@ class Matroid:
             self._build_tables()
         return self._ranks
 
-    def _ind_table(self) -> bytearray:
-        if self._ind is None:
-            self._build_tables()
-        return self._ind
-
     def _build_tables(self) -> None:
         n = self.n
         size = 1 << n
@@ -270,12 +263,11 @@ class Matroid:
                         best = r
                     rest ^= low
                 ranks[m] = best
-        self._ind = ind
         self._ranks = ranks
 
     def is_independent(self, elements: Iterable[int]) -> bool:
         m = _check_elements(self.n, elements)
-        return bool(self._ind_table()[m])
+        return self._rank_table()[m] == m.bit_count()
 
     # -- basic invariants -----------------------------------------------------
 

@@ -25,7 +25,6 @@ from random import Random
 from typing import Optional, Sequence
 
 from . import errors, simplex
-from ._bits import mask_of
 from .locked import LockedStructure
 from .matroid import MAX_N, Matroid
 
@@ -165,12 +164,12 @@ def greedy_max_basis(m: Matroid, weights: Sequence[int]) -> tuple[int, tuple[int
     index), extending whenever the element keeps the set independent."""
     if len(weights) != m.n:
         raise errors.DimensionMismatch("weight vector dimension mismatch")
-    ind = m._ind_table()
+    ranks = m._rank_table()
     current = 0
     chosen = []
     for e in sorted(range(m.n), key=lambda i: (-weights[i], i)):
         cand = current | (1 << e)
-        if ind[cand]:
+        if ranks[cand] == cand.bit_count():
             current = cand
             chosen.append(e)
     if len(chosen) != m.rank:

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 from random import Random
 
 import pytest
@@ -132,9 +131,8 @@ def test_tsd_bruteforce_is_mip_bruteforce_against_the_dual(corpus):
     for m in corpus:
         a = lm.tsd(m, method="bruteforce")
         b = lm.mip_bruteforce(m, m.dual())
-        # timings are wall-clock measurements; every other field must agree
+        assert a == b, m.name
         assert a.timings.keys() == b.timings.keys()
-        assert replace(a, timings={}) == replace(b, timings={}), m.name
 
 
 def test_lattice_routes_disagreement_message(monkeypatch):

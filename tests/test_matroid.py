@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import lockedmatroid as lm
 from lockedmatroid import errors
-from lockedmatroid._bits import mask_of
+from lockedmatroid._bits import bits_of, mask_of
 from lockedmatroid.matroid import GroundSet, Matroid, _check_exchange, separator
 from helpers import (naive_connected, naive_dual_bases, naive_minor_connected, naive_rank,
                      spanning_trees)
@@ -239,6 +239,14 @@ def test_rank_table_matches_naive(corpus):
         for k in range(m.n + 1):
             for comb in itertools.combinations(range(m.n), k):
                 assert ranks[sum(1 << e for e in comb)] == naive_rank(m.bases, comb)
+
+
+def test_is_independent_matches_bases(corpus):
+    for m in corpus:
+        fresh = Matroid(m.ground, m._basis_masks)  # no rank table yet
+        for x in range(1 << m.n):
+            want = any(x & ~b == 0 for b in m._basis_masks)
+            assert fresh.is_independent(bits_of(x)) == want, (m.name, x)
 
 
 def test_rank_monotone_submodular(corpus):
