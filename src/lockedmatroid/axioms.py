@@ -105,7 +105,14 @@ def _stored_domain(s) -> list[tuple[int, ...]]:
 
 
 def extract_system(m: Matroid) -> LockedSystem:
-    """Locked system of a matroid, with true ranks on the whole domain."""
+    """Locked system of a matroid, with true ranks on the whole domain.
+
+    The axiom system is defined for connected matroids only.  A disconnected
+    matroid still gets a system, but the closure rules assume connectivity,
+    so validate reports violations on it (two L3, two L9 and two L10 lines
+    on U(1,2)+U(1,2)).  The `axioms check` command refuses such
+    input with Disconnected.
+    """
     s = locked_structure(m)
     ranks = m._rank_table()
     r = {x: ranks[mask_of(x)] for x in _stored_domain(s)}
@@ -278,6 +285,9 @@ def validate(sys: LockedSystem, rank_oracle: RankOracle) -> AxiomReport:
     """Check the axioms L1..L16, L18, L19 exhaustively over their quantifier
     domains.  Ranks of sets outside the stored domain come from the oracle;
     stored values disagreeing with the oracle are reported under L6.
+
+    The rules describe the systems of connected matroids; the system of a
+    disconnected matroid can violate them (see extract_system).
 
     Raises DomainMismatch when a required stored value is missing.
     """

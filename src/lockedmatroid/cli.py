@@ -21,7 +21,7 @@ from .corpus import standard_corpus
 from .isoengine import mip_bruteforce, mip_locked, mip_zero_locked, tsd
 from .lattice import augmented_lattice, dot_text, label_text, reduced_lattice, series_encode
 from .locked import locked_structure, structure_text
-from .matroid import Matroid, load, save, two_sum, with_names
+from .matroid import Matroid, is_connected, load, save, two_sum, with_names
 from .polytope import (
     build_P,
     greedy_max_basis,
@@ -171,7 +171,10 @@ def _cmd_axioms(args) -> int:
     if args.action != "check":
         raise errors.InvalidParams("axioms supports the action: check")
     m = load(args.matroid)
-    system = extract_system(m)
+    system = extract_system(m)  # first, so loops and coloops keep their own errors
+    if not is_connected(m):
+        raise errors.Disconnected("the locked axiom system is defined for connected "
+                                  "matroids; %s is not connected" % m.name)
     ranks = m._rank_table()
     report = validate(system, lambda t: ranks[mask_of(t)])
     print("# format: 1")

@@ -64,12 +64,19 @@ def canonical_form(g: ColoredDigraph) -> CanonicalForm:
         in_adj[v].append(u)
 
     def refine(col: list[int]) -> list[int]:
+        # col is dense, and the old colour is the first sort key, so a vertex
+        # alone in its cell keeps its rank whatever its neighbour colours are:
+        # it gets the signature (colour, (), ()) and no neighbour tuples
         while True:
+            size = [0] * n
+            for c in col:
+                size[c] += 1
             sigs = [
-                (col[v],
+                (c, (), ()) if size[c] == 1 else
+                (c,
                  tuple(sorted(col[u] for u in in_adj[v])),
                  tuple(sorted(col[u] for u in out_adj[v])))
-                for v in range(n)
+                for v, c in enumerate(col)
             ]
             ranking = {s: i for i, s in enumerate(sorted(set(sigs)))}
             new = [ranking[s] for s in sigs]

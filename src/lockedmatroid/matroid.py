@@ -397,6 +397,26 @@ def separator(ranks: Sequence[int], x: int, c: int = 0) -> Optional[int]:
         b = (b - 1) & rest
 
 
+def is_cyclic_flat(ranks: Sequence[int], comp: int, x: int) -> bool:
+    """X is a cyclic flat of M|comp, read from M's rank table: r(X-e) = r(X)
+    for every e in X (X is a union of circuits) and r(X+e) > r(X) for every
+    e in comp\\X (X is closed in comp).  X must be a submask of comp."""
+    r = ranks[x]
+    b = x
+    while b:
+        low = b & -b
+        if ranks[x ^ low] != r:
+            return False
+        b ^= low
+    b = comp ^ x
+    while b:
+        low = b & -b
+        if ranks[x | low] == r:
+            return False
+        b ^= low
+    return True
+
+
 def components(ranks: Sequence[int], x: int) -> list[int]:
     """The connected components of M|X, as masks."""
     a = separator(ranks, x)

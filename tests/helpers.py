@@ -48,6 +48,17 @@ def naive_is_locked(n, bases, subset) -> bool:
             and naive_minor_connected(dual, comp))
 
 
+def naive_is_cyclic_flat(bases, ground, subset) -> bool:
+    """X is a cyclic flat of M|ground: X is its own closure in `ground` (no
+    e outside X keeps the rank) and X is cyclic (every e in X lies on a
+    circuit inside X, so removing it keeps the rank)."""
+    x = set(subset)
+    r = naive_rank(bases, x)
+    closure = {e for e in ground if naive_rank(bases, x | {e}) == r}
+    cyclic = all(naive_rank(bases, x - {e}) == r for e in x)
+    return closure == x and cyclic
+
+
 def naive_minor_connected(bases, ground, contract=()) -> bool:
     """(M/C)|X connected, from the definition: with r'(Y) = r(Y+C) - r(C),
     no split of X into nonempty parts A, B has r'(A) + r'(B) = r'(X)."""
@@ -73,6 +84,18 @@ def naive_locked_sets(n, bases):
             if naive_is_locked(n, bases, comb):
                 out.append(comb)
     return out
+
+
+def shuffled_direct_sum(parts, rng):
+    """(n, bases) of the direct sum of (n, bases) parts, elements shuffled
+    by rng."""
+    n, bases = 0, [()]
+    for pn, pbases in parts:
+        bases = [b + tuple(e + n for e in pb) for b in bases for pb in pbases]
+        n += pn
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return n, [[perm[e] for e in b] for b in bases]
 
 
 def spanning_trees(n_vertices, edges):

@@ -133,6 +133,17 @@ def test_axioms_check(tmp_path, capsys):
     assert "ok: 0 violations" in out
 
 
+def test_axioms_check_refuses_disconnected(tmp_path, capsys):
+    # U(1,2)+U(1,2): the library still builds and validates its system, but
+    # the command refuses it rather than print false L3/L9/L10 lines
+    p = tmp_path / "dis.matroid"
+    lm.save(lm.from_bases(4, [(0, 2), (0, 3), (1, 2), (1, 3)]), p)
+    code, out, err = run(capsys, "axioms", "check", str(p))
+    assert (code, out) == (2, "")
+    assert err == ("error: the locked axiom system is defined for connected "
+                   "matroids; M is not connected\n")
+
+
 def test_polytope_verify(tmp_path, capsys):
     p = tmp_path / "mk4.matroid"
     lm.save(lm.mk4(), p)

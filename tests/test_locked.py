@@ -1,10 +1,15 @@
 import itertools
+from random import Random
 
 import pytest
 
 import lockedmatroid as lm
 from lockedmatroid import errors, locked
-from helpers import naive_is_locked, naive_locked_sets
+from lockedmatroid._bits import bits_of
+from lockedmatroid.cli import parse_gen_spec
+from lockedmatroid.matroid import components
+from helpers import (naive_is_cyclic_flat, naive_is_locked, naive_locked_sets,
+                     shuffled_direct_sum)
 
 # locked counts of the corpus, frozen after a first run of the naive oracle
 EXPECTED_LOCKED = {
@@ -227,3 +232,33 @@ def test_k_locked_decision_enumerates_once(corpus, monkeypatch):
         verdict = lm.k_locked_decision(m, 2)
         assert verdict.yes and verdict.structure == s, m.name
         assert calls[0] == once, m.name
+
+
+def _cyclic_flat_battery(corpus):
+    """The corpus, more seeded 2-sums, the double 2-sum, M(K4)+M(K4) and
+    shuffled direct sums of two to four components, each with its dual."""
+    a = lm.two_sum(lm.uniform(2, 4), lm.uniform(2, 5, prefix="f"), 3, 0)
+    ms = list(corpus) + lm.seeded_two_sums(2) + lm.seeded_two_sums(3)
+    ms += [lm.two_sum(a, lm.uniform(2, 4, prefix="g"), a.n - 1, 0),
+           parse_gen_spec("twosum:mk4+mk4@a,f0")]
+    rng = Random(5)
+    u24 = (4, list(itertools.combinations(range(4), 2)))
+    k4, w3 = ((m.n, list(m.bases)) for m in (lm.mk4(), lm.whirl3()))
+    u23 = (3, list(itertools.combinations(range(3), 2)))
+    for parts in ((k4, u24), (w3, u23, u24), (u23, u23, u23, u24), (k4, w3)):
+        ms.append(lm.from_bases(*shuffled_direct_sum(parts, rng)))
+    return [x for m in ms for x in (m, m.dual())]
+
+
+def test_locked_sets_are_cyclic_flats_of_their_component(corpus, monkeypatch):
+    # the cyclic-flat pre-test is exact: every locked set is a cyclic flat
+    # of its component, and the enumeration without the test finds the same
+    battery = _cyclic_flat_battery(corpus)
+    filtered = [lm.locked_structure(m) for m in battery]
+    for m, s in zip(battery, filtered):
+        comps = components(m._rank_table(), m.full_mask)
+        for x in s.locked:
+            comp = next(c for c in comps if c >> x[0] & 1)
+            assert naive_is_cyclic_flat(m.bases, bits_of(comp), x), (m.name, x)
+    monkeypatch.setattr(locked, "is_cyclic_flat", lambda ranks, comp, x: True)
+    assert [lm.locked_structure(m) for m in battery] == filtered

@@ -8,9 +8,10 @@ from hypothesis import given, settings, strategies as st
 import lockedmatroid as lm
 from lockedmatroid import errors
 from lockedmatroid._bits import bits_of, mask_of
-from lockedmatroid.matroid import GroundSet, Matroid, _check_exchange, separator
-from helpers import (naive_connected, naive_dual_bases, naive_minor_connected, naive_rank,
-                     spanning_trees)
+from lockedmatroid.matroid import (GroundSet, Matroid, _check_exchange, components,
+                                   is_cyclic_flat, separator)
+from helpers import (naive_connected, naive_dual_bases, naive_is_cyclic_flat,
+                     naive_minor_connected, naive_rank, shuffled_direct_sum, spanning_trees)
 
 K4_EDGES = ((0, 2), (0, 1), (0, 3), (1, 2), (1, 3), (2, 3))
 
@@ -347,15 +348,21 @@ def test_separator_matches_minor_definition(corpus):
                         == naive_rank(m.bases, xs + cs) + naive_rank(m.bases, cs))
 
 
-def _direct_sum(parts, rng):
-    """Direct sum of (n, bases) parts, elements shuffled by rng."""
-    n, bases = 0, [()]
-    for pn, pbases in parts:
-        bases = [b + tuple(e + n for e in pb) for b in bases for pb in pbases]
-        n += pn
-    perm = list(range(n))
-    rng.shuffle(perm)
-    return lm.from_bases(n, [[perm[e] for e in b] for b in bases])
+def test_is_cyclic_flat_matches_definition(corpus):
+    # every subset of every component of every corpus matroid, its dual and
+    # a shuffled direct sum of three parts
+    u12 = (2, [(0,), (1,)])
+    parts = (u12, (4, list(itertools.combinations(range(4), 2))), (6, list(lm.mk4().bases)))
+    ms = [m for c in corpus for m in (c, c.dual())]
+    ms.append(lm.from_bases(*shuffled_direct_sum(parts, Random(3))))
+    for m in ms:
+        ranks = m._rank_table()
+        for comp in components(ranks, m.full_mask):
+            ground = bits_of(comp)
+            for k in range(len(ground) + 1):
+                for sub in itertools.combinations(ground, k):
+                    assert (is_cyclic_flat(ranks, comp, mask_of(sub))
+                            == naive_is_cyclic_flat(m.bases, ground, sub)), (m.name, sub)
 
 
 def _first_separator(m):
@@ -385,7 +392,7 @@ def test_disconnected_witness():
     rng = Random(11)
     for parts in sums:
         for _ in range(4):
-            m = _direct_sum(parts, rng)
+            m = lm.from_bases(*shuffled_direct_sum(parts, rng))
             assert lm.find_separator(m) == _first_separator(m), (parts, m.bases)
             assert not lm.is_connected(m)
 
