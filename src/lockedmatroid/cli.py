@@ -125,44 +125,36 @@ def _cmd_lattice(args) -> int:
     return 0
 
 
+def _verdict(method: str, bruteforce, lattice) -> bool:
+    """Answer of the chosen method; "both" runs the two and insists they agree."""
+    if method == "bruteforce":
+        return bruteforce().answer
+    if method == "lattice":
+        return lattice().answer
+    b, l = bruteforce().answer, lattice().answer
+    if b != l:
+        raise errors.LockedMatroidError("methods disagree: bruteforce=%r lattice=%r" % (b, l))
+    return b
+
+
 def _cmd_iso(args) -> int:
     m1 = load(args.matroid1)
     m2 = load(args.matroid2)
-    if args.method == "bruteforce":
-        answer = mip_bruteforce(m1, m2).answer
-        print("isomorphic" if answer else "not isomorphic")
-    elif args.method == "lattice":
-        answer = mip_locked(m1, m2, route="both").answer
-        print("isomorphic" if answer else "not isomorphic")
-    elif args.method == "l0":
+    if args.method == "l0":
         answer = mip_zero_locked(m1, m2).answer
-        print("isomorphic" if answer else "not isomorphic")
-    else:  # both
-        b = mip_bruteforce(m1, m2).answer
-        l = mip_locked(m1, m2, route="both").answer
-        if b != l:
-            raise errors.LockedMatroidError(
-                "methods disagree: bruteforce=%r lattice=%r" % (b, l))
-        answer = b
-        word = str(answer).lower()
-        print("%s (bruteforce=lattice=%s)" %
-              ("isomorphic" if answer else "not isomorphic", word))
+    else:
+        answer = _verdict(args.method, lambda: mip_bruteforce(m1, m2),
+                          lambda: mip_locked(m1, m2))
+    line = "isomorphic" if answer else "not isomorphic"
+    if args.method == "both":
+        line += " (bruteforce=lattice=%s)" % str(answer).lower()
+    print(line)
     return 0 if answer else 1
 
 
 def _cmd_selfdual(args) -> int:
     m = load(args.matroid)
-    if args.method == "bruteforce":
-        answer = tsd(m, method="bruteforce").answer
-    elif args.method == "lattice":
-        answer = tsd(m).answer
-    else:
-        b = tsd(m, method="bruteforce").answer
-        l = tsd(m).answer
-        if b != l:
-            raise errors.LockedMatroidError(
-                "methods disagree: bruteforce=%r lattice=%r" % (b, l))
-        answer = b
+    answer = _verdict(args.method, lambda: tsd(m, method="bruteforce"), lambda: tsd(m))
     print("self-dual" if answer else "not self-dual")
     return 0 if answer else 1
 

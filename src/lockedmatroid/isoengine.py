@@ -5,9 +5,10 @@ Three routes:
 * mip_bruteforce: backtracking over element bijections, pruned by rank
   signatures of every subset of the mapped prefix; produces a witness
   bijection verified against the full basis lists.
-* mip_locked: builds the reduced locked lattices and compares them as
-  colored DAGs (optionally through the unlabeled series-arc encoding);
-  answer-only, no element witness.
+* mip_locked: builds the reduced locked lattices and compares them on one
+  encoding: as colored DAGs (the labels route, the default) or as their
+  unlabeled series-arc encodings (the series route); answer-only, no
+  element witness.
 * mip_zero_locked: for matroids without locked subsets, compares the
   sorted coparallel and parallel closure cardinality sequences; the
   comparison is instrumented with an operation count.
@@ -18,8 +19,7 @@ structure rather than re-enumerating locked subsets.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from . import errors
@@ -29,6 +29,9 @@ from .lattice import reduced_lattice, series_encode, to_colored
 from .locked import LockedStructure, _locked_iter, dual_structure, locked_structure
 from .matroid import Matroid, closures, is_connected
 
+# brute force is exponential in n; larger inputs raise TooLarge
+BRUTEFORCE_MAX_N = 10
+
 
 @dataclass
 class IsoReport:
@@ -36,21 +39,15 @@ class IsoReport:
     method: str  # bruteforce | lattice | zero-locked
     witness: Optional[tuple[int, ...]] = None  # witness[e] = image of element e
     locked_counts: Optional[tuple[int, int]] = None
-    timings: dict = field(default_factory=dict, compare=False)  # wall clock, not identity
     opcount: Optional[int] = None
 
 
-def mip_bruteforce(m1: Matroid, m2: Matroid, max_n: int = 10) -> IsoReport:
+def mip_bruteforce(m1: Matroid, m2: Matroid) -> IsoReport:
     """Exhaustive isomorphism search; the returned witness maps the basis
     family of m1 exactly onto that of m2."""
-    t0 = time.perf_counter()
-    if m1.n != m2.n:
-        return IsoReport(False, "bruteforce", timings={"search": time.perf_counter() - t0})
-    if m1.n > max_n:
-        raise errors.TooLarge("brute force capped at %d elements" % max_n)
+    if m1.n == m2.n > BRUTEFORCE_MAX_N:
+        raise errors.TooLarge("brute force capped at %d elements" % BRUTEFORCE_MAX_N)
     n = m1.n
-    if m1.rank != m2.rank or len(m1.bases) != len(m2.bases):
-        return IsoReport(False, "bruteforce", timings={"search": time.perf_counter() - t0})
 
     def signature(m: Matroid) -> list[int]:
         counts = [0] * n
@@ -59,9 +56,11 @@ def mip_bruteforce(m1: Matroid, m2: Matroid, max_n: int = 10) -> IsoReport:
                 counts[e] += 1
         return counts
 
-    sig1, sig2 = signature(m1), signature(m2)
-    if sorted(sig1) != sorted(sig2):
-        return IsoReport(False, "bruteforce", timings={"search": time.perf_counter() - t0})
+    sig1 = sig2 = None
+    if (m1.n, m1.rank, len(m1.bases)) == (m2.n, m2.rank, len(m2.bases)):
+        sig1, sig2 = signature(m1), signature(m2)
+    if sig1 is None or sorted(sig1) != sorted(sig2):
+        return IsoReport(False, "bruteforce")
 
     r1 = m1._rank_table()
     r2 = m2._rank_table()
@@ -99,55 +98,33 @@ def mip_bruteforce(m1: Matroid, m2: Matroid, max_n: int = 10) -> IsoReport:
             del pairs[old_len:]
         return False
 
-    found = extend(0)
-    elapsed = time.perf_counter() - t0
-    if not found:
-        return IsoReport(False, "bruteforce", timings={"search": elapsed})
+    if not extend(0):
+        return IsoReport(False, "bruteforce")
     mapped = {mask_of(witness[e] for e in b) for b in m1.bases}
-    if mapped != m2._basis_mask_set:
+    if mapped != set(m2._basis_masks):
         raise errors.LockedMatroidError("witness does not carry bases onto bases")
-    return IsoReport(True, "bruteforce", witness=witness,
-                     timings={"search": elapsed})
-
-
-_ROUTES = {"labels": ("labels",), "series": ("series",), "both": ("labels", "series")}
+    return IsoReport(True, "bruteforce", witness=witness)
 
 
 def mip_locked(m1: Matroid, m2: Matroid, route: str = "labels") -> IsoReport:
     """Locked-lattice isomorphism test.
 
-    route: "labels" compares the reduced lattices as colored DAGs;
-    "series" compares their unlabeled series-arc encodings; "both" runs the
-    two and insists they agree.
+    route: "labels" compares the reduced lattices as colored DAGs; "series"
+    compares their unlabeled series-arc encodings.
     """
-    if route not in _ROUTES:
+    if route not in ("labels", "series"):
         raise errors.InvalidParams("unknown mip_locked route %r" % route)
-    t0 = time.perf_counter()
-    return _compare_lattices(locked_structure(m1), locked_structure(m2), _ROUTES[route],
-                             (m1.name, m2.name), t0)
+    return _compare_lattices(locked_structure(m1), locked_structure(m2), route)
 
 
-def _compare_lattices(s1: LockedStructure, s2: LockedStructure, routes: tuple[str, ...],
-                      names: tuple[str, str], t0: float) -> IsoReport:
-    """Build the reduced lattices of s1 and s2 and compare them on each
-    route in turn; the routes must agree.  t0 is when building began."""
+def _compare_lattices(s1: LockedStructure, s2: LockedStructure, route: str) -> IsoReport:
+    """Build the reduced lattices of s1 and s2 and compare them on the
+    route's encoding."""
     d1 = reduced_lattice(s1)
     d2 = reduced_lattice(s2)
-    t1 = time.perf_counter()
-    answers = {}
-    for route in routes:
-        if route == "labels":
-            g1, g2 = to_colored(d1), to_colored(d2)
-        else:
-            g1, g2 = series_encode(d1), series_encode(d2)
-        answers[route] = are_isomorphic(g1, g2)[0]
-    if len(set(answers.values())) > 1:
-        raise errors.LockedMatroidError(
-            "lattice routes disagree on %s vs %s: %r" % (names + (answers,)))
-    t2 = time.perf_counter()
-    return IsoReport(answers[routes[0]], "lattice",
-                     locked_counts=(len(s1.locked), len(s2.locked)),
-                     timings={"build": t1 - t0, "iso": t2 - t1})
+    encode = to_colored if route == "labels" else series_encode
+    return IsoReport(are_isomorphic(encode(d1), encode(d2))[0], "lattice",
+                     locked_counts=(len(s1.locked), len(s2.locked)))
 
 
 class _CountedValue:
@@ -169,7 +146,6 @@ class _CountedValue:
 def mip_zero_locked(m1: Matroid, m2: Matroid) -> IsoReport:
     """Isomorphism for matroids without locked subsets: compare the sorted
     coparallel (and, symmetrically, parallel) closure cardinality sequences."""
-    t0 = time.perf_counter()
     for m in (m1, m2):
         if not is_connected(m):
             raise errors.Disconnected("%s is not connected" % m.name)
@@ -177,7 +153,6 @@ def mip_zero_locked(m1: Matroid, m2: Matroid) -> IsoReport:
             raise errors.NotZeroLocked("%s has a locked subset" % m.name)
     p1, s1 = closures(m1)
     p2, s2 = closures(m2)
-    t1 = time.perf_counter()
     cell = [0]
     # ground size and rank are not carried by the closure sequences (they are
     # the lattice's sink label) and must match as well
@@ -196,11 +171,7 @@ def mip_zero_locked(m1: Matroid, m2: Matroid) -> IsoReport:
             if not (u == v):
                 answer = False
                 break
-    t2 = time.perf_counter()
-    return IsoReport(answer, "zero-locked",
-                     locked_counts=(0, 0),
-                     timings={"closures": t1 - t0, "compare": t2 - t1},
-                     opcount=cell[0])
+    return IsoReport(answer, "zero-locked", locked_counts=(0, 0), opcount=cell[0])
 
 
 def tsd(m: Matroid, method: str = "lattice") -> IsoReport:
@@ -212,6 +183,5 @@ def tsd(m: Matroid, method: str = "lattice") -> IsoReport:
         return mip_bruteforce(m, m.dual())
     if method != "lattice":
         raise errors.InvalidParams("unknown tsd method %r" % method)
-    t0 = time.perf_counter()
     s = locked_structure(m)
-    return _compare_lattices(s, dual_structure(s), ("labels",), (m.name, "its dual"), t0)
+    return _compare_lattices(s, dual_structure(s), "labels")

@@ -7,8 +7,8 @@ are those of its connected components.  The locked structure bundles the
 parallel closures P, the coparallel closures S, the locked family L and
 the rank values of all of them (plus the empty set and E).
 
-Enumeration is exhaustive over each component C's subsets, in canonical
-order (cardinality, then lexicographic).  Each subset meets three cheap
+Enumeration is exhaustive over the proper nonempty subsets of each
+component C, walked as submasks of C.  Each subset meets three cheap
 tests before the connectivity scans: rank >= 2, corank >= 2, and
 matroid.is_cyclic_flat.  The last one is exact: a locked L is a cyclic
 flat of C, because M|L, connected of rank >= 2, has no coloops, and
@@ -21,7 +21,6 @@ M*|(C\\L) is connected exactly when (M/L)|(C\\L) is.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -91,18 +90,19 @@ def _is_locked_in_component(ranks, comp: int, lm: int) -> bool:
     return separator(ranks, comp ^ lm, lm) is None
 
 
-def _locked_iter(m: Matroid) -> Iterator[tuple[int, ...]]:
-    """Locked subsets, per connected component, each component in
-    (cardinality, lex) order.  Not globally sorted across components.
-    Every subset goes through the rank, corank and cyclic-flat tests, in
-    that order, and only the survivors through the two separator scans."""
+def _locked_iter(m: Matroid) -> Iterator[int]:
+    """Masks of the locked subsets, per connected component, each component's
+    proper nonempty submasks walked in decreasing integer order; callers
+    that need an order sort.  Every subset goes through the rank, corank and
+    cyclic-flat tests, in that order, and only the survivors through the two
+    separator scans."""
     ranks = m._rank_table()
     for comp in sorted(components(ranks, m.full_mask)):
-        cbits = bits_of(comp)
-        for k in range(1, len(cbits)):
-            for sub in itertools.combinations(cbits, k):
-                if _is_locked_in_component(ranks, comp, mask_of(sub)):
-                    yield sub
+        x = (comp - 1) & comp
+        while x:
+            if _is_locked_in_component(ranks, comp, x):
+                yield x
+            x = (x - 1) & comp
 
 
 def locked_structure(m: Matroid) -> LockedStructure:
@@ -110,9 +110,9 @@ def locked_structure(m: Matroid) -> LockedStructure:
     return _assemble(m, _locked_iter(m))
 
 
-def _assemble(m: Matroid, locked_sets) -> LockedStructure:
+def _assemble(m: Matroid, locked_masks) -> LockedStructure:
     parallel, coparallel = closures(m)
-    locked = tuple(sorted(locked_sets, key=subset_key))
+    locked = tuple(sorted((bits_of(x) for x in locked_masks), key=subset_key))
     ranks = m._rank_table()
     r_e = ranks[m.full_mask]
     rho: dict = {(): 0, tuple(range(m.n)): r_e}
@@ -130,8 +130,8 @@ def k_locked_decision(m: Matroid, k: int, c=1) -> KLockedVerdict:
     _reject_loops_coloops(m)
     threshold = math.ceil(Fraction(c) * Fraction(m.n) ** k)
     found = []
-    for sub in _locked_iter(m):
-        found.append(sub)
+    for x in _locked_iter(m):
+        found.append(x)
         if len(found) > threshold:
             return KLockedVerdict(k, threshold, None, None)
     return KLockedVerdict(k, threshold, len(found), _assemble(m, found))

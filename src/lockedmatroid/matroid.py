@@ -171,7 +171,7 @@ class Matroid:
         "name",
         "index_map",
         "_basis_masks",
-        "_basis_mask_set",
+        "_mask_set",
         "_ranks",
     )
 
@@ -188,7 +188,7 @@ class Matroid:
         self.name = name
         self.index_map = index_map
         self._basis_masks = tuple(mask_of(b) for b in bases)
-        self._basis_mask_set = frozenset(self._basis_masks)
+        self._mask_set = None
         self._ranks = None
 
     # -- identity ----------------------------------------------------------
@@ -218,6 +218,14 @@ class Matroid:
         return "Matroid(%s, n=%d, rank=%d, bases=%d)" % (
             self.name, self.n, self.rank, len(self.bases)
         )
+
+    @property
+    def _basis_mask_set(self) -> frozenset:
+        # the package asks the rank table instead; this set, built on first
+        # read, is kept only for perfbench's input builders
+        if self._mask_set is None:
+            self._mask_set = frozenset(self._basis_masks)
+        return self._mask_set
 
     # -- ranks --------------------------------------------------------------
 
@@ -527,7 +535,7 @@ def relax(m: Matroid, subset: Iterable[int], name: Optional[str] = None) -> Matr
     x = _check_elements(m.n, subset)
     if x.bit_count() != m.rank:
         raise errors.InvalidParams("relaxation set must have %d elements" % m.rank)
-    if x in m._basis_mask_set:
+    if m._rank_table()[x] == m.rank:
         raise errors.InvalidParams("set is already a basis")
     new = [bits_of(b) for b in m._basis_masks] + [bits_of(x)]
     return from_bases(m.n, new, names=m.names, name=name or "relax(%s)" % m.name)

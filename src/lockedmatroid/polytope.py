@@ -17,10 +17,10 @@ independent combinatorial optimum the LP answers are compared against.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
 from random import Random
 from typing import Optional, Sequence
 
@@ -55,23 +55,28 @@ def build_P(s: LockedStructure) -> LinearSystem:
     return LinearSystem(s.ground_size, tuple(rows))
 
 
-def _as_fractions(point: Sequence) -> tuple[Fraction, ...]:
-    return tuple(Fraction(x) for x in point)
+def _integral(values: Sequence) -> tuple[list[int], int]:
+    """Exact rationals over one common denominator d: values[i] == ints[i] / d,
+    with d the lcm of the reduced denominators."""
+    fracs = [Fraction(v) for v in values]
+    d = math.lcm(*(f.denominator for f in fracs))
+    return [f.numerator * (d // f.denominator) for f in fracs], d
 
 
 def member(sys: LinearSystem, point: Sequence) -> tuple[bool, Optional[Row]]:
     """Exact membership; on failure returns the first violated row in order."""
-    x = _as_fractions(point)
+    x, d = _integral(point)
     if len(x) != sys.dimension:
         raise errors.DimensionMismatch(
             "point has %d coordinates, system has %d" % (len(x), sys.dimension))
     for row in sys.rows:
-        total = sum((x[i] for i in row.support), Fraction(0))
-        if row.rel == "==" and total != row.bound:
+        total = sum(x[i] for i in row.support)
+        bound = d * row.bound
+        if row.rel == "==" and total != bound:
             return False, row
-        if row.rel == "<=" and total > row.bound:
+        if row.rel == "<=" and total > bound:
             return False, row
-        if row.rel == ">=" and total < row.bound:
+        if row.rel == ">=" and total < bound:
             return False, row
     return True, None
 
@@ -81,20 +86,20 @@ def member_Q(m: Matroid, point: Sequence) -> bool:
     subset A.  Scans all 2^n subsets, so the ground set is capped at MAX_N."""
     if m.n > MAX_N:
         raise errors.TooLarge("member_Q scans 2^n subsets; |E| capped at %d" % MAX_N)
-    x = _as_fractions(point)
+    x, d = _integral(point)
     if len(x) != m.n:
         raise errors.DimensionMismatch("point dimension mismatch")
     ranks = m._rank_table()
-    if sum(x) != m.rank:
+    if sum(x) != d * m.rank:
         return False
-    if any(c < 0 or c > 1 for c in x):
+    if any(c < 0 or c > d for c in x):
         return False
     size = 1 << m.n
-    sums = [Fraction(0)] * size
+    sums = [0] * size
     for mask in range(1, size):
         low = mask & -mask
         sums[mask] = sums[mask ^ low] + x[low.bit_length() - 1]
-        if sums[mask] > ranks[mask]:
+        if sums[mask] > d * ranks[mask]:
             return False
     return True
 
@@ -140,11 +145,7 @@ def lp_maximize(sys: LinearSystem, weights: Sequence, add_box: bool = True
     """
     if len(weights) != sys.dimension:
         raise errors.DimensionMismatch("weight vector dimension mismatch")
-    fracs = [Fraction(w) for w in weights]
-    scale = 1
-    for f in fracs:
-        scale = scale * f.denominator // gcd(scale, f.denominator)
-    ints = [int(f * scale) for f in fracs]
+    ints, scale = _integral(weights)
     status, value, point = _program(sys, add_box).maximize(ints)
     if status == simplex.INFEASIBLE:
         raise errors.Infeasible("system has no feasible point")
@@ -154,7 +155,7 @@ def lp_maximize(sys: LinearSystem, weights: Sequence, add_box: bool = True
     ok, bad_row = member(sys, point)
     if not ok:
         raise errors.LockedMatroidError("LP witness violates %r" % (bad_row,))
-    if sum(f * c for f, c in zip(fracs, point)) != value:
+    if sum(w * c for w, c in zip(ints, point)) != value * scale:
         raise errors.LockedMatroidError("LP witness does not attain the optimum")
     return value, point
 

@@ -9,6 +9,7 @@ bare definition, spanning trees by brute-force edge subsets.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 from random import Random
 
 
@@ -148,3 +149,25 @@ def permute_digraph(rng: Random, n, arcs, cols):
     for v in range(n):
         new_cols[perm[v]] = cols[v]
     return new_arcs, tuple(new_cols)
+
+
+def fraction_member(sys, point):
+    """polytope.member in plain Fraction arithmetic: the first violated row
+    of the system in order, or (True, None)."""
+    x = tuple(Fraction(c) for c in point)
+    for row in sys.rows:
+        total = sum((x[i] for i in row.support), Fraction(0))
+        if ((row.rel == "==" and total != row.bound) or (row.rel == "<=" and total > row.bound)
+                or (row.rel == ">=" and total < row.bound)):
+            return False, row
+    return True, None
+
+
+def fraction_member_Q(m, point) -> bool:
+    """polytope.member_Q from the definition, in Fraction arithmetic:
+    x(E) = r(E), 0 <= x <= 1, and x(A) <= r(A) for every subset A."""
+    x = tuple(Fraction(c) for c in point)
+    if sum(x) != m.rank or any(c < 0 or c > 1 for c in x):
+        return False
+    return all(sum((x[e] for e in a), Fraction(0)) <= naive_rank(m.bases, a)
+               for k in range(1, m.n + 1) for a in itertools.combinations(range(m.n), k))

@@ -1,10 +1,13 @@
+import hashlib
 import inspect
 import typing
+from pathlib import Path
+from random import Random
 
 import pytest
 
 import lockedmatroid as lm
-from lockedmatroid import cli
+from lockedmatroid import cli, isoengine
 from lockedmatroid.cli import main
 
 
@@ -123,6 +126,64 @@ def test_selfdual(tmp_path, capsys):
     lm.save(lm.uniform(1, 3), p2)
     code, out, _ = run(capsys, "selfdual", str(p2))
     assert code == 1 and out.strip() == "not self-dual"
+
+
+def _verdict_commands(tmp_path, corpus):
+    """iso with every method on self, relabelled and neighbour pairs, and
+    selfdual with every method, over the corpus files."""
+    rng = Random(11)
+    paths, relabelled = [], []
+    for i, m in enumerate(corpus):
+        perm = list(range(m.n))
+        rng.shuffle(perm)
+        paths.append(str(tmp_path / ("%02d.matroid" % i)))
+        relabelled.append(str(tmp_path / ("%02dr.matroid" % i)))
+        lm.save(m, paths[-1])
+        lm.save(lm.relabel(m, perm, name=m.name + "r"), relabelled[-1])
+    for i, p in enumerate(paths):
+        for method in ("bruteforce", "lattice", "l0", "both"):
+            for q in (p, relabelled[i], paths[(i + 1) % len(paths)]):
+                yield ["iso", p, q, "--method", method]
+        for method in ("bruteforce", "lattice", "both"):
+            yield ["selfdual", p, "--method", method]
+
+
+def test_cli_verdicts_pinned(tmp_path, capsys, corpus):
+    # sha256 over (argv, exit code, stdout, stderr), computed at the commit
+    # whose lattice method also ran the series route on every call
+    h = hashlib.sha256()
+    count = 0
+    for argv in _verdict_commands(tmp_path, corpus):
+        result = run(capsys, *argv)
+        shown = [Path(a).name if a.startswith(str(tmp_path)) else a for a in argv]
+        h.update(repr((shown,) + result).encode("utf-8"))
+        count += 1
+    assert count == 15 * len(corpus)
+    assert h.hexdigest() == "895f73afb8814d27c0d012afbb62e50c6fee66b7dc220cb22e51fc52a73601a8"
+
+
+def test_lattice_verdicts_do_not_use_the_series_route(tmp_path, capsys, monkeypatch):
+    # the lattice method answers on the labels route alone
+    def refuse(d):
+        raise RuntimeError("series route called")
+    monkeypatch.setattr(isoengine, "series_encode", refuse)
+    for name, m in (("mk4", lm.mk4()), ("mk4r", lm.relabel(lm.mk4(), [5, 4, 3, 2, 1, 0])),
+                    ("whirl3", lm.whirl3()), ("vamos", lm.vamos()), ("u13", lm.uniform(1, 3))):
+        lm.save(m, tmp_path / name)
+
+    def iso(a, b, method):
+        return run(capsys, "iso", str(tmp_path / a), str(tmp_path / b), "--method", method)
+
+    def selfdual(a, method):
+        return run(capsys, "selfdual", str(tmp_path / a), "--method", method)
+
+    assert iso("mk4", "mk4r", "lattice") == (0, "isomorphic\n", "")
+    assert iso("mk4", "whirl3", "lattice") == (1, "not isomorphic\n", "")
+    assert iso("mk4", "mk4r", "both") == (0, "isomorphic (bruteforce=lattice=true)\n", "")
+    assert iso("mk4", "whirl3", "both") == (1, "not isomorphic (bruteforce=lattice=false)\n", "")
+    for method in ("lattice", "both"):
+        assert selfdual("vamos", method) == (0, "self-dual\n", "")
+        assert selfdual("u13", method) == (1, "not self-dual\n", "")
 
 
 def test_axioms_check(tmp_path, capsys):

@@ -209,6 +209,14 @@ def test_q6_p6_relaxation_chain():
     assert u == lm.uniform(3, 6, name=u.name) or len(u.bases) == 20
 
 
+
+def test_relax_refuses_every_basis(corpus):
+    # relax asks the rank table whether the set is a basis
+    for m in corpus:
+        for b in m.bases:
+            with pytest.raises(errors.InvalidParams, match="set is already a basis"):
+                lm.relax(m, b)
+
 def test_catalog_dispatch():
     assert lm.catalog("uniform", 0, 3).rank == 0
     assert lm.catalog("mk4") == lm.mk4()

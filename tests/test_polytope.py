@@ -8,7 +8,7 @@ import pytest
 import lockedmatroid as lm
 from lockedmatroid import errors
 from lockedmatroid.polytope import build_P, lp_maximize, member, member_Q, sample_rational_points
-from helpers import exhaustive_max_basis
+from helpers import exhaustive_max_basis, fraction_member, fraction_member_Q
 
 
 def system_for(m):
@@ -97,6 +97,40 @@ def test_p_equals_q_on_small_corpus(corpus):
         for p in sample_rational_points(m.n, m.rank, 250, rng):
             assert member(sys, p)[0] == member_Q(m, p), (m.name, p)
 
+
+
+def _typed(rng, f):
+    """f as an int, str, float or Fraction coordinate, whichever is exact."""
+    kinds = ["str", "fraction"]
+    if f.denominator == 1:
+        kinds.append("int")
+    if f.denominator & (f.denominator - 1) == 0:
+        kinds.append("float")
+    kind = rng.choice(kinds)
+    return {"int": int, "str": str, "float": float, "fraction": lambda v: v}[kind](f)
+
+
+def test_member_and_member_q_match_fraction_oracle(corpus):
+    # integer scaling over one common denominator against the Fraction
+    # arithmetic it replaced, on points with negative coordinates, coordinates
+    # above 1, mixed input types, and points shifted onto x(E) = r(E) so the
+    # subset scan of member_Q runs
+    rng = Random(2027)
+    inside = 0
+    for m in corpus:
+        sys = system_for(m)
+        for trial in range(60):
+            den = rng.choice((1, 2, 3, 4, 7, 8, 12, 64))
+            lo, hi = (0, den) if trial % 3 == 2 else (-den, 2 * den)
+            coords = [Fraction(rng.randint(lo, hi), den) for _ in range(m.n)]
+            if trial % 3:
+                shift = Fraction(m.rank - sum(coords), m.n)
+                coords = [c + shift for c in coords]
+            point = [_typed(rng, c) for c in coords]
+            assert member(sys, point) == fraction_member(sys, point), (m.name, point)
+            assert member_Q(m, point) == fraction_member_Q(m, point), (m.name, point)
+            inside += member_Q(m, point)
+    assert inside > 100
 
 # -- zero_one_vertices -------------------------------------------------------------
 
