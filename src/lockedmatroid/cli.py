@@ -35,6 +35,17 @@ from .polytope import (
 DEFAULT_SEED = 1
 
 
+def _natural(text: str) -> int:
+    """argparse type of a count: a nonnegative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid count: %r" % text) from None
+    if value < 0:
+        raise argparse.ArgumentTypeError("a count cannot be negative: %d" % value)
+    return value
+
+
 def _parse_uniform(spec: str) -> Matroid:
     body = spec[len("uniform:"):]
     try:
@@ -277,8 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("action", choices=("verify",))
     p.add_argument("matroid")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--points", type=int, default=200)
+    p.add_argument("--trials", type=_natural, default=20)
+    p.add_argument("--points", type=_natural, default=200)
     p.set_defaults(fn=_cmd_polytope)
 
     p = sub.add_parser("bench", help="deterministic corpus size report")

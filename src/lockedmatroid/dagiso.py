@@ -2,10 +2,17 @@
 
 The canonical form is computed by iterated color refinement (in/out
 neighbor color multisets) plus individualization-refinement backtracking;
-the canonical labeling is the one minimizing the (color sequence, arc list)
-encoding over the search tree.  Automorphisms discovered at leaves prune
-branches within the same orbit, which keeps highly symmetric inputs (many
-interchangeable strands) polynomial in practice.
+the canonical labeling is the first one, in search order, minimizing the
+(color sequence, arc list) encoding over the search tree.  Refinement
+re-sorts only the cells next to a cell that split in the previous round.
+A leaf whose encoding equals the best one gives an automorphism: the search
+jumps back to where its path left the best path (McKay & Piperno,
+"Practical graph isomorphism, II", 2014), and each search node skips
+children in the orbit of a searched child under the automorphisms found so
+far that fix the node's path.  That keeps highly symmetric inputs (many
+interchangeable strands) polynomial in practice.  Both cuts skip only cells
+that cannot split and subtrees that an automorphism maps onto searched
+ones, so the result is that of the full search.
 
 Digests are the hex encoding of the canonical byte string itself, not a
 hash: equal digests are equivalent to isomorphism by construction.
@@ -48,9 +55,25 @@ class CanonicalForm:
     digest: str
 
 
-def _dense(values) -> list[int]:
-    ranking = {v: i for i, v in enumerate(sorted(set(values)))}
-    return [ranking[v] for v in values]
+def _split(col: list[int], cells: dict[int, list[int]], c: int,
+           pieces: list[list[int]]) -> list[int]:
+    """Lays out the pieces of the cell at c in order and returns the first
+    positions of every piece but the largest.
+
+    A partition is `col` (col[v] is the first position of v's cell) and
+    `cells` (first position -> the cell's vertices, ascending).  A cell
+    splits in place, so every other cell keeps its colour, and colours
+    compare as the dense ranks of a re-rank of all vertices would."""
+    largest = max(pieces, key=len)
+    marked = []
+    for piece in pieces:
+        cells[c] = piece
+        for v in piece:
+            col[v] = c
+        if piece is not largest:
+            marked.append(c)
+        c += len(piece)
+    return marked
 
 
 def canonical_form(g: ColoredDigraph) -> CanonicalForm:
@@ -62,35 +85,47 @@ def canonical_form(g: ColoredDigraph) -> CanonicalForm:
     for (u, v) in g.arcs:
         out_adj[u].append(v)
         in_adj[v].append(u)
+    nbrs = [set(in_adj[v]) | set(out_adj[v]) for v in range(n)]
 
-    def refine(col: list[int]) -> list[int]:
-        # col is dense, and the old colour is the first sort key, so a vertex
-        # alone in its cell keeps its rank whatever its neighbour colours are:
-        # it gets the signature (colour, (), ()) and no neighbour tuples
-        while True:
-            size = [0] * n
-            for c in col:
-                size[c] += 1
-            sigs = [
-                (c, (), ()) if size[c] == 1 else
-                (c,
-                 tuple(sorted(col[u] for u in in_adj[v])),
-                 tuple(sorted(col[u] for u in out_adj[v])))
-                for v, c in enumerate(col)
-            ]
-            ranking = {s: i for i, s in enumerate(sorted(set(sigs)))}
-            new = [ranking[s] for s in sigs]
-            if new == col:
-                return col
-            col = new
+    def refine(col: list[int], cells: dict[int, list[int]], marked: list[int]) -> None:
+        # Each round splits every cell by (sorted in-colours, sorted
+        # out-colours), all read before the round; the old colour was the
+        # first key of the full re-rank, so pieces stay in place.  A cell's
+        # vertices agreed on their neighbours' colours a round ago, so it can
+        # split only if one of them has a neighbour in a marked piece: one of
+        # every piece of the last round's splits but the largest, whose
+        # counts follow from the others'.
+        while marked:
+            near = {col[u] for c in marked for v in cells[c] for u in nbrs[v]}
+            splits = []
+            for c in near:
+                vs = cells[c]
+                if len(vs) == 1:
+                    continue
+                groups: dict[tuple, list[int]] = {}
+                for v in vs:
+                    sig = (tuple(sorted([col[u] for u in in_adj[v]])),
+                           tuple(sorted([col[u] for u in out_adj[v]])))
+                    groups.setdefault(sig, []).append(v)
+                if len(groups) > 1:
+                    splits.append((c, [groups[s] for s in sorted(groups)]))
+            marked = []
+            for c, pieces in splits:
+                marked += _split(col, cells, c, pieces)
 
     best_key: Optional[tuple] = None
     best_perm: Optional[list[int]] = None
     best_inv: Optional[list[int]] = None
+    best_path: list[int] = []
     autos: list[list[int]] = []
 
-    def leaf(col: list[int]) -> None:
-        nonlocal best_key, best_perm, best_inv
+    def leaf(col: list[int], path: list[int]) -> int:
+        # Returns the depth the search resumes at.  A key equal to the best
+        # gives an automorphism that fixes the common prefix of the two paths
+        # (a vertex alone in its cell keeps its position) and maps the next
+        # vertex of this path onto the best path's: the rest of that subtree
+        # is an image of one already searched.
+        nonlocal best_key, best_perm, best_inv, best_path
         inv = [0] * n
         for v in range(n):
             inv[col[v]] = v
@@ -98,34 +133,30 @@ def canonical_form(g: ColoredDigraph) -> CanonicalForm:
         arcs_canon = tuple(sorted((col[u], col[v]) for (u, v) in g.arcs))
         key = (colors_canon, arcs_canon)
         if best_key is None or key < best_key:
-            best_key, best_perm, best_inv = key, list(col), inv
+            best_key, best_perm, best_inv, best_path = key, list(col), inv, path
         elif key == best_key:
             autos.append([best_inv[col[v]] for v in range(n)])
+            k = 0
+            while path[k] == best_path[k]:
+                k += 1
+            return k
+        return len(path)
 
-    def target_cell(col: list[int]) -> Optional[list[int]]:
-        cells: dict[int, list[int]] = {}
-        for v in range(n):
-            cells.setdefault(col[v], []).append(v)
-        cand = [vs for vs in cells.values() if len(vs) > 1]
-        if not cand:
-            return None
-        cand.sort(key=lambda vs: (len(vs), col[vs[0]]))
-        return cand[0]
-
-    def dfs(col: list[int], fixed: list[int]) -> None:
-        cell = target_cell(col)
-        if cell is None:
-            leaf(col)
-            return
+    def dfs(col: list[int], cells: dict[int, list[int]], path: list[int]) -> int:
+        if len(cells) == n:
+            return leaf(col, path)
+        start, cell = min(((c, vs) for c, vs in cells.items() if len(vs) > 1),
+                          key=lambda item: (len(item[1]), item[0]))
+        depth = len(path)
         # orbit[w] names w's orbit under the automorphisms found so far that
-        # fix every vertex of `fixed`; each automorphism is merged in once
+        # fix every vertex of `path`; each automorphism is merged in once
         orbit = list(range(n))
         merged = 0
         done: list[int] = []
         for v in cell:
             if done:
                 for a in autos[merged:]:
-                    if all(a[f] == f for f in fixed):
+                    if all(a[f] == f for f in path):
                         for w in range(n):
                             old, new = orbit[w], orbit[a[w]]
                             if old != new:
@@ -133,11 +164,23 @@ def canonical_form(g: ColoredDigraph) -> CanonicalForm:
                 merged = len(autos)
                 if any(orbit[v] == orbit[d] for d in done):
                     continue
-            split = [c * 2 + (0 if u == v else 1) for c, u in zip(col, range(n))]
-            dfs(refine(_dense(split)), fixed + [v])
+            child_col, child_cells = col[:], dict(cells)
+            pieces = [[v], [u for u in cell if u != v]]
+            refine(child_col, child_cells, _split(child_col, child_cells, start, pieces))
+            resume = dfs(child_col, child_cells, path + [v])
+            if resume < depth:
+                return resume
             done.append(v)
+        return depth
 
-    dfs(refine(_dense(list(g.colors))), [])
+    by_color: dict[int, list[int]] = {}
+    for v in range(n):
+        by_color.setdefault(g.colors[v], []).append(v)
+    col, cells = [0] * n, {}
+    _split(col, cells, 0, [by_color[c] for c in sorted(by_color)])
+    # the colour classes are no split of an equitable partition: mark them all
+    refine(col, cells, list(cells))
+    dfs(col, cells, [])
     if best_perm is None:
         raise errors.LockedMatroidError("canonical search reached no leaf")
     colors_canon, arcs_canon = best_key

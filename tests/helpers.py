@@ -3,7 +3,9 @@
 Everything here is deliberately written from the definitions, without the
 bitmask tables or shortcuts of the package under test: ranks by scanning
 the basis list, connectivity by trying every partition, locked sets by the
-bare definition, spanning trees by brute-force edge subsets.
+bare definition, spanning trees by brute-force edge subsets.  The one
+exception is `reference_canonical_form`, a frozen copy of an earlier
+canonical-form search that the package's faster search must reproduce.
 """
 
 from __future__ import annotations
@@ -11,6 +13,10 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from random import Random
+from typing import Optional
+
+from lockedmatroid import errors
+from lockedmatroid.dagiso import CanonicalForm, ColoredDigraph, _digest
 
 
 def naive_rank(bases, subset) -> int:
@@ -141,6 +147,14 @@ def random_colored_dag(rng: Random, n: int, colors: int = 3):
     return sorted(arcs), cols
 
 
+def random_colored_digraph(rng: Random, n: int, colors: int = 2):
+    """Random digraph on vertices 0..n-1: each ordered pair, loops included,
+    is an arc with probability 0.35, so cycles and 2-cycles occur."""
+    arcs = [(u, v) for u in range(n) for v in range(n) if rng.random() < 0.35]
+    cols = tuple(rng.randrange(colors) for _ in range(n))
+    return arcs, cols
+
+
 def permute_digraph(rng: Random, n, arcs, cols):
     perm = list(range(n))
     rng.shuffle(perm)
@@ -171,3 +185,104 @@ def fraction_member_Q(m, point) -> bool:
         return False
     return all(sum((x[e] for e in a), Fraction(0)) <= naive_rank(m.bases, a)
                for k in range(1, m.n + 1) for a in itertools.combinations(range(m.n), k))
+
+
+def _dense(values) -> list[int]:
+    ranking = {v: i for i, v in enumerate(sorted(set(values)))}
+    return [ranking[v] for v in values]
+
+
+def reference_canonical_form(g: ColoredDigraph) -> CanonicalForm:
+    """dagiso.canonical_form as it was before the worklist refinement and the
+    best-path backjump: every round re-ranks every vertex, and only orbit
+    pruning cuts the search.  The (digest, perm) it returns is the one the
+    package must reproduce."""
+    n = g.vertex_count
+    if n == 0:
+        return CanonicalForm((), (), (), _digest(0, (), ()))
+    in_adj = [[] for _ in range(n)]
+    out_adj = [[] for _ in range(n)]
+    for (u, v) in g.arcs:
+        out_adj[u].append(v)
+        in_adj[v].append(u)
+
+    def refine(col: list[int]) -> list[int]:
+        # col is dense, and the old colour is the first sort key, so a vertex
+        # alone in its cell keeps its rank whatever its neighbour colours are:
+        # it gets the signature (colour, (), ()) and no neighbour tuples
+        while True:
+            size = [0] * n
+            for c in col:
+                size[c] += 1
+            sigs = [
+                (c, (), ()) if size[c] == 1 else
+                (c,
+                 tuple(sorted(col[u] for u in in_adj[v])),
+                 tuple(sorted(col[u] for u in out_adj[v])))
+                for v, c in enumerate(col)
+            ]
+            ranking = {s: i for i, s in enumerate(sorted(set(sigs)))}
+            new = [ranking[s] for s in sigs]
+            if new == col:
+                return col
+            col = new
+
+    best_key: Optional[tuple] = None
+    best_perm: Optional[list[int]] = None
+    best_inv: Optional[list[int]] = None
+    autos: list[list[int]] = []
+
+    def leaf(col: list[int]) -> None:
+        nonlocal best_key, best_perm, best_inv
+        inv = [0] * n
+        for v in range(n):
+            inv[col[v]] = v
+        colors_canon = tuple(g.colors[inv[p]] for p in range(n))
+        arcs_canon = tuple(sorted((col[u], col[v]) for (u, v) in g.arcs))
+        key = (colors_canon, arcs_canon)
+        if best_key is None or key < best_key:
+            best_key, best_perm, best_inv = key, list(col), inv
+        elif key == best_key:
+            autos.append([best_inv[col[v]] for v in range(n)])
+
+    def target_cell(col: list[int]) -> Optional[list[int]]:
+        cells: dict[int, list[int]] = {}
+        for v in range(n):
+            cells.setdefault(col[v], []).append(v)
+        cand = [vs for vs in cells.values() if len(vs) > 1]
+        if not cand:
+            return None
+        cand.sort(key=lambda vs: (len(vs), col[vs[0]]))
+        return cand[0]
+
+    def dfs(col: list[int], fixed: list[int]) -> None:
+        cell = target_cell(col)
+        if cell is None:
+            leaf(col)
+            return
+        # orbit[w] names w's orbit under the automorphisms found so far that
+        # fix every vertex of `fixed`; each automorphism is merged in once
+        orbit = list(range(n))
+        merged = 0
+        done: list[int] = []
+        for v in cell:
+            if done:
+                for a in autos[merged:]:
+                    if all(a[f] == f for f in fixed):
+                        for w in range(n):
+                            old, new = orbit[w], orbit[a[w]]
+                            if old != new:
+                                orbit = [new if o == old else o for o in orbit]
+                merged = len(autos)
+                if any(orbit[v] == orbit[d] for d in done):
+                    continue
+            split = [c * 2 + (0 if u == v else 1) for c, u in zip(col, range(n))]
+            dfs(refine(_dense(split)), fixed + [v])
+            done.append(v)
+
+    dfs(refine(_dense(list(g.colors))), [])
+    if best_perm is None:
+        raise errors.LockedMatroidError("canonical search reached no leaf")
+    colors_canon, arcs_canon = best_key
+    return CanonicalForm(tuple(best_perm), colors_canon, arcs_canon,
+                         _digest(n, colors_canon, arcs_canon))

@@ -218,6 +218,26 @@ def test_polytope_verify(tmp_path, capsys):
     assert "pq-agreement pass (50 points)" in out
 
 
+@pytest.mark.parametrize("option", ["--trials", "--points"])
+@pytest.mark.parametrize("value", ["-3", "-1", "x", "2.5"])
+def test_polytope_verify_refuses_bad_counts(tmp_path, capsys, option, value):
+    p = tmp_path / "mk4.matroid"
+    lm.save(lm.mk4(), p)
+    with pytest.raises(SystemExit) as exc:
+        main(["polytope", "verify", str(p), option, value])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and option in err
+
+
+def test_polytope_verify_zero_counts(tmp_path, capsys):
+    p = tmp_path / "mk4.matroid"
+    lm.save(lm.mk4(), p)
+    code, out, _ = run(capsys, "polytope", "verify", str(p), "--trials", "0", "--points", "0")
+    assert code == 0
+    assert "lp-greedy pass (0/0 trials)" in out and "pq-agreement pass (0 points)" in out
+
+
 def test_polytope_verify_skips_pq_for_big(tmp_path, capsys):
     p = tmp_path / "v.matroid"
     lm.save(lm.vamos(), p)

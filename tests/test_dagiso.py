@@ -7,7 +7,8 @@ import pytest
 import lockedmatroid as lm
 from lockedmatroid import errors
 from lockedmatroid.dagiso import ColoredDigraph, canonical_form
-from helpers import random_colored_dag, permute_digraph
+from helpers import (permute_digraph, random_colored_dag, random_colored_digraph,
+                     reference_canonical_form)
 
 
 def test_single_vertex_digest_stable():
@@ -98,8 +99,8 @@ def test_agreement_battery_random_pairs():
 
 
 def test_canonical_form_on_symmetric_strands():
-    # many interchangeable strands: orbit pruning must keep this fast and the
-    # digest stable under relabeling
+    # many interchangeable strands: the backjump on each automorphism and the
+    # orbit pruning must keep this fast and the digest stable under relabeling
     g = lm.series_encode(lm.reduced_lattice(lm.locked_structure(lm.uniform(4, 8))))
     cf1 = canonical_form(g)
     rng = Random(3)
@@ -170,3 +171,54 @@ def test_canonical_forms_pinned(corpus, structures):
         count += 1
     assert count == 4 * len(corpus) + 2000
     assert h.hexdigest() == "604b7ad1378006a014d4e8c46690a189998def868a8007977a34e513abfced50"
+
+
+def _symmetric_and_cyclic_inputs(corpus, structures):
+    """Digraphs with cycles and large automorphism groups, then every corpus
+    lattice (labels and series, structure and dual)."""
+    # disjoint directed cycles, in both orders: k of length L (k, L <= 5),
+    # then two or three of unequal lengths, which leave vertices of several
+    # orbits in one equitable cell
+    cycle_sets = [(length,) * k for k in range(1, 6) for length in range(1, 6)]
+    cycle_sets += [lengths for k in (2, 3)
+                   for lengths in itertools.combinations_with_replacement(range(1, 6), k)
+                   if len(set(lengths)) > 1]
+    for lengths in cycle_sets:
+        for order in (lengths, lengths[::-1]):
+            arcs, base = [], 0
+            for length in order:
+                arcs += [(base + i, base + (i + 1) % length) for i in range(length)]
+                base += length
+            yield ColoredDigraph(base, tuple(arcs), (0,) * base)
+    for a in range(1, 6):  # K_{a,b}, every arc from the a side to the b side
+        for b in range(1, 6):
+            arcs = [(i, a + j) for i in range(a) for j in range(b)]
+            yield ColoredDigraph(a + b, tuple(arcs), (0,) * (a + b))
+    for n in range(1, 7):  # complete digraphs with loops and 2-cycles
+        arcs = [(u, v) for u in range(n) for v in range(n)]
+        yield ColoredDigraph(n, tuple(arcs), (0,) * n)
+    rng = Random(8128)
+    for _ in range(300):  # shuffled disjoint unions of copies of one digraph
+        n, copies = rng.randint(2, 5), rng.randint(2, 4)
+        arcs, cols = random_colored_digraph(rng, n)
+        union = [(c * n + u, c * n + v) for c in range(copies) for (u, v) in arcs]
+        arcs, cols = permute_digraph(rng, n * copies, union, cols * copies)
+        yield ColoredDigraph(n * copies, tuple(arcs), cols)
+    for m in corpus:
+        s = structures[m.name]
+        for st in (s, lm.dual_structure(s)):
+            d = lm.reduced_lattice(st)
+            yield lm.to_colored(d)
+            yield lm.series_encode(d)
+
+
+def test_canonical_form_matches_reference_search(corpus, structures):
+    # the worklist refinement and the backjump skip only cells that cannot
+    # split and subtrees that an automorphism maps onto searched ones, so the
+    # first leaf with the least key, and its numbering, must stay the same
+    count = 0
+    for g in _symmetric_and_cyclic_inputs(corpus, structures):
+        cf, ref = canonical_form(g), reference_canonical_form(g)
+        assert (cf.digest, cf.perm) == (ref.digest, ref.perm), g
+        count += 1
+    assert count == 2 * 65 + 25 + 6 + 300 + 4 * len(corpus)
