@@ -43,14 +43,23 @@ def uniform(r: int, n: int, prefix: str = "e", name: Optional[str] = None) -> Ma
                       name=name or "uniform(%d,%d)" % (r, n))
 
 
+def _pair(edge) -> tuple:
+    try:
+        u, v = edge
+    except (TypeError, ValueError):
+        raise errors.InvalidParams("edge is not a pair of vertices: %r" % (edge,)) from None
+    return u, v
+
+
 def graphic(n_vertices: int, edges: Sequence[tuple[int, int]],
             names: Optional[Sequence[str]] = None, name: str = "graphic") -> Matroid:
     """Cycle matroid of a connected multigraph: bases are the spanning trees.
     A multigraph is connected exactly when it has one, so DisconnectedGraph
-    is raised when the scan of the edge subsets finds none."""
+    is raised when the scan of the edge subsets finds none.  An edge that is
+    not a pair of vertices raises InvalidParams."""
     if n_vertices < 1 or not edges:
         raise errors.InvalidParams("need at least one vertex and one edge")
-    for (u, v) in edges:
+    for (u, v) in map(_pair, edges):
         if not (0 <= u < n_vertices and 0 <= v < n_vertices):
             raise errors.InvalidParams("edge endpoint out of range: %r" % ((u, v),))
     m = len(edges)
@@ -129,5 +138,5 @@ def catalog(name: str, *params) -> Matroid:
         if len(params) != 2:
             raise errors.InvalidParams("graphic needs (n_vertices, edges)")
         nv, edges = params
-        return graphic(int(nv), tuple((int(u), int(v)) for (u, v) in edges))
+        return graphic(int(nv), tuple((int(u), int(v)) for (u, v) in map(_pair, edges)))
     raise errors.UnknownName("unknown catalog name %r" % name)

@@ -231,13 +231,7 @@ class Matroid:
 
     def rank_of(self, elements: Iterable[int]) -> int:
         """Rank of a subset: the largest intersection with a basis."""
-        m = _check_elements(self.n, elements)
-        return self._rank_mask(m)
-
-    def _rank_mask(self, m: int) -> int:
-        if self._ranks is not None:
-            return self._ranks[m]
-        return max((b & m).bit_count() for b in self._basis_masks)
+        return self._rank_table()[_check_elements(self.n, elements)]
 
     def _rank_table(self) -> list[int]:
         if self._ranks is None:
@@ -487,11 +481,13 @@ def two_sum(m1: Matroid, m2: Matroid, e1: int, e2: int) -> Matroid:
     """2-sum of two connected matroids along the basepoints e1 in M1, e2 in M2.
 
     Ground set is (E1 minus e1) followed by (E2 minus e2); the result has
-    |E1|+|E2|-2 elements and rank r1+r2-1.
+    |E1|+|E2|-2 elements and rank r1+r2-1.  Raises TooLarge when that is
+    more than MAX_N, before it reads any basis.
     """
     for m in (m1, m2):
         if m.n < 3:
             raise errors.TooSmall("2-sum needs at least 3 elements on each side")
+    _refuse_large(m1.n + m2.n - 2)
     _check_elements(m1.n, (e1,))
     _check_elements(m2.n, (e2,))
     for m, e in ((m1, e1), (m2, e2)):

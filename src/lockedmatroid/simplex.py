@@ -1,10 +1,12 @@
-"""Exact two-phase simplex with Bland's rule.
+"""Exact two-phase simplex with Bland's rule, in integer arithmetic.
 
 Constraint rows are primitive integer vectors: every value is a ratio
-inside one row, so a row needs no denominator (the objective row keeps
-one).  Pivoting is integer arithmetic with a gcd cleanup, and tableau rows
-are not rescaled to unit pivots: a basic variable's value is rhs divided
-by its own column entry, whose positivity is a maintained invariant.
+inside one row, so a row needs no denominator.  The objective is one more
+integer row whose last cell is its positive denominator.  ``_eliminate``
+is the one row update: clear the pivot column, then divide by the gcd.
+Rows are not rescaled to unit pivots: a basic variable's value is rhs
+divided by its own column entry, whose positivity is a maintained
+invariant.  Only the returned optimum and witness are Fractions.
 
 Variables are nonnegative in ``nonneg`` mode and free (split into a
 difference of nonnegative parts) otherwise.  Phase one minimizes the sum
@@ -17,7 +19,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import reduce
 from typing import Optional, Sequence
 
 from . import errors
@@ -31,8 +32,20 @@ UNBOUNDED = "unbounded"
 
 def _primitive(nums: list[int]) -> list[int]:
     """nums divided by their gcd; an all-zero row stays as it is."""
-    g = reduce(math.gcd, nums)
+    g = math.gcd(*nums)
     return [x // g for x in nums] if g > 1 else nums
+
+
+def _eliminate(row: list[int], prow: list[int], c: int) -> list[int]:
+    """row with column c cleared by the pivot row prow (prow[c] > 0), divided
+    by its gcd.  Cells of row past the end of prow (the objective's
+    denominator) are multiplied by prow[c]."""
+    a = row[c]
+    if a == 0:
+        return row
+    p = prow[c]
+    return _primitive([x * p - a * y for x, y in zip(row, prow)]
+                      + [x * p for x in row[len(prow):]])
 
 
 class SimplexProgram:
@@ -94,38 +107,23 @@ class SimplexProgram:
     # -- pivoting ------------------------------------------------------------
 
     @staticmethod
-    def _pivot(rows, basis, obj, r: int, c: int) -> tuple[list[int], int]:
+    def _pivot(rows, basis, obj: list[int], r: int, c: int) -> list[int]:
         """Pivot row r on column c; returns the updated objective row."""
         prow = rows[r]
         if prow[c] < 0:
             rows[r] = prow = [-x for x in prow]
-        p = prow[c]
         for i, row in enumerate(rows):
-            if i == r:
-                continue
-            a = row[c]
-            if a == 0:
-                continue
-            rows[i] = _primitive([x * p - a * y for x, y in zip(row, prow)])
-        onums, oden = obj
-        a = onums[c]
-        if a != 0:
-            *onums, oden = _primitive(
-                [x * p - a * y for x, y in zip(onums, prow)] + [oden * p])
+            if i != r:
+                rows[i] = _eliminate(row, prow, c)
         basis[r] = c
-        return onums, oden
+        return _eliminate(obj, prow, c)
 
-    def _bland(self, rows, basis, obj, banned: frozenset[int]) -> tuple[str, tuple]:
-        onums, oden = obj
+    def _bland(self, rows, basis, obj: list[int], banned: frozenset[int]) -> tuple[str, list[int]]:
         ncols = self.ncols
         while True:
-            enter = -1
-            for j in range(ncols):
-                if j not in banned and onums[j] < 0:
-                    enter = j
-                    break
+            enter = next((j for j in range(ncols) if j not in banned and obj[j] < 0), -1)
             if enter < 0:
-                return OPTIMAL, (onums, oden)
+                return OPTIMAL, obj
             leave = -1
             lb = la = 0  # numerator/denominator of the best ratio
             for i, row in enumerate(rows):
@@ -136,23 +134,18 @@ class SimplexProgram:
                 if leave < 0 or b * la < lb * a or (b * la == lb * a and basis[i] < basis[leave]):
                     leave, lb, la = i, b, a
             if leave < 0:
-                return UNBOUNDED, (onums, oden)
-            onums, oden = self._pivot(rows, basis, (onums, oden), leave, enter)
+                return UNBOUNDED, obj
+            obj = self._pivot(rows, basis, obj, leave, enter)
 
-    def _objective_row(self, rows, basis, c_vec: Sequence[int]) -> tuple[list[int], int]:
-        """Row of z_j - c_j values (rhs cell carries z) for an integer objective."""
-        vals = [Fraction(-c) for c in c_vec] + [Fraction(0)]
-        for i, row in enumerate(rows):
-            cb = c_vec[basis[i]]
-            if cb:
-                scale = Fraction(cb, row[basis[i]])
-                for j, rv in enumerate(row):
-                    if rv:
-                        vals[j] += scale * rv
-        den = reduce(lambda acc, f: acc * f.denominator // math.gcd(acc, f.denominator),
-                     vals, 1)
-        # den is the least common denominator: the row is already in lowest terms
-        return [int(f * den) for f in vals], den
+    @staticmethod
+    def _objective_row(rows, basis, c_vec: Sequence[int]) -> list[int]:
+        """Row of z_j - c_j numerators, then z's numerator, then their
+        positive denominator, for an integer objective: -c with every
+        basic column cleared."""
+        obj = [-c for c in c_vec] + [0, 1]
+        for row, col in zip(rows, basis):
+            obj = _eliminate(obj, row, col)
+        return obj
 
     # -- phases ----------------------------------------------------------------
 
@@ -165,19 +158,15 @@ class SimplexProgram:
             status, obj = self._bland(rows, basis, obj, frozenset())
             if status != OPTIMAL:  # -sum of artificials is bounded above by 0
                 raise errors.LockedMatroidError("phase one of the simplex is unbounded")
-            onums, oden = obj
-            if onums[-1] != 0:  # optimum of -sum(artificials) below zero
+            if obj[-2] != 0:  # optimum of -sum(artificials) below zero
                 self.feasible = False
                 return
             # drive residual artificials out of the basis (degenerate rows)
             drop: list[int] = []
             for i in range(len(rows)):
                 if basis[i] in self.art_cols:
-                    pivot_col = -1
-                    for j in range(self.ncols):
-                        if j not in self.art_cols and rows[i][j] != 0:
-                            pivot_col = j
-                            break
+                    pivot_col = next((j for j in range(self.ncols)
+                                      if j not in self.art_cols and rows[i][j] != 0), -1)
                     if pivot_col < 0:
                         drop.append(i)  # redundant constraint
                     else:
@@ -209,8 +198,7 @@ class SimplexProgram:
         status, obj = self._bland(rows, basis, obj, self.art_cols)
         if status != OPTIMAL:
             return status, None, None
-        onums, oden = obj
-        value = Fraction(onums[-1], oden)
+        value = Fraction(obj[-2], obj[-1])
         point = [Fraction(0)] * self.n_vars
         for i, row in enumerate(rows):
             col = basis[i]

@@ -310,6 +310,23 @@ def test_gen_oversized_uniform_refused_at_once(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("spec", ["graphic:3:0-1,1-2-0", "graphic:3:0-1,1"])
+def test_gen_graphic_edge_not_a_pair_refused(tmp_path, capsys, spec):
+    out = tmp_path / "g.matroid"
+    code, stdout, err = run(capsys, "gen", spec, str(out))
+    assert (code, stdout) == (2, "")
+    assert err.startswith("error: edge is not a pair of vertices")
+    assert not out.exists()
+
+
+def test_gen_oversized_twosum_refused(tmp_path, capsys):
+    out = tmp_path / "ts.matroid"
+    code, stdout, err = run(capsys, "gen", "twosum:uniform:5,10+uniform:5,10@e0,f0", str(out))
+    assert (code, stdout) == (2, "")
+    assert "capped at 16, got 18" in err
+    assert not out.exists()
+
+
 def test_cli_type_hints_resolve():
     # every annotation in cli names something the module imports
     fns = [f for f in vars(cli).values()

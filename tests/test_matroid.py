@@ -155,6 +155,16 @@ def test_graphic_connectivity_matches_search():
             assert set(m.bases) == set(spanning_trees(nv, edges))
 
 
+def test_graphic_refuses_an_edge_that_is_not_a_pair():
+    for bad in ((1, 2, 0), (1,), (), 5, None):
+        edges = ((0, 1), bad)
+        with pytest.raises(errors.InvalidParams, match="not a pair"):
+            lm.graphic(3, edges)
+        with pytest.raises(errors.InvalidParams, match="not a pair"):
+            lm.catalog("graphic", 3, edges)
+    assert lm.catalog("graphic", "3", [["0", "1"], ("1", "2")]) == lm.graphic(3, ((0, 1), (1, 2)))
+
+
 def test_rank_zero_matroid():
     m = lm.uniform(0, 3)
     assert m.rank == 0
@@ -466,6 +476,17 @@ def test_two_sum_errors():
     loopy = lm.from_bases(3, [(0, 1)])  # 2 is a loop
     with pytest.raises(errors.BasepointIsLoopOrColoop):
         lm.two_sum(loopy, lm.uniform(2, 4), 2, 0)
+
+
+def test_two_sum_size_guard_reads_no_basis():
+    # 10 + 10 - 2 = 18 elements: refused before the summands' loops,
+    # coloops and connectivity (which builds their rank tables) are checked
+    u = lm.uniform(5, 10)
+    a, b = (Matroid(u.ground, u._basis_masks) for _ in range(2))
+    with pytest.raises(errors.TooLarge, match="got 18"):
+        lm.two_sum(a, b, 0, 0)
+    assert a._ranks is None and b._ranks is None
+    assert lm.two_sum(lm.uniform(4, 9), lm.uniform(4, 9), 0, 0).n == 16
 
 
 def test_two_sum_name_collision_resolved():

@@ -1,0 +1,63 @@
+import hashlib
+from random import Random
+
+from lockedmatroid.simplex import OPTIMAL, SimplexProgram
+
+_FLIP = {"==": "==", "<=": ">=", ">=": "<="}
+
+
+def random_programs(seed, count):
+    """(n, constraints, nonneg, objectives) of small seeded programs: n <= 5,
+    up to 6 rows of ==, <= and >= with negative bounds, sometimes a
+    redundant copy of a row, and half of them boxed so that most objectives
+    stay bounded."""
+    rng = Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 5)
+        nonneg = rng.random() < 0.5
+        cons = []
+        for _ in range(rng.randint(0, 6)):
+            coeffs = [rng.choice((0, 0, 1, 1, -1, 2, -2, 3)) for _ in range(n)]
+            cons.append((coeffs, rng.choice(("==", "<=", ">=")), rng.randint(-4, 6)))
+        if cons and rng.random() < 0.2:
+            coeffs, rel, bound = rng.choice(cons)
+            k = rng.choice((1, 2, -1))
+            cons.append(([k * c for c in coeffs], rel if k > 0 else _FLIP[rel], k * bound))
+        if rng.random() < 0.5:
+            for i in range(n):
+                unit = [int(j == i) for j in range(n)]
+                cons.append((unit, "<=", rng.randint(1, 5)))
+                if not nonneg:
+                    cons.append((unit, ">=", -rng.randint(1, 5)))
+        objs = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(3)]
+        yield n, cons, nonneg, objs
+
+
+def test_lp_results_pinned():
+    # sha256 over (status, value, point) of 3 objectives on each of 2,000
+    # seeded programs (1,961 optimal, 2,724 infeasible, 1,315 unbounded),
+    # computed when the objective row was still priced in Fractions
+    h = hashlib.sha256()
+    for n, cons, nonneg, objs in random_programs(2024, 2000):
+        prog = SimplexProgram(n, cons, nonneg=nonneg)
+        for w in objs:
+            out = prog.maximize(w)
+            h.update(repr((n, cons, nonneg, w, out)).encode("utf-8"))
+    assert h.hexdigest() == "0aa6353a9a6d0576b6edc1565533374cd093c4f846448e5bac2b8c3314dfc0b8"
+
+
+def test_lp_witness_attains_the_optimum():
+    holds = {"==": lambda a, b: a == b, "<=": lambda a, b: a <= b, ">=": lambda a, b: a >= b}
+    optimal = 0
+    for n, cons, nonneg, objs in random_programs(7, 300):
+        prog = SimplexProgram(n, cons, nonneg=nonneg)
+        for w in objs:
+            status, value, point = prog.maximize(w)
+            if status != OPTIMAL:
+                continue
+            optimal += 1
+            assert sum(c * x for c, x in zip(w, point)) == value
+            assert not nonneg or min(point) >= 0
+            for coeffs, rel, bound in cons:
+                assert holds[rel](sum(c * x for c, x in zip(coeffs, point)), bound)
+    assert optimal > 200

@@ -1,5 +1,6 @@
-"""The package is pure standard library: every import in src/lockedmatroid
-is package-relative or names a standard-library module."""
+"""Static checks of the package source: every import in src/lockedmatroid
+is package-relative or names a standard-library module, and no check
+relies on an `assert` statement, which `python -O` removes."""
 
 import ast
 import sys
@@ -23,6 +24,11 @@ def foreign_imports(source: str) -> list[str]:
     return out
 
 
+def assert_lines(source: str) -> list[int]:
+    """Line numbers of the assert statements in `source`."""
+    return [node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Assert)]
+
+
 def test_package_imports_only_stdlib():
     files = sorted(PACKAGE.rglob("*.py"))
     assert files
@@ -39,3 +45,22 @@ def test_foreign_imports_sees_every_form():
            "def f():\n"
            "    import networkx as nx\n")
     assert foreign_imports(src) == ["numpy.linalg", "sympy", "networkx"]
+
+
+def test_package_has_no_assert():
+    files = sorted(PACKAGE.rglob("*.py"))
+    assert files
+    found = {f.name: assert_lines(f.read_text(encoding="utf-8")) for f in files}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_assert_lines_sees_nested_asserts():
+    src = ("assert x\n"
+           "def f():\n"
+           "    if y:\n"
+           "        assert y, 'msg'\n"
+           "class C:\n"
+           "    def g(self):\n"
+           "        return [z for z in ()]\n"
+           "x = 'assert not a statement'\n")
+    assert assert_lines(src) == [1, 4]
