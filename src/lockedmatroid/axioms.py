@@ -10,7 +10,7 @@ function r) whose validity is judged against the rule list L1..L19
   L3   intersecting classes P, S have |P| = 1 or |S| = 1
   L4   locked sets are proper, nonempty and distinct from every closure
   L5   a closure meeting a locked set lies inside it
-  L6   r is a nonnegative function (stored values tally with the oracle)
+  L6   r is a nonnegative function (stored values tally with the rank table)
   L7   r(empty) = 0 and r(E) is a maximum of r
   L8   r(P) = min(1, r(E))
   L9   r(E\\P) = min(|E\\P|, r(E))
@@ -52,14 +52,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from . import errors
 from ._bits import bits_of, complement, mask_of, splits, subset_key, subset_text
 from .locked import LockedStructure, locked_structure
 from .matroid import Matroid
-
-RankOracle = Callable[[tuple[int, ...]], int]
 
 
 @dataclass(frozen=True)
@@ -281,27 +279,31 @@ def rank_extend(sys: LockedSystem, subset: Iterable[int]) -> tuple[int, list[tup
     return ext.value(x), ext.trace(x)
 
 
-def validate(sys: LockedSystem, rank_oracle: RankOracle) -> AxiomReport:
-    """Check the axioms L1..L16, L18, L19 exhaustively over their quantifier
-    domains.  Ranks of sets outside the stored domain come from the oracle;
-    stored values disagreeing with the oracle are reported under L6.
+def validate(sys: LockedSystem, m: Matroid) -> AxiomReport:
+    """Check the axioms L1..L16, L18, L19 of a system against the matroid m,
+    exhaustively over their quantifier domains.  Ranks of sets outside the
+    stored domain are read from m's rank table; stored values disagreeing
+    with it are reported under L6.
 
     The rules describe the systems of connected matroids; the system of a
     disconnected matroid can violate them (see extract_system).
 
-    Raises DomainMismatch when a required stored value is missing.
+    Raises DomainMismatch when a required stored value is missing or when
+    the system's ground set is not the size of m's.  That size check also
+    decides L1, because a matroid has at least one element.
     """
     n = sys.ground_size
-    full = tuple(range(n))
-    fullmask = (1 << n) - 1
+    if n != m.n:
+        raise errors.DomainMismatch("system has %d elements, the matroid %d" % (n, m.n))
     missing = [x for x in _stored_domain(sys) if x not in sys.r]
     if missing:
         raise errors.DomainMismatch("missing stored ranks for %r" % (missing[:3],))
+    ranks = m._rank_table()
+    ext = RankExtender(sys)
+    base, r_e, fullmask = ext.base, ext.r_e, ext.full
 
-    def r_of(t: tuple[int, ...]) -> int:
-        if t in sys.r:
-            return sys.r[t]
-        return rank_oracle(t)
+    def r_of(xm: int) -> int:
+        return base[xm] if xm in base else ranks[xm]
 
     out: list[Violation] = []
 
@@ -311,16 +313,16 @@ def validate(sys: LockedSystem, rank_oracle: RankOracle) -> AxiomReport:
     def fmt(t: tuple[int, ...]) -> str:
         return subset_text(sys.names, t)
 
-    # L1
-    if n < 1:
-        bad("L1", (), "ground set is empty")
+    parallel = list(zip(sys.parallel, ext.parallel_masks))
+    coparallel = list(zip(sys.coparallel, ext.coparallel_masks))
+    locked = list(zip(sys.locked, ext.locked_masks))
 
     # L2: both closure families partition E
-    for tag, fam in (("parallel", sys.parallel), ("coparallel", sys.coparallel)):
+    for tag, fam, masks in (("parallel", sys.parallel, ext.parallel_masks),
+                            ("coparallel", sys.coparallel, ext.coparallel_masks)):
         seen = 0
         ok = True
-        for x in fam:
-            xm = mask_of(x)
+        for xm in masks:
             if xm == 0 or xm & seen:
                 ok = False
             seen |= xm
@@ -328,10 +330,9 @@ def validate(sys: LockedSystem, rank_oracle: RankOracle) -> AxiomReport:
             bad("L2", tuple(fam), "%s classes do not partition the ground set" % tag)
 
     # L3
-    for p in sys.parallel:
-        pm = mask_of(p)
-        for s in sys.coparallel:
-            if pm & mask_of(s) and len(p) > 1 and len(s) > 1:
+    for p, pm in parallel:
+        for s, sm in coparallel:
+            if pm & sm and len(p) > 1 and len(s) > 1:
                 bad("L3", (p, s),
                     "intersecting classes %s and %s are both non-singletons"
                     % (fmt(p), fmt(s)))
@@ -339,8 +340,7 @@ def validate(sys: LockedSystem, rank_oracle: RankOracle) -> AxiomReport:
     # L4
     closure_set = set(sys.parallel) | set(sys.coparallel)
     seen_locked = set()
-    for x in sys.locked:
-        xm = mask_of(x)
+    for x, xm in locked:
         if xm == 0 or xm == fullmask:
             bad("L4", (x,), "locked set %s is not proper and nonempty" % fmt(x))
         if x in closure_set:
@@ -350,124 +350,109 @@ def validate(sys: LockedSystem, rank_oracle: RankOracle) -> AxiomReport:
         seen_locked.add(x)
 
     # L5
-    for x in itertools.chain(sys.parallel, sys.coparallel):
-        xm = mask_of(x)
-        for l in sys.locked:
-            lm = mask_of(l)
+    for x, xm in parallel + coparallel:
+        for l, lm in locked:
             if xm & lm and xm & ~lm:
                 bad("L5", (x, l),
                     "closure %s meets locked %s without being inside it"
                     % (fmt(x), fmt(l)))
 
-    # L6: nonnegative and consistent with the oracle
+    # L6: nonnegative and consistent with the rank table
     for t in sorted(sys.r, key=subset_key):
         val = sys.r[t]
         if val < 0:
             bad("L6", (t,), "negative rank r(%s)=%d" % (fmt(t), val))
-        ov = rank_oracle(t)
+        ov = ranks[mask_of(t)]
         if ov != val:
             bad("L6", (t,),
                 "stored rank r(%s)=%d disagrees with the oracle value %d"
                 % (fmt(t), val, ov))
 
-    r_e = sys.r[full]
-
     # L7
-    if sys.r[()] != 0:
-        bad("L7", ((),), "r(empty) = %d, expected 0" % sys.r[()])
+    if base[0] != 0:
+        bad("L7", ((),), "r(empty) = %d, expected 0" % base[0])
     for t in sorted(sys.r, key=subset_key):
         if sys.r[t] > r_e:
             bad("L7", (t,), "r(%s)=%d exceeds r(E)=%d" % (fmt(t), sys.r[t], r_e))
 
     # L8..L11
-    for p in sys.parallel:
-        comp = complement(n, p)
-        if sys.r[p] != min(1, r_e):
-            bad("L8", (p,), "r(%s)=%d, expected %d" % (fmt(p), sys.r[p], min(1, r_e)))
-        want = min(len(comp), r_e)
-        if sys.r[comp] != want:
-            bad("L9", (p,), "r(E\\%s)=%d, expected %d" % (fmt(p), sys.r[comp], want))
-    for s in sys.coparallel:
-        comp = complement(n, s)
+    for p, pm in parallel:
+        if base[pm] != min(1, r_e):
+            bad("L8", (p,), "r(%s)=%d, expected %d" % (fmt(p), base[pm], min(1, r_e)))
+        want, got = min(n - pm.bit_count(), r_e), base[fullmask ^ pm]
+        if got != want:
+            bad("L9", (p,), "r(E\\%s)=%d, expected %d" % (fmt(p), got, want))
+    for s, sm in coparallel:
         want = min(len(s), r_e)
-        if sys.r[s] != want:
-            bad("L10", (s,), "r(%s)=%d, expected %d" % (fmt(s), sys.r[s], want))
-        want = min(len(comp), r_e + 1 - len(s))
-        if sys.r[comp] != want:
-            bad("L11", (s,), "r(E\\%s)=%d, expected %d" % (fmt(s), sys.r[comp], want))
+        if base[sm] != want:
+            bad("L10", (s,), "r(%s)=%d, expected %d" % (fmt(s), base[sm], want))
+        want, got = min(n - sm.bit_count(), r_e + 1 - len(s)), base[fullmask ^ sm]
+        if got != want:
+            bad("L11", (s,), "r(E\\%s)=%d, expected %d" % (fmt(s), got, want))
 
     # L12
-    for l in sys.locked:
+    for l, lm in locked:
         want = max(2, r_e + 2 - (n - len(l)))
-        if sys.r[l] < want:
-            bad("L12", (l,), "r(%s)=%d below the bound %d" % (fmt(l), sys.r[l], want))
+        if base[lm] < want:
+            bad("L12", (l,), "r(%s)=%d below the bound %d" % (fmt(l), base[lm], want))
 
     # L13: strictly increasing on nested members of P, L, {empty, E}
-    chain_fam = sorted(set(sys.parallel) | set(sys.locked) | {(), full}, key=subset_key)
-    for x in chain_fam:
-        xm = mask_of(x)
-        for y in chain_fam:
-            ym = mask_of(y)
-            if xm != ym and xm & ~ym == 0 and r_of(x) >= r_of(y):
+    chain_fam = [(x, mask_of(x)) for x in sorted(
+        set(sys.parallel) | set(sys.locked) | {(), tuple(range(n))}, key=subset_key)]
+    for x, xm in chain_fam:
+        for y, ym in chain_fam:
+            if xm != ym and xm & ~ym == 0 and r_of(xm) >= r_of(ym):
                 bad("L13", (x, y),
                     "r not strictly increasing: r(%s)=%d, r(%s)=%d"
-                    % (fmt(x), r_of(x), fmt(y), r_of(y)))
+                    % (fmt(x), r_of(xm), fmt(y), r_of(ym)))
 
     # L14: submodular on the structured family
-    fam14 = sorted(set(_family_tuple(sys)), key=subset_key)
-    for i, x in enumerate(fam14):
-        xm = mask_of(x)
-        for y in fam14[i + 1:]:
-            ym = mask_of(y)
-            union = bits_of(xm | ym)
-            inter = bits_of(xm & ym)
-            if r_of(union) + r_of(inter) > r_of(x) + r_of(y):
+    fam14 = [(x, mask_of(x)) for x in sorted(set(_family_tuple(sys)), key=subset_key)]
+    for i, (x, xm) in enumerate(fam14):
+        for y, ym in fam14[i + 1:]:
+            if r_of(xm | ym) + r_of(xm & ym) > r_of(xm) + r_of(ym):
                 bad("L14", (x, y),
                     "submodularity fails on %s, %s" % (fmt(x), fmt(y)))
 
     # L15: every 2-split of a locked set is rank-deficient
-    for l in sys.locked:
-        lm = mask_of(l)
+    for l, lm in locked:
         for xm in splits(lm):
-            x, y = bits_of(xm), bits_of(lm ^ xm)
-            if r_of(l) >= r_of(x) + r_of(y):
+            if r_of(lm) >= r_of(xm) + r_of(lm ^ xm):
+                x, y = bits_of(xm), bits_of(lm ^ xm)
                 bad("L15", (l, x, y),
                     "r(%s)=%d not below r(%s)+r(%s)"
-                    % (fmt(l), r_of(l), fmt(x), fmt(y)))
+                    % (fmt(l), r_of(lm), fmt(x), fmt(y)))
 
     # L16: dual splits through every covering pair meeting in the locked set
-    for l in sys.locked:
-        lm = mask_of(l)
+    for l, lm in locked:
         comp = fullmask ^ lm
         for am in splits(comp):
-            x, y = bits_of(lm | am), bits_of(lm | (comp ^ am))
-            if r_of(l) >= r_of(x) + r_of(y) - r_e:
+            xm, ym = lm | am, lm | (comp ^ am)
+            if r_of(lm) >= r_of(xm) + r_of(ym) - r_e:
+                x, y = bits_of(xm), bits_of(ym)
                 bad("L16", (l, x, y),
                     "r(%s)=%d not below r(%s)+r(%s)-r(E)"
-                    % (fmt(l), r_of(l), fmt(x), fmt(y)))
+                    % (fmt(l), r_of(lm), fmt(x), fmt(y)))
 
     # L18/L19: decompositions of intersections and unions of locked pairs
-    ext = RankExtender(sys)
-    locked_set = set(sys.locked)
-    for i, l1 in enumerate(sys.locked):
-        m1 = mask_of(l1)
-        for l2 in sys.locked[i + 1:]:
-            m2 = mask_of(l2)
+    locked_set = set(ext.locked_masks)
+    for i, (l1, m1) in enumerate(locked):
+        for l2, m2 in locked[i + 1:]:
             inter = m1 & m2
-            it = bits_of(inter)
-            if inter and it not in locked_set:
+            if inter and inter not in locked_set:
                 got = ext.down(inter)
-                want = r_of(it)
+                want = r_of(inter)
                 if got != want:
+                    it = bits_of(inter)
                     bad("L18", (l1, l2, it),
                         "intersection %s has no downward chain to its rank %d (got %s)"
                         % (fmt(it), want, got))
             union = m1 | m2
-            ut = bits_of(union)
-            if union != fullmask and ut not in locked_set:
+            if union != fullmask and union not in locked_set:
                 got = ext.up(union)
-                want = r_of(ut)
+                want = r_of(union)
                 if got != want:
+                    ut = bits_of(union)
                     bad("L19", (l1, l2, ut),
                         "union %s has no upward chain to its rank %d (got %s)"
                         % (fmt(ut), want, got))

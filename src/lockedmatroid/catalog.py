@@ -9,6 +9,7 @@ K4 rim triangle), the six-element rank-3 matroids q6 and p6 (two resp. one
 from __future__ import annotations
 
 import itertools
+import operator
 from typing import Optional, Sequence
 
 from . import errors
@@ -33,8 +34,18 @@ _Q6_NONBASES = ((0, 1, 2), (0, 3, 4))
 _P6_NONBASES = ((0, 1, 2),)
 
 
+def _integer(x) -> int:
+    """x as an int: an int or a string of one.  Anything else, such as 1.5
+    or "a", raises InvalidParams rather than being truncated."""
+    try:
+        return int(x) if isinstance(x, str) else operator.index(x)
+    except (TypeError, ValueError):
+        raise errors.InvalidParams("%r is not an integer" % (x,)) from None
+
+
 def uniform(r: int, n: int, prefix: str = "e", name: Optional[str] = None) -> Matroid:
     """U_{r,n}: every r-subset of an n-set is a basis."""
+    r, n = _integer(r), _integer(n)
     if n < 1 or r < 0 or r > n:
         raise errors.InvalidParams("uniform needs 0 <= r <= n, n >= 1")
     ground = GroundSet.default(n, prefix)
@@ -43,12 +54,12 @@ def uniform(r: int, n: int, prefix: str = "e", name: Optional[str] = None) -> Ma
                       name=name or "uniform(%d,%d)" % (r, n))
 
 
-def _pair(edge) -> tuple:
+def _edge(edge) -> tuple[int, int]:
     try:
         u, v = edge
     except (TypeError, ValueError):
         raise errors.InvalidParams("edge is not a pair of vertices: %r" % (edge,)) from None
-    return u, v
+    return _integer(u), _integer(v)
 
 
 def graphic(n_vertices: int, edges: Sequence[tuple[int, int]],
@@ -56,17 +67,18 @@ def graphic(n_vertices: int, edges: Sequence[tuple[int, int]],
     """Cycle matroid of a connected multigraph: bases are the spanning trees.
     A multigraph is connected exactly when it has one, so DisconnectedGraph
     is raised when the scan of the edge subsets finds none.  An edge that is
-    not a pair of vertices raises InvalidParams."""
+    not a pair of vertices, or a non-integer vertex, raises InvalidParams."""
+    n_vertices = _integer(n_vertices)
     if n_vertices < 1 or not edges:
         raise errors.InvalidParams("need at least one vertex and one edge")
-    for (u, v) in map(_pair, edges):
+    edges = tuple(map(_edge, edges))
+    for (u, v) in edges:
         if not (0 <= u < n_vertices and 0 <= v < n_vertices):
             raise errors.InvalidParams("edge endpoint out of range: %r" % ((u, v),))
     m = len(edges)
     _refuse_large(m)
-    r = n_vertices - 1
     bases = []
-    for comb in itertools.combinations(range(m), r):
+    for comb in itertools.combinations(range(m), n_vertices - 1):
         parent = list(range(n_vertices))
 
         def find(x):
@@ -75,15 +87,13 @@ def graphic(n_vertices: int, edges: Sequence[tuple[int, int]],
                 x = parent[x]
             return x
 
-        ok = True
         for ei in comb:
             u, v = edges[ei]
             ru, rv = find(u), find(v)
             if ru == rv:
-                ok = False
                 break
             parent[ru] = rv
-        if ok:
+        else:
             bases.append(comb)
     if not bases:
         raise errors.DisconnectedGraph("input graph is not connected")
@@ -133,10 +143,9 @@ def catalog(name: str, *params) -> Matroid:
     if name == "uniform":
         if len(params) != 2:
             raise errors.InvalidParams("uniform needs (r, n)")
-        return uniform(int(params[0]), int(params[1]))
+        return uniform(*params)
     if name == "graphic":
         if len(params) != 2:
             raise errors.InvalidParams("graphic needs (n_vertices, edges)")
-        nv, edges = params
-        return graphic(int(nv), tuple((int(u), int(v)) for (u, v) in map(_pair, edges)))
+        return graphic(*params)
     raise errors.UnknownName("unknown catalog name %r" % name)

@@ -14,7 +14,7 @@ import sys
 from random import Random
 
 from . import errors
-from ._bits import mask_of, subset_text
+from ._bits import subset_text
 from .axioms import extract_system, validate
 from .catalog import catalog, uniform
 from .corpus import standard_corpus
@@ -178,8 +178,7 @@ def _cmd_axioms(args) -> int:
     if not is_connected(m):
         raise errors.Disconnected("the locked axiom system is defined for connected "
                                   "matroids; %s is not connected" % m.name)
-    ranks = m._rank_table()
-    report = validate(system, lambda t: ranks[mask_of(t)])
+    report = validate(system, m)
     print("# format: 1")
     print("matroid %s n=%d rank=%d" % (m.name, m.n, m.rank))
     sys.stdout.write(report.text())

@@ -64,8 +64,9 @@ class KLockedVerdict:
 
 
 def is_locked(m: Matroid, subset) -> bool:
-    """Direct definition of lockedness of one subset (M itself connected or not,
-    the test is for M|L, M*|(E\\L) connected with both ranks >= 2)."""
+    """Lockedness of one subset L, per component as in locked_structure: L
+    lies inside one component C of M, and M|L and M*|(C\\L) are connected
+    with both ranks >= 2."""
     _reject_loops_coloops(m)
     lm = mask_of(subset)
     if lm & ~m.full_mask:
@@ -73,7 +74,8 @@ def is_locked(m: Matroid, subset) -> bool:
     if lm == 0 or lm == m.full_mask:
         raise errors.NotProperSubset("locked subsets are proper and nonempty")
     ranks = m._rank_table()
-    return _is_locked_in_component(ranks, m.full_mask, lm)
+    comp = next(c for c in components(ranks, m.full_mask) if c & lm)
+    return lm & ~comp == 0 and _is_locked_in_component(ranks, comp, lm)
 
 
 def _is_locked_in_component(ranks, comp: int, lm: int) -> bool:

@@ -6,10 +6,10 @@ bases are kept in canonical order (all bases share one cardinality, so the
 order is lexicographic on the sorted index tuples), and derived matroids
 (dual, minor, 2-sum, relabeling) reuse that canonical form.
 
-Ranks of arbitrary subsets come from scanning the basis list; modules that
-need many rank queries share a full rank table (2^n entries), built once per
-matroid.  That is the intended scale here: validated construction accepts
-ground sets of at most MAX_N = 16 elements.
+Every rank query, rank_of included, reads one full rank table (2^n
+entries, indexed by mask), built once per matroid on first use.  That is
+the intended scale here: validated construction accepts ground sets of at
+most MAX_N = 16 elements.
 
 Every connectivity test goes through one primitive, separator(ranks, X, C),
 which looks up a 1-separation of the minor (M/C)|X in M's rank table;

@@ -11,8 +11,7 @@ from lockedmatroid._bits import bits_of, mask_of, splits
 
 
 def oracle_for(m):
-    ranks = m._rank_table()
-    return lambda t: ranks[mask_of(t)]
+    return m
 
 
 def replace(sys, **kw):
@@ -40,6 +39,13 @@ def test_validate_missing_domain():
     del r2[(0, 1, 3)]
     with pytest.raises(errors.DomainMismatch):
         lm.validate(replace(sys, r=r2), oracle_for(m))
+
+
+def test_validate_refuses_a_matroid_of_another_size():
+    sys = lm.extract_system(lm.mk4())
+    for m in (lm.uniform(2, 5), lm.vamos()):
+        with pytest.raises(errors.DomainMismatch, match="6 elements, the matroid %d" % m.n):
+            lm.validate(sys, m)
 
 
 def test_system_from_structure_matches_extract(corpus):

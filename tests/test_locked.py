@@ -65,6 +65,22 @@ def test_is_locked_matches_naive_definition(corpus):
         assert got == expected, m.name
 
 
+def test_is_locked_per_component_on_direct_sums():
+    # on a disconnected matroid the locked sets are those of its components:
+    # is_locked agrees with locked_structure subset by subset
+    rng = Random(12)
+    k4, w3, q6, p6 = ((m.n, list(m.bases)) for m in (lm.mk4(), lm.whirl3(), lm.q6(), lm.p6()))
+    u23 = (3, list(itertools.combinations(range(3), 2)))
+    u24 = (4, list(itertools.combinations(range(4), 2)))
+    for parts in ((k4, u24), (w3, u24), (q6, u23), (p6, u24), (u23, k4), (w3, u23),
+                  (u23, u23, u24), (u24, u23, u23), (k4, u23), (q6, u24), (p6, u23),
+                  (u24, w3)):
+        m = lm.from_bases(*shuffled_direct_sum(parts, rng))
+        got = {x for k in range(1, m.n) for x in itertools.combinations(range(m.n), k)
+               if lm.is_locked(m, x)}
+        assert got == set(lm.locked_structure(m).locked), parts
+
+
 def test_locked_structure_mk4():
     s = lm.locked_structure(lm.mk4())
     assert s.locked == ((0, 1, 3), (0, 2, 5), (1, 2, 4), (3, 4, 5))

@@ -165,6 +165,19 @@ def test_graphic_refuses_an_edge_that_is_not_a_pair():
     assert lm.catalog("graphic", "3", [["0", "1"], ("1", "2")]) == lm.graphic(3, ((0, 1), (1, 2)))
 
 
+@pytest.mark.parametrize("build", [
+    lambda: lm.graphic(3, [(0, 1.5), (1, 2)]),
+    lambda: lm.graphic(3, [("a", 1), (1, 2)]),
+    lambda: lm.catalog("graphic", 3, [(0, 1.7), (1, 2)]),
+    lambda: lm.catalog("uniform", 2.5, 4.2),
+], ids=["graphic-float-vertex", "graphic-name-vertex", "catalog-graphic-float-vertex",
+        "catalog-uniform-floats"])
+def test_catalog_refuses_a_parameter_that_is_not_an_integer(build):
+    # refused, not truncated to an integer and not a TypeError
+    with pytest.raises(errors.InvalidParams, match="is not an integer"):
+        build()
+
+
 def test_rank_zero_matroid():
     m = lm.uniform(0, 3)
     assert m.rank == 0

@@ -9,6 +9,7 @@ refinement, which must leave every one of these outputs unchanged.
 
 import hashlib
 import itertools
+from collections import Counter
 
 import pytest
 
@@ -47,6 +48,14 @@ CANONICAL_DIGESTS = {
     "mk6": "fbb453000bdb41b802c2a4573ca3204497b3e4cfcb39045d503a547e721c2639",
     "uniform(8,16)": "631ea23f7eefe3f5f11e2e3ab122c0a7aa77dadded22acb4fa92858f74302b0f",
 }
+
+
+# validate(extract_system(m), m) on the chain, M(K6) and their duals, where
+# L18/L19 fire: 16 L18 + 16 L19 lines on the chain and on its dual, 10 L19
+# on M(K6) and 10 L18 on its dual; taken before validate read ranks by mask
+AXIOM_REPORTS = {"mk4chain3": ({"L18": 16, "L19": 16}, {"L18": 16, "L19": 16}),
+                 "mk6": ({"L19": 10}, {"L18": 10})}
+AXIOM_REPORTS_DIGEST = "5395bfa369e7baa5780eefeec5b00fd70bd3d91d8ff5badd948a4cb03e49bcdc"
 
 
 def _sha(items) -> str:
@@ -91,3 +100,14 @@ def test_stress_locked_families_pinned(stress, name):
 def test_stress_canonical_forms_pinned(stress, name):
     _, s = stress[name]
     assert _sha(_canonical_items(s)) == CANONICAL_DIGESTS[name]
+
+
+def test_stress_axiom_reports_pinned(stress):
+    reports = []
+    for name, counts in AXIOM_REPORTS.items():
+        m, _ = stress[name]
+        for x, want in zip((m, m.dual()), counts):
+            rep = lm.validate(lm.extract_system(x), x)
+            assert Counter(v.axiom for v in rep.violations) == want, (name, x.name)
+            reports.append([(v.axiom, v.witnesses, v.message) for v in rep.violations])
+    assert _sha(reports) == AXIOM_REPORTS_DIGEST
