@@ -49,7 +49,6 @@ from .axioms import (
     RankExtender,
     Violation,
     extract_system,
-    rank_extend,
     system_from_structure,
     validate,
 )

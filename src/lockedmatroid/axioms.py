@@ -57,7 +57,7 @@ from typing import Iterable, Iterator, Optional
 from . import errors
 from ._bits import bits_of, complement, mask_of, splits, subset_key, subset_text
 from .locked import LockedStructure, locked_structure
-from .matroid import Matroid
+from .matroid import Matroid, _check_elements
 
 
 @dataclass(frozen=True)
@@ -130,24 +130,27 @@ def system_from_structure(s: LockedStructure) -> LockedSystem:
 
 
 class RankExtender:
-    """Computes ranks outside the structured family by the P1..P4 chains.
+    """The one owner of a system's ranks, and the one way to extend them to
+    subsets outside the structured family by the P1..P4 chains.
 
-    The rules live in one place: _down_steps yields the P1/P2 steps out of
-    a set and _up_steps the P3/P4 steps, each as (rule, witness, next set,
-    offset), where the step's value is offset + value(next set).  down()
-    and up() are the pure one-directional chain values (memoized
-    recursions over one kind of step, used by the L18/L19 checks); value()
-    is the mixed-chain fixpoint over the whole subset lattice, computed
-    once on demand, and trace() follows the first step, in rule order,
-    that attains it.
+    Construction checks the stored domain once and raises DomainMismatch
+    when a rank is missing, so no rule meets a missing value.  The rules
+    live in one place: _down_steps yields the P1/P2 steps out of a set and
+    _up_steps the P3/P4 steps, each as (rule, witness, next set, offset),
+    where the step's value is offset + value(next set).  down() and up()
+    are the pure one-directional chain values (memoized recursions over one
+    kind of step, used by the L18/L19 checks); value() is the mixed-chain
+    fixpoint over the whole subset lattice, computed once on demand, and
+    trace() follows the first step, in rule order, that attains it.
     """
 
     def __init__(self, sys: LockedSystem):
+        missing = [x for x in _stored_domain(sys) if x not in sys.r]
+        if missing:
+            raise errors.DomainMismatch("missing stored ranks for %r" % (missing[:3],))
         self.n = sys.ground_size
         self.full = (1 << self.n) - 1
         self.base = {mask_of(t): val for t, val in sys.r.items()}
-        if self.full not in self.base:
-            raise errors.DomainMismatch("system is missing r(E)")
         self.r_e = self.base[self.full]
         self.locked_masks = [mask_of(t) for t in sys.locked]
         self.parallel_masks = [mask_of(t) for t in sys.parallel]
@@ -172,11 +175,7 @@ class RankExtender:
                 yield "P3", lm, m | (self.full ^ lm), self.base[lm] - self.r_e
         for sm in self.coparallel_masks:
             if sm & ~m:
-                comp = self.full ^ sm
-                if comp not in self.base:
-                    raise errors.DomainMismatch(
-                        "system is missing r(E\\S) for S=%r" % (bits_of(sm),))
-                yield "P4", sm, m | sm, self.base[comp] + (sm & m).bit_count() - self.r_e
+                yield "P4", sm, m | sm, self.base[self.full ^ sm] + (sm & m).bit_count() - self.r_e
 
     def _steps(self, m: int) -> Iterator[tuple[str, int, int, int]]:
         return itertools.chain(self._down_steps(m), self._up_steps(m))
@@ -230,22 +229,26 @@ class RankExtender:
         self._mixed = v
         return v
 
-    def value(self, subset: Iterable[int]) -> int:
-        m = mask_of(subset)
-        v = self._mixed_table()[m]
-        if v >= self._INF:
+    def _lookup(self, subset: Iterable[int]) -> tuple[int, list[int]]:
+        """The checked mask of subset and the mixed table; raises for both."""
+        m = _check_elements(self.n, subset)
+        v = self._mixed_table()
+        if v[m] >= self._INF:
             raise errors.NoDecomposition("no P1..P4 chain for %r" % (bits_of(m),))
-        return v
+        return m, v
+
+    def value(self, subset: Iterable[int]) -> int:
+        """Rank of subset by the mixed P1..P4 chains.  Raises OutOfRange off
+        the ground set and NoDecomposition when no chain ends in stored ranks."""
+        m, v = self._lookup(subset)
+        return v[m]
 
     # -- trace --------------------------------------------------------------
 
     def trace(self, subset: Iterable[int]) -> list[tuple]:
-        """Steps (rule, set, witness, value) of a chain attaining the computed
-        rank, preferring P1, P2, P3, P4 and canonical witness order."""
-        m = mask_of(subset)
-        v = self._mixed_table()
-        if v[m] >= self._INF:
-            raise errors.NoDecomposition("no P1..P4 chain for %r" % (bits_of(m),))
+        """Steps (rule, set, witness, value) of a chain attaining value(subset),
+        preferring P1, P2, P3, P4 and canonical witness order; raises as value."""
+        m, v = self._lookup(subset)
         steps: list[tuple] = []
         seen = set()
         while True:
@@ -265,20 +268,6 @@ class RankExtender:
                 raise errors.NoDecomposition("trace failed at %r" % (bits_of(m),))
 
 
-def _family_tuple(sys: LockedSystem) -> tuple[tuple[int, ...], ...]:
-    full = tuple(range(sys.ground_size))
-    return tuple(sys.parallel) + tuple(sys.coparallel) + tuple(sys.locked) + ((), full)
-
-
-def rank_extend(sys: LockedSystem, subset: Iterable[int]) -> tuple[int, list[tuple]]:
-    """Rank of a subset outside the structured family, with the chain trace."""
-    x = tuple(sorted(subset))
-    if x in set(_family_tuple(sys)):
-        raise ValueError("rank_extend expects a set outside the structured family")
-    ext = RankExtender(sys)
-    return ext.value(x), ext.trace(x)
-
-
 def validate(sys: LockedSystem, m: Matroid) -> AxiomReport:
     """Check the axioms L1..L16, L18, L19 of a system against the matroid m,
     exhaustively over their quantifier domains.  Ranks of sets outside the
@@ -288,18 +277,15 @@ def validate(sys: LockedSystem, m: Matroid) -> AxiomReport:
     The rules describe the systems of connected matroids; the system of a
     disconnected matroid can violate them (see extract_system).
 
-    Raises DomainMismatch when a required stored value is missing or when
-    the system's ground set is not the size of m's.  That size check also
-    decides L1, because a matroid has at least one element.
+    Raises DomainMismatch when the system's ground set is not the size of
+    m's, then (from RankExtender) when a stored rank is missing.  The size
+    check also decides L1, because a matroid has at least one element.
     """
     n = sys.ground_size
     if n != m.n:
         raise errors.DomainMismatch("system has %d elements, the matroid %d" % (n, m.n))
-    missing = [x for x in _stored_domain(sys) if x not in sys.r]
-    if missing:
-        raise errors.DomainMismatch("missing stored ranks for %r" % (missing[:3],))
-    ranks = m._rank_table()
     ext = RankExtender(sys)
+    ranks = m._rank_table()
     base, r_e, fullmask = ext.base, ext.r_e, ext.full
 
     def r_of(xm: int) -> int:
@@ -407,7 +393,9 @@ def validate(sys: LockedSystem, m: Matroid) -> AxiomReport:
                     % (fmt(x), r_of(xm), fmt(y), r_of(ym)))
 
     # L14: submodular on the structured family
-    fam14 = [(x, mask_of(x)) for x in sorted(set(_family_tuple(sys)), key=subset_key)]
+    fam14 = [(x, mask_of(x)) for x in sorted(
+        set(sys.parallel) | set(sys.coparallel) | set(sys.locked) | {(), tuple(range(n))},
+        key=subset_key)]
     for i, (x, xm) in enumerate(fam14):
         for y, ym in fam14[i + 1:]:
             if r_of(xm | ym) + r_of(xm & ym) > r_of(xm) + r_of(ym):

@@ -22,14 +22,15 @@ M*|(C\\L) is connected exactly when (M/L)|(C\\L) is.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
 
 from . import errors
 from ._bits import bits_of, complement, mask_of, subset_key, subset_text
-from .matroid import (Matroid, _reject_loops_coloops, closures, components, is_cyclic_flat,
-                      separator)
+from .matroid import (Matroid, _check_elements, _reject_loops_coloops, closures, components,
+                      is_cyclic_flat, separator)
 
 
 @dataclass(frozen=True)
@@ -68,9 +69,7 @@ def is_locked(m: Matroid, subset) -> bool:
     lies inside one component C of M, and M|L and M*|(C\\L) are connected
     with both ranks >= 2."""
     _reject_loops_coloops(m)
-    lm = mask_of(subset)
-    if lm & ~m.full_mask:
-        raise errors.OutOfRange("subset not within the ground set")
+    lm = _check_elements(m.n, subset)
     if lm == 0 or lm == m.full_mask:
         raise errors.NotProperSubset("locked subsets are proper and nonempty")
     ranks = m._rank_table()
@@ -126,11 +125,17 @@ def _assemble(m: Matroid, locked_masks) -> LockedStructure:
 
 def k_locked_decision(m: Matroid, k: int, c=1) -> KLockedVerdict:
     """Count locked subsets against the threshold ceil(c * n**k); abort the
-    enumeration as soon as the threshold is exceeded."""
-    if k < 0 or Fraction(c) <= 0:
-        raise errors.InvalidParams("k must be a natural number and c positive")
+    enumeration as soon as the threshold is exceeded.  InvalidParams unless k
+    is an integer >= 0 and c a positive rational."""
+    refused = errors.InvalidParams("k must be a natural number and c positive")
+    try:
+        k, c = operator.index(k), Fraction(c)
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+        raise refused from None
+    if k < 0 or c <= 0:
+        raise refused
     _reject_loops_coloops(m)
-    threshold = math.ceil(Fraction(c) * Fraction(m.n) ** k)
+    threshold = math.ceil(c * Fraction(m.n) ** k)
     found = []
     for x in _locked_iter(m):
         found.append(x)

@@ -547,9 +547,10 @@ def relabel(m: Matroid, perm: Sequence[int], name: Optional[str] = None) -> Matr
     """Permute element indices: new element perm[e] plays the role of old e.
 
     Names stay attached to positions (not moved with the elements), so a
-    relabeled matroid is genuinely a different labeled object.
+    relabeled matroid is genuinely a different labeled object.  InvalidParams
+    unless perm lists the integers 0..n-1 in some order.
     """
-    if sorted(perm) != list(range(m.n)):
+    if not all(isinstance(e, int) for e in perm) or sorted(perm) != list(range(m.n)):
         raise errors.InvalidParams("not a permutation of 0..%d" % (m.n - 1))
     bases = [mask_of(perm[e] for e in b) for b in m.bases]
     return Matroid(m.ground, bases, name or "relabel(%s)" % m.name)

@@ -28,6 +28,8 @@ from . import errors, simplex
 from .locked import LockedStructure
 from .matroid import MAX_N, Matroid
 
+MAX_DENOMINATOR = 64  # of a sample_rational_points coordinate
+
 
 @dataclass(frozen=True)
 class Row:
@@ -179,16 +181,16 @@ def greedy_max_basis(m: Matroid, weights: Sequence[int]) -> tuple[int, tuple[int
     return sum(weights[e] for e in chosen), tuple(sorted(chosen))
 
 
-def sample_rational_points(n: int, target_sum: int, count: int, rng: Random,
-                           max_denominator: int = 64) -> list[tuple[Fraction, ...]]:
+def sample_rational_points(n: int, target_sum: int, count: int,
+                           rng: Random) -> list[tuple[Fraction, ...]]:
     """Seeded rational sample points: coordinates with denominators up to
-    max_denominator drawn in [0,1], then shifted onto the hyperplane
+    MAX_DENOMINATOR drawn in [0,1], then shifted onto the hyperplane
     x(E) = target_sum.  Points may leave the unit box; they are kept."""
     points = []
     for _ in range(count):
         coords = []
         for _ in range(n):
-            den = rng.randint(1, max_denominator)
+            den = rng.randint(1, MAX_DENOMINATOR)
             coords.append(Fraction(rng.randint(0, den), den))
         shift = Fraction(target_sum - sum(coords), n)
         points.append(tuple(c + shift for c in coords))

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import itertools
 import random
+import re
 
 import pytest
 
@@ -129,18 +130,35 @@ def test_locked_set_removal_breaks_rank_extension():
     assert (0, 1, 3) in bad
 
 
-# -- rank_extend ------------------------------------------------------------------
+# -- RankExtender -----------------------------------------------------------------
 
 def test_rank_extend_mk4_examples():
-    sys = lm.extract_system(lm.mk4())
-    value, trace = lm.rank_extend(sys, (0, 1))  # {a,b}
-    assert value == 2
+    ext = lm.RankExtender(lm.extract_system(lm.mk4()))
+    assert ext.value((0, 1)) == 2  # {a,b}
+    trace = ext.trace(iter((0, 1)))  # any iterable of indices, read once
     assert trace[0][0] == "P2" and trace[0][2] == (0,)
     assert trace[-1][0] == "base" and trace[-1][1] == (1,)
-    value, _ = lm.rank_extend(sys, (0, 1, 2, 3))  # {a,b,c,d}
-    assert value == 3
-    with pytest.raises(ValueError):
-        lm.rank_extend(sys, (0, 1, 3))  # a locked set is inside the family
+    assert ext.value(e for e in (0, 1, 2, 3)) == 3  # {a,b,c,d}
+    assert ext.trace((0, 1, 3)) == [("base", (0, 1, 3), None, 2)]  # a locked set
+    for bad in ((7,), (-1,), (0, 1.0)):
+        with pytest.raises(errors.OutOfRange):
+            ext.value(bad)
+        with pytest.raises(errors.OutOfRange):
+            ext.trace(bad)
+
+
+def test_rank_extender_refuses_a_system_missing_stored_ranks():
+    # the stored domain is checked once, when the extender is built, whatever
+    # rule would read the missing rank later (P4 reads r(E\S); no rule
+    # reads r(E\P))
+    m = lm.mk4_doubled()
+    sys = lm.extract_system(m)
+    assert (0, 6) in sys.parallel and (0,) in sys.coparallel
+    for gone in (tuple(range(7)), (1, 2, 3, 4, 5, 6), (1, 2, 3, 4, 5)):  # E, E\S, E\P
+        r = {x: v for x, v in sys.r.items() if x != gone}
+        with pytest.raises(errors.DomainMismatch,
+                           match=r"^missing stored ranks for \[%s\]$" % re.escape(repr(gone))):
+            lm.RankExtender(replace(sys, r=r))
 
 
 def test_rank_extend_equals_bruteforce(corpus):

@@ -103,6 +103,12 @@ def test_k_locked_rejects_bad_parameters():
         lm.k_locked_decision(lm.mk4(), -1)
     with pytest.raises(errors.InvalidParams):
         lm.k_locked_decision(lm.mk4(), 1, c=0)
+    for k in (1.5, 2.0, "1", None):  # operator.index refuses each
+        with pytest.raises(errors.InvalidParams):
+            lm.k_locked_decision(lm.mk4(), k)
+    for c in ("x", None, float("nan"), float("inf"), "1/0"):  # Fraction(c) raises
+        with pytest.raises(errors.InvalidParams):
+            lm.k_locked_decision(lm.mk4(), 1, c=c)
 
 
 SRC = Path(lm.__file__).resolve().parent

@@ -61,11 +61,28 @@ def test_locked_routes_agree_on_series(corpus):
             assert a == b, (m1.name, m2.name)
 
 
+def rank2_line(sizes):
+    """The loopless rank-2 matroid whose parallel classes have these sizes."""
+    cls = [i for i, size in enumerate(sizes) for _ in range(size)]
+    return lm.from_bases(len(cls), [(a, b) for a in range(len(cls))
+                                    for b in range(a + 1, len(cls)) if cls[a] != cls[b]])
+
+
 def test_zero_locked_examples():
     assert lm.mip_zero_locked(lm.uniform(2, 5), lm.uniform(2, 5)).answer
     rep = lm.mip_zero_locked(lm.uniform(2, 5), lm.uniform(3, 5))
     assert not rep.answer
     assert rep.answer == lm.mip_bruteforce(lm.uniform(2, 5), lm.uniform(3, 5)).answer
+    # equal n and rank, different closure sequences: five parallel classes
+    # against four (length mismatch), then sizes (2,2,1,1) against (3,1,1,1)
+    for sizes1, sizes2, opcount in (((1, 1, 1, 1, 1), (2, 1, 1, 1), 16),
+                                    ((2, 2, 1, 1), (3, 1, 1, 1), 27)):
+        m1, m2 = rank2_line(sizes1), rank2_line(sizes2)
+        rep = lm.mip_zero_locked(m1, m2)
+        assert (rep.answer, rep.opcount) == (False, opcount)
+        assert not lm.mip_bruteforce(m1, m2).answer
+        n = m1.n
+        assert rep.opcount <= 8 * n * max(1, math.ceil(math.log2(n))) + 8 * n + 16
 
 
 def test_zero_locked_rejects_locked_matroid():

@@ -45,6 +45,9 @@ def test_is_locked_mk4_triangle():
         lm.is_locked(m, ())
     with pytest.raises(errors.NotProperSubset):
         lm.is_locked(m, range(6))
+    for bad in ((-1,), (0, 1.0), (6,), range(7), ("a",)):
+        with pytest.raises(errors.OutOfRange):
+            lm.is_locked(m, bad)
 
 
 def test_is_locked_u24_exhaustive():

@@ -520,6 +520,14 @@ def test_relabel_roundtrip():
     assert lm.relabel(r, inv) == lm.with_names(m, m.names)
 
 
+def test_relabel_refuses_a_non_permutation():
+    m = lm.mk4()
+    for perm in ([0.0, 1, 2, 3, 4, 5], [0, 1, 7, 3, 4, 5], [0, 1, 1, 3, 4, 5],
+                 [0, 1, 2, 3, 4], ["0", 1, 2, 3, 4, 5]):
+        with pytest.raises(errors.InvalidParams):
+            lm.relabel(m, perm)
+
+
 def test_corpus_validates(corpus):
     for m in corpus:
         m.validate()
