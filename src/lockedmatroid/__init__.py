@@ -9,8 +9,6 @@ from .matroid import (
     to_text,
     save,
     load,
-    rank,
-    dual,
     minor,
     restriction,
     is_connected,

@@ -57,7 +57,7 @@ from typing import Iterable, Iterator, Optional
 from . import errors
 from ._bits import bits_of, complement, mask_of, splits, subset_key, subset_text
 from .locked import LockedStructure, locked_structure
-from .matroid import Matroid, _check_elements
+from .matroid import Matroid, _check_elements, _refuse_large
 
 
 @dataclass(frozen=True)
@@ -133,8 +133,10 @@ class RankExtender:
     """The one owner of a system's ranks, and the one way to extend them to
     subsets outside the structured family by the P1..P4 chains.
 
-    Construction checks the stored domain once and raises DomainMismatch
-    when a rank is missing, so no rule meets a missing value.  The rules
+    Construction checks the system once, where it enters: TooLarge when
+    ground_size is over MAX_N, OutOfRange for a member of a family or a
+    rank key that is not an element index, and then DomainMismatch when a
+    stored rank is missing, so no rule meets a missing value.  The rules
     live in one place: _down_steps yields the P1/P2 steps out of a set and
     _up_steps the P3/P4 steps, each as (rule, witness, next set, offset),
     where the step's value is offset + value(next set).  down() and up()
@@ -142,19 +144,23 @@ class RankExtender:
     kind of step, used by the L18/L19 checks); value() is the mixed-chain
     fixpoint over the whole subset lattice, computed once on demand, and
     trace() follows the first step, in rule order, that attains it.
+    A chain value below zero, which no genuine system has, raises
+    NoDecomposition; it also bounds the fixpoint, whose values only fall.
     """
 
     def __init__(self, sys: LockedSystem):
+        n = self.n = sys.ground_size
+        _refuse_large(n)
+        self.locked_masks = [_check_elements(n, t) for t in sys.locked]
+        self.parallel_masks = [_check_elements(n, t) for t in sys.parallel]
+        self.coparallel_masks = [_check_elements(n, t) for t in sys.coparallel]
+        self.base = {_check_elements(n, t): val for t, val in sys.r.items()}
+        # after the index checks: the domain complements classes by mask_of
         missing = [x for x in _stored_domain(sys) if x not in sys.r]
         if missing:
             raise errors.DomainMismatch("missing stored ranks for %r" % (missing[:3],))
-        self.n = sys.ground_size
-        self.full = (1 << self.n) - 1
-        self.base = {mask_of(t): val for t, val in sys.r.items()}
+        self.full = (1 << n) - 1
         self.r_e = self.base[self.full]
-        self.locked_masks = [mask_of(t) for t in sys.locked]
-        self.parallel_masks = [mask_of(t) for t in sys.parallel]
-        self.coparallel_masks = [mask_of(t) for t in sys.coparallel]
         self._down: dict[int, Optional[int]] = {}
         self._up: dict[int, Optional[int]] = {}
         self._mixed: Optional[list[int]] = None
@@ -224,6 +230,9 @@ class RankExtender:
                     if v[nxt] < self._INF and off + v[nxt] < best:
                         best = off + v[nxt]
                 if best < v[m]:
+                    if best < 0:
+                        raise errors.NoDecomposition(
+                            "P1..P4 chain for %r falls below zero" % (bits_of(m),))
                     v[m] = best
                     changed = True
         self._mixed = v
@@ -278,8 +287,9 @@ def validate(sys: LockedSystem, m: Matroid) -> AxiomReport:
     disconnected matroid can violate them (see extract_system).
 
     Raises DomainMismatch when the system's ground set is not the size of
-    m's, then (from RankExtender) when a stored rank is missing.  The size
-    check also decides L1, because a matroid has at least one element.
+    m's, then what RankExtender raises on a malformed system: OutOfRange,
+    or DomainMismatch when a stored rank is missing.  The size check also
+    decides L1, because a matroid has at least one element.
     """
     n = sys.ground_size
     if n != m.n:

@@ -16,7 +16,7 @@ from random import Random
 from . import errors
 from ._bits import subset_text
 from .axioms import extract_system, validate
-from .catalog import catalog, uniform
+from .catalog import catalog
 from .corpus import standard_corpus
 from .isoengine import mip_bruteforce, mip_locked, mip_zero_locked, tsd
 from .lattice import augmented_lattice, dot_text, label_text, reduced_lattice, series_encode
@@ -46,27 +46,6 @@ def _natural(text: str) -> int:
     return value
 
 
-def _parse_uniform(spec: str) -> Matroid:
-    body = spec[len("uniform:"):]
-    try:
-        r, n = (int(t) for t in body.split(","))
-    except ValueError:
-        raise errors.InvalidParams("bad uniform spec %r" % spec) from None
-    return uniform(r, n)
-
-
-def _parse_graphic(spec: str) -> Matroid:
-    parts = spec.split(":")
-    if len(parts) != 3:
-        raise errors.InvalidParams("graphic spec is graphic:<nv>:<u-v,u-v,...>")
-    try:
-        nv = int(parts[1])
-        edges = tuple(tuple(int(x) for x in tok.split("-")) for tok in parts[2].split(","))
-    except ValueError:
-        raise errors.InvalidParams("bad graphic spec %r" % spec) from None
-    return catalog("graphic", nv, edges)
-
-
 def parse_gen_spec(spec: str) -> Matroid:
     """gen specs: mk4 | whirl3 | q6 | p6 | vamos | uniform:R,N |
     graphic:NV:u-v,... | twosum:<spec1>+<spec2>@<e1>,<e2>
@@ -92,9 +71,13 @@ def parse_gen_spec(spec: str) -> Matroid:
         res.name = "twosum"
         return res
     if spec.startswith("uniform:"):
-        return _parse_uniform(spec)
+        return catalog("uniform", *spec[len("uniform:"):].split(","))
     if spec.startswith("graphic:"):
-        return _parse_graphic(spec)
+        parts = spec.split(":")
+        if len(parts) != 3:
+            raise errors.InvalidParams("graphic spec is graphic:<nv>:<u-v,u-v,...>")
+        nv, edges = parts[1], parts[2].split(",")
+        return catalog("graphic", nv, [tuple(e.split("-")) for e in edges])
     return catalog(spec)
 
 
@@ -171,8 +154,6 @@ def _cmd_selfdual(args) -> int:
 
 
 def _cmd_axioms(args) -> int:
-    if args.action != "check":
-        raise errors.InvalidParams("axioms supports the action: check")
     m = load(args.matroid)
     system = extract_system(m)  # first, so loops and coloops keep their own errors
     if not is_connected(m):
@@ -186,8 +167,6 @@ def _cmd_axioms(args) -> int:
 
 
 def _cmd_polytope(args) -> int:
-    if args.action != "verify":
-        raise errors.InvalidParams("polytope supports the action: verify")
     m = load(args.matroid)
     rng = Random(args.seed)
     s = locked_structure(m)
@@ -303,10 +282,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except errors.LockedMatroidError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (errors.LockedMatroidError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

@@ -45,10 +45,6 @@ class LockedStructure:
     locked: tuple[tuple[int, ...], ...]
     rho: dict
 
-    @property
-    def locked_count(self) -> int:
-        return len(self.locked)
-
 
 @dataclass(frozen=True)
 class KLockedVerdict:

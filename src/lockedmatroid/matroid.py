@@ -8,8 +8,8 @@ order is lexicographic on the sorted index tuples), and derived matroids
 
 Every rank query, rank_of included, reads one full rank table (2^n
 entries, indexed by mask), built once per matroid on first use.  That is
-the intended scale here: validated construction accepts ground sets of at
-most MAX_N = 16 elements.
+the intended scale here: the table refuses ground sets of more than
+MAX_N = 16 elements with TooLarge, whichever constructor made the matroid.
 
 Every connectivity test goes through one primitive, separator(ranks, X, C),
 which looks up a 1-separation of the minor (M/C)|X in M's rank table;
@@ -68,8 +68,8 @@ def _check_elements(n: int, elements: Iterable[int]) -> int:
     return m
 
 
-# Validation builds a rank table with 2^n entries, as does every layer
-# downstream of it.
+# The rank table has 2^n entries; its one writer, Matroid._build_tables,
+# refuses larger ground sets before it allocates.
 MAX_N = 16
 
 
@@ -240,6 +240,7 @@ class Matroid:
 
     def _build_tables(self) -> None:
         n = self.n
+        _refuse_large(n)
         size = 1 << n
         ind = bytearray(size)
         for b in self._basis_masks:
@@ -301,9 +302,9 @@ class Matroid:
         Checks equicardinality, then that the rank table is locally
         submodular, which holds exactly when the basis exchange axiom does;
         the table stays as this matroid's memo.  Raises UnequalCardinality,
-        TooLarge (n > MAX_N) or ExchangeViolation with a concrete triple.
+        TooLarge (n > MAX_N, from the rank table) or ExchangeViolation with
+        a concrete triple.
         """
-        _refuse_large(self.n)
         _check_bases(self, self._basis_masks)
 
 
@@ -329,14 +330,6 @@ def from_bases(n: int, bases: Iterable[Iterable[int]], names: Optional[Sequence[
     m = Matroid(ground, masks, name)
     _check_bases(m, masks)
     return m
-
-
-def rank(m: Matroid, elements: Iterable[int]) -> int:
-    return m.rank_of(elements)
-
-
-def dual(m: Matroid) -> Matroid:
-    return m.dual()
 
 
 def minor(m: Matroid, delete: Iterable[int] = (), contract: Iterable[int] = ()) -> Matroid:
@@ -462,9 +455,9 @@ def closures(m: Matroid) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, 
     both relations are equivalences, so each family partitions E and the
     class of e is every f related to it.
     """
+    ranks = m._rank_table()  # first: a ground set over MAX_N is refused as such
     _reject_loops_coloops(m)
     n = m.n
-    ranks = m._rank_table()
     full = m.full_mask
     r_e = ranks[full]
 

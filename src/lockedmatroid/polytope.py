@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 
 from . import errors, simplex
 from .locked import LockedStructure
-from .matroid import MAX_N, Matroid
+from .matroid import Matroid
 
 MAX_DENOMINATOR = 64  # of a sample_rational_points coordinate
 
@@ -85,9 +85,8 @@ def member(sys: LinearSystem, point: Sequence) -> tuple[bool, Optional[Row]]:
 
 def member_Q(m: Matroid, point: Sequence) -> bool:
     """Exact check of x(E) = r(E), the unit box, and x(A) <= r(A) for every
-    subset A.  Scans all 2^n subsets, so the ground set is capped at MAX_N."""
-    if m.n > MAX_N:
-        raise errors.TooLarge("member_Q scans 2^n subsets; |E| capped at %d" % MAX_N)
+    subset A.  Scans all 2^n subsets against the rank table, which raises
+    TooLarge past MAX_N elements."""
     x, d = _integral(point)
     if len(x) != m.n:
         raise errors.DimensionMismatch("point dimension mismatch")

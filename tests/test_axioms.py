@@ -1,8 +1,10 @@
+import contextlib
 import dataclasses
 import hashlib
 import itertools
 import random
 import re
+import signal
 
 import pytest
 
@@ -159,6 +161,105 @@ def test_rank_extender_refuses_a_system_missing_stored_ranks():
         with pytest.raises(errors.DomainMismatch,
                            match=r"^missing stored ranks for \[%s\]$" % re.escape(repr(gone))):
             lm.RankExtender(replace(sys, r=r))
+
+
+def _with_bad_index(sys, where, bad):
+    if where == "locked":
+        return replace(sys, locked=sys.locked + ((0, bad),))
+    if where == "rank key":
+        return replace(sys, r={**sys.r, (0, bad): 2})
+    return replace(sys, **{where: getattr(sys, where) + ((bad,),)})
+
+
+@pytest.mark.parametrize("where", ["locked", "parallel", "coparallel", "rank key"])
+@pytest.mark.parametrize("bad", [-1, 6, 0.0, "a"], ids=repr)
+def test_rank_extender_refuses_an_index_off_the_ground_set(where, bad):
+    # checked before the stored-domain check, which complements each
+    # closure class by mask; validate builds the extender first
+    m = lm.mk4()
+    sys = _with_bad_index(lm.extract_system(m), where, bad)
+    with pytest.raises(errors.OutOfRange, match=r"^element index .* not in 0\.\.5$"):
+        lm.RankExtender(sys)
+    with pytest.raises(errors.OutOfRange):
+        lm.validate(sys, m)
+
+
+def test_rank_extender_refuses_a_ground_set_over_max_n():
+    sys = replace(lm.extract_system(lm.mk4()), ground_size=17)
+    with pytest.raises(errors.TooLarge, match="capped at 16, got 17"):
+        lm.RankExtender(sys)
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    def expire(signum, frame):
+        raise TimeoutError("no answer within %d s" % seconds)
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def test_mixed_chain_below_zero_raises():
+    # r(X) = -1 or 0 on each of M(K4)'s 18 stored sets.  A chain value below
+    # zero is a negative cycle of the fixpoint, which never ended on the 18
+    # edits r({e}) = -1 and r(E\{e}) in {-1, 0}; a locked triangle at -1
+    # is refused the same way.  Every other edit still answers.
+    sys = lm.extract_system(lm.mk4())
+    assert len(sys.r) == 18
+    answers = {}
+    for x in sys.r:
+        for val in (-1, 0):
+            ext = lm.RankExtender(replace(sys, r={**sys.r, x: val}))
+            with time_limit(5):
+                try:
+                    answers[x, val] = ext.value(())
+                except errors.NoDecomposition as exc:
+                    assert re.fullmatch(r"P1\.\.P4 chain for \(.*\) falls below zero",
+                                        str(exc)), exc
+                    with pytest.raises(errors.NoDecomposition):
+                        ext.trace((0, 1))
+                    answers[x, val] = None
+    refused = ({((e,), -1) for e in range(6)}
+               | {(tuple(f for f in range(6) if f != e), val)
+                  for e in range(6) for val in (-1, 0)}
+               | {(l, -1) for l in sys.locked})
+    assert {k for k, v in answers.items() if v is None} == refused
+    assert {k: v for k, v in answers.items() if v not in (None, 0)} == {((), -1): -1}
+
+
+def test_value_without_a_chain_raises():
+    # with no closure classes and no locked sets, only r(empty) and r(E) are
+    # stored, and no rule leads out of {a}
+    sys = replace(lm.extract_system(lm.mk4()), parallel=(), coparallel=(), locked=(),
+                  r={(): 0, tuple(range(6)): 3})
+    ext = lm.RankExtender(sys)
+    with pytest.raises(errors.NoDecomposition, match=r"^no P1\.\.P4 chain for \(0,\)$"):
+        ext.value((0,))
+    with pytest.raises(errors.NoDecomposition):
+        ext.trace((0,))
+
+
+def test_validate_reports_l2_overlap_and_both_l4_branches():
+    m = lm.mk4()
+    sys = lm.extract_system(m)
+    # {a,b} overlaps the classes {a} and {b}; its ranks are stored, so only
+    # the partition rule sees it
+    overlap = replace(sys, parallel=sys.parallel + ((0, 1),),
+                      r={**sys.r, (0, 1): 2, (2, 3, 4, 5): 3})
+    lines = lm.validate(overlap, m).text().splitlines()
+    assert "L2 parallel classes do not partition the ground set" in lines
+    improper = replace(sys, locked=sys.locked + ((), tuple(range(6))))
+    lines = lm.validate(improper, m).text().splitlines()
+    assert "L4 locked set {} is not proper and nonempty" in lines
+    assert "L4 locked set {a,b,c,d,e,f} is not proper and nonempty" in lines
+    repeated = replace(sys, locked=sys.locked + (sys.locked[0],))
+    lines = lm.validate(repeated, m).text().splitlines()
+    assert "L4 locked set {a,b,d} repeated" in lines
 
 
 def test_rank_extend_equals_bruteforce(corpus):

@@ -108,6 +108,14 @@ def test_iso_lattice_and_both(tmp_path, capsys):
     assert out.strip() == "not isomorphic (bruteforce=lattice=false)"
 
 
+def test_iso_both_on_an_exhaustive_negative(tmp_path, capsys, sparse_paving_pair):
+    paths = [tmp_path / "a.matroid", tmp_path / "b.matroid"]
+    for m, p in zip(sparse_paving_pair, paths):
+        lm.save(m, p)
+    code, out, err = run(capsys, "iso", *map(str, paths), "--method", "both")
+    assert (code, out, err) == (1, "not isomorphic (bruteforce=lattice=false)\n", "")
+
+
 def test_iso_l0_method(tmp_path, capsys):
     p1 = tmp_path / "a.matroid"
     p2 = tmp_path / "b.matroid"
@@ -317,6 +325,28 @@ def test_gen_graphic_edge_not_a_pair_refused(tmp_path, capsys, spec):
     assert (code, stdout) == (2, "")
     assert err.startswith("error: edge is not a pair of vertices")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("uniform:3", "uniform needs (r, n)"),
+    ("uniform:3,4,5", "uniform needs (r, n)"),
+    ("uniform:3,x", "'x' is not an integer"),
+    ("uniform:2.5,4", "'2.5' is not an integer"),
+    ("graphic:3:0-x", "'x' is not an integer"),
+    ("graphic:x:0-1", "'x' is not an integer"),
+    ("graphic:3", "graphic spec is graphic:<nv>:<u-v,u-v,...>"),
+    ("graphic:3:", "edge is not a pair of vertices: ('',)"),
+    ("graphic:3:0-3", "edge endpoint out of range: (0, 3)"),
+    ("twosum:mk4+mk4@a", "twosum basepoints are <e1>,<e2>"),
+    ("twosum:mk4+uniform:3@a,f0", "uniform needs (r, n)"),
+])
+def test_gen_malformed_spec_refused(tmp_path, capsys, spec, message):
+    # each field is checked once, by the catalog constructor it goes to
+    out = tmp_path / "x.matroid"
+    assert run(capsys, "gen", spec, str(out)) == (2, "", "error: %s\n" % message)
+    assert not out.exists()
+    with pytest.raises(lm.errors.InvalidParams):
+        cli.parse_gen_spec(spec)
 
 
 def test_gen_oversized_twosum_refused(tmp_path, capsys):

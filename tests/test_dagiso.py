@@ -24,6 +24,18 @@ def test_empty_graph():
     assert lm.are_isomorphic(ColoredDigraph(0, (), ()), ColoredDigraph(0, (), ()))[0]
 
 
+@pytest.mark.parametrize("args, error, message", [
+    ((-1, (), ()), errors.InvalidParams, "negative vertex count"),
+    ((2, (), (0,)), errors.InvalidParams, "need one color per vertex"),
+    ((1, (), (-1,)), errors.InvalidParams, "colors must be nonnegative"),
+    ((2, ((0, 2),), (0, 0)), errors.OutOfRange, r"arc endpoint out of range: \(0, 2\)"),
+    ((2, ((-1, 0),), (0, 0)), errors.OutOfRange, r"arc endpoint out of range: \(-1, 0\)"),
+])
+def test_colored_digraph_refusals(args, error, message):
+    with pytest.raises(error, match="^%s$" % message):
+        ColoredDigraph(*args)
+
+
 def test_mk4_lattice_digest_relabel_invariant():
     m = lm.mk4()
     g1 = lm.to_colored(lm.reduced_lattice(lm.locked_structure(m)))

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from random import Random
 
 import pytest
@@ -148,6 +149,23 @@ def test_mip_locked_unknown_route():
     for route in ("bogus", "both"):
         with pytest.raises(errors.InvalidParams):
             lm.mip_locked(lm.mk4(), lm.mk4(), route=route)
+
+
+def test_tsd_unknown_method():
+    with pytest.raises(errors.InvalidParams, match="^unknown tsd method 'bogus'$"):
+        lm.tsd(lm.mk4(), "bogus")
+
+
+def test_bruteforce_exhaustive_negative(sparse_paving_pair):
+    # every cheap invariant agrees, so the answer comes from the search itself
+    a, b = sparse_paving_pair
+    for m in (a, b):
+        counts = Counter(e for basis in m.bases for e in basis)
+        assert len(m.bases) == 66
+        assert sorted(counts.values()) == [32, 32, 33, 33, 33, 33, 34, 34]
+    assert not lm.mip_bruteforce(a, b).answer
+    for route in ("labels", "series"):
+        assert not lm.mip_locked(a, b, route=route).answer, route
 
 
 def test_tsd_bruteforce_is_mip_bruteforce_against_the_dual(corpus):

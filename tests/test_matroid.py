@@ -117,6 +117,17 @@ def test_from_bases_size_guard():
     assert m._ranks is None  # refused before any 2^n table
 
 
+def test_rank_table_refuses_a_ground_set_over_max_n():
+    # the internal constructor takes any masks; the table's one writer
+    # refuses before it allocates, whichever query asks first
+    m = Matroid(GroundSet.default(17), [1, 2])
+    for query in (lambda: m.rank_of((0,)), lambda: lm.locked_structure(m),
+                  lambda: lm.is_connected(m), lambda: lm.member_Q(m, [0] * 17)):
+        with pytest.raises(errors.TooLarge, match="capped at 16, got 17"):
+            query()
+        assert m._ranks is None
+
+
 def test_size_guard_reads_no_basis():
     def bases():
         raise AssertionError("a basis was read")
@@ -240,6 +251,13 @@ def test_relax_refuses_every_basis(corpus):
             with pytest.raises(errors.InvalidParams, match="set is already a basis"):
                 lm.relax(m, b)
 
+
+def test_relax_refuses_a_set_of_the_wrong_size():
+    for x in ((0, 1), (0, 1, 2, 4)):
+        with pytest.raises(errors.InvalidParams, match="^relaxation set must have 3 elements$"):
+            lm.relax(lm.mk4(), x)
+
+
 def test_catalog_dispatch():
     assert lm.catalog("uniform", 0, 3).rank == 0
     assert lm.catalog("mk4") == lm.mk4()
@@ -249,6 +267,39 @@ def test_catalog_dispatch():
         lm.catalog("uniform", 4, 3)
     with pytest.raises(errors.DisconnectedGraph):
         lm.catalog("graphic", 4, ((0, 1), (2, 3)))
+
+
+@pytest.mark.parametrize("name, params, message", [
+    ("mk4", (1,), "mk4 takes no parameters"),
+    ("uniform", (2,), r"uniform needs \(r, n\)"),
+    ("uniform", (1, 2, 3), r"uniform needs \(r, n\)"),
+    ("graphic", (3,), r"graphic needs \(n_vertices, edges\)"),
+    ("graphic", (3, ()), "need at least one vertex and one edge"),
+    ("graphic", (0, ((0, 1),)), "need at least one vertex and one edge"),
+    ("graphic", (3, ((0, 1), (1, 3))), r"edge endpoint out of range: \(1, 3\)"),
+    ("graphic", (3, ((-1, 1),)), r"edge endpoint out of range: \(-1, 1\)"),
+])
+def test_catalog_refuses_bad_parameters(name, params, message):
+    with pytest.raises(errors.InvalidParams, match="^%s$" % message):
+        lm.catalog(name, *params)
+
+
+@pytest.mark.parametrize("n, names, message", [
+    (0, (), "ground set needs at least one element"),
+    (2, ("a",), "expected 2 names, got 1"),
+    (2, ("a", "a"), "element names must be distinct"),
+    (1, ("a b",), "bad element name 'a b'"),
+])
+def test_ground_set_refusals(n, names, message):
+    with pytest.raises(errors.InvalidParams, match="^%s$" % message):
+        GroundSet(n, names)
+
+
+def test_index_of_an_unknown_name():
+    g = GroundSet.default(3)
+    assert g.index_of("e2") == 2
+    with pytest.raises(errors.OutOfRange, match="^unknown element name 'x'$"):
+        g.index_of("x")
 
 
 # -- rank ------------------------------------------------------------------------
@@ -587,6 +638,8 @@ def test_text_reader_errors():
         lm.from_text("nope\n")
     with pytest.raises(errors.FormatError):
         lm.from_text("matroid x\nelements a,b\nbasis q\n")
+    with pytest.raises(errors.FormatError, match="^duplicate element names$"):
+        lm.from_text("matroid x\nelements a,b,a\nbasis a\n")
 
 
 def test_save_load_bit_exact(tmp_path, corpus):

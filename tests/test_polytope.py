@@ -236,6 +236,16 @@ def test_lp_infeasible_and_unbounded():
         lm.lp_maximize(free, [0, 1], add_box=False)
 
 
+def test_dimension_mismatches():
+    m = lm.mk4()
+    sys = system_for(m)
+    five = [1] * 5
+    for call in (lambda: member_Q(m, five), lambda: lp_maximize(sys, five),
+                 lambda: lm.greedy_max_basis(m, five)):
+        with pytest.raises(errors.DimensionMismatch, match="dimension mismatch"):
+            call()
+
+
 def test_lp_against_sympy_reference():
     # independent exact LP oracle on random small systems
     sympy = pytest.importorskip("sympy")

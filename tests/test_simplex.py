@@ -1,6 +1,9 @@
 import hashlib
 from random import Random
 
+import pytest
+
+from lockedmatroid import errors
 from lockedmatroid.simplex import OPTIMAL, SimplexProgram
 
 _FLIP = {"==": "==", "<=": ">=", ">=": "<="}
@@ -61,3 +64,11 @@ def test_lp_witness_attains_the_optimum():
             for coeffs, rel, bound in cons:
                 assert holds[rel](sum(c * x for c, x in zip(coeffs, point)), bound)
     assert optimal > 200
+
+
+def test_widths_must_match_the_variable_count():
+    with pytest.raises(errors.DimensionMismatch, match="^constraint width mismatch$"):
+        SimplexProgram(2, [([1], "<=", 1)])
+    prog = SimplexProgram(2, [([1, 1], "<=", 1)])
+    with pytest.raises(errors.DimensionMismatch, match="^objective width mismatch$"):
+        prog.maximize([1])
