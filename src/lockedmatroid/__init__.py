@@ -43,11 +43,9 @@ from .lattice import (
 from .dagiso import CanonicalForm, ColoredDigraph, are_isomorphic, brute_force_iso, canonical_form
 from .axioms import (
     AxiomReport,
-    LockedSystem,
     RankExtender,
     Violation,
     extract_system,
-    system_from_structure,
     validate,
 )
 from .polytope import (

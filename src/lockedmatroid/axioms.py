@@ -1,9 +1,8 @@
 """The locked-system axioms and the structured rank recursion.
 
-A locked system over a ground set E is a candidate tuple
-(parallel family P, coparallel family S, locked family L, partial rank
-function r) whose validity is judged against the rule list L1..L19
-(labels are part of the reporting contract):
+A locked system over a ground set E is a candidate LockedStructure (P, S,
+L, rho), with rho written r below, whose validity is judged against the
+rule list L1..L19 (labels are part of the reporting contract):
 
   L1   E is nonempty
   L2   P and S are partitions of E
@@ -55,19 +54,9 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
 from . import errors
-from ._bits import bits_of, complement, mask_of, splits, subset_key, subset_text
-from .locked import LockedStructure, locked_structure
+from ._bits import bits_of, mask_of, splits, subset_key, subset_text
+from .locked import LockedStructure, _stored_domain, locked_structure
 from .matroid import Matroid, _check_elements, _refuse_large
-
-
-@dataclass(frozen=True)
-class LockedSystem:
-    ground_size: int
-    names: tuple[str, ...]
-    parallel: tuple[tuple[int, ...], ...]
-    coparallel: tuple[tuple[int, ...], ...]
-    locked: tuple[tuple[int, ...], ...]
-    r: dict  # subset tuple -> rank; domain: families, empty, E, complements of P and S
 
 
 @dataclass(frozen=True)
@@ -91,72 +80,57 @@ class AxiomReport:
         return "".join("%s %s\n" % (v.axiom, v.message) for v in self.violations)
 
 
-def _stored_domain(s) -> list[tuple[int, ...]]:
-    """The subsets whose ranks a system stores, of a LockedSystem or a
-    LockedStructure: empty, E, each parallel and then each coparallel class
-    followed by its complement, then the locked sets."""
-    n = s.ground_size
-    out = [(), tuple(range(n))]
-    for x in itertools.chain(s.parallel, s.coparallel):
-        out += (x, complement(n, x))
-    return out + list(s.locked)
+def extract_system(m: Matroid) -> LockedStructure:
+    """Locked system of a matroid: its locked structure.  The axioms are
+    stated for connected matroids; on a disconnected one validate reports
+    violations (two L3, two L9 and two L10 lines on U(1,2)+U(1,2)), and
+    `axioms check` refuses it with Disconnected."""
+    return locked_structure(m)
 
 
-def extract_system(m: Matroid) -> LockedSystem:
-    """Locked system of a matroid, with true ranks on the whole domain.
-
-    The axiom system is defined for connected matroids only.  A disconnected
-    matroid still gets a system, but the closure rules assume connectivity,
-    so validate reports violations on it (two L3, two L9 and two L10 lines
-    on U(1,2)+U(1,2)).  The `axioms check` command refuses such
-    input with Disconnected.
-    """
-    s = locked_structure(m)
-    ranks = m._rank_table()
-    r = {x: ranks[mask_of(x)] for x in _stored_domain(s)}
-    return LockedSystem(s.ground_size, s.names, s.parallel, s.coparallel, s.locked, r)
-
-
-def system_from_structure(s: LockedStructure) -> LockedSystem:
-    """Locked system from a bare structure; the complement ranks that the
-    structure does not store are filled in by the closure formulas (L9/L11),
-    which take precedence over a stored rank of the same set."""
-    n, re = s.ground_size, s.rank
-    formula = {complement(n, x): min(n - len(x), re) for x in s.parallel}
-    formula.update((complement(n, x), min(n - len(x), re + 1 - len(x)))
-                   for x in s.coparallel)
-    r = {x: formula[x] if x in formula else s.rho[x] for x in _stored_domain(s)}
-    return LockedSystem(n, s.names, s.parallel, s.coparallel, s.locked, r)
+def _checked_mask(n: int, t) -> int:
+    if not isinstance(t, tuple):
+        raise errors.InvalidParams("subset %r is not a tuple of element indices" % (t,))
+    return _check_elements(n, t)
 
 
 class RankExtender:
     """The one owner of a system's ranks, and the one way to extend them to
     subsets outside the structured family by the P1..P4 chains.
 
-    Construction checks the system once, where it enters: TooLarge when
-    ground_size is over MAX_N, OutOfRange for a member of a family or a
-    rank key that is not an element index, and then DomainMismatch when a
-    stored rank is missing, so no rule meets a missing value.  The rules
-    live in one place: _down_steps yields the P1/P2 steps out of a set and
-    _up_steps the P3/P4 steps, each as (rule, witness, next set, offset),
-    where the step's value is offset + value(next set).  down() and up()
-    are the pure one-directional chain values (memoized recursions over one
-    kind of step, used by the L18/L19 checks); value() is the mixed-chain
-    fixpoint over the whole subset lattice, computed once on demand, and
-    trace() follows the first step, in rule order, that attains it.
-    A chain value below zero, which no genuine system has, raises
-    NoDecomposition; it also bounds the fixpoint, whose values only fall.
+    Construction checks the system once, where it enters: ground_size
+    (InvalidParams unless an int, TooLarge over MAX_N), each family member,
+    rank key and rank (InvalidParams unless a tuple, a tuple and an int;
+    OutOfRange for a member or key off the ground set), and then the
+    stored domain (DomainMismatch when a rank is missing), so no rule meets
+    a missing value.  The rules live in one place: _down_steps yields the
+    P1/P2 steps out of a set and _up_steps the P3/P4 steps, each as (rule,
+    witness, next set, offset), where the step's value is offset +
+    value(next set).  down() and up() are the pure one-directional chain
+    values (memoized recursions over one kind of step, used by the L18/L19
+    checks); value() is the mixed-chain fixpoint over the whole subset
+    lattice, computed once on demand, and trace() follows the first step,
+    in rule order, that attains it.  A chain value below zero, which no
+    genuine system has, raises NoDecomposition; it also bounds the
+    fixpoint, whose values only fall.
     """
 
-    def __init__(self, sys: LockedSystem):
-        n = self.n = sys.ground_size
+    def __init__(self, s: LockedStructure):
+        n = self.n = s.ground_size
+        if not isinstance(n, int):
+            raise errors.InvalidParams("ground_size %r is not an int" % (n,))
         _refuse_large(n)
-        self.locked_masks = [_check_elements(n, t) for t in sys.locked]
-        self.parallel_masks = [_check_elements(n, t) for t in sys.parallel]
-        self.coparallel_masks = [_check_elements(n, t) for t in sys.coparallel]
-        self.base = {_check_elements(n, t): val for t, val in sys.r.items()}
+        self.locked_masks = [_checked_mask(n, t) for t in s.locked]
+        self.parallel_masks = [_checked_mask(n, t) for t in s.parallel]
+        self.coparallel_masks = [_checked_mask(n, t) for t in s.coparallel]
+        self.base = {}
+        for t, val in s.rho.items():
+            if not isinstance(val, int):
+                raise errors.InvalidParams("rank %r of %r is not an int" % (val, t))
+            self.base[_checked_mask(n, t)] = val
         # after the index checks: the domain complements classes by mask_of
-        missing = [x for x in _stored_domain(sys) if x not in sys.r]
+        missing = [x for x in _stored_domain(n, s.parallel, s.coparallel, s.locked)
+                   if x not in s.rho]
         if missing:
             raise errors.DomainMismatch("missing stored ranks for %r" % (missing[:3],))
         self.full = (1 << n) - 1
@@ -277,7 +251,7 @@ class RankExtender:
                 raise errors.NoDecomposition("trace failed at %r" % (bits_of(m),))
 
 
-def validate(sys: LockedSystem, m: Matroid) -> AxiomReport:
+def validate(s: LockedStructure, m: Matroid) -> AxiomReport:
     """Check the axioms L1..L16, L18, L19 of a system against the matroid m,
     exhaustively over their quantifier domains.  Ranks of sets outside the
     stored domain are read from m's rank table; stored values disagreeing
@@ -286,15 +260,16 @@ def validate(sys: LockedSystem, m: Matroid) -> AxiomReport:
     The rules describe the systems of connected matroids; the system of a
     disconnected matroid can violate them (see extract_system).
 
-    Raises DomainMismatch when the system's ground set is not the size of
-    m's, then what RankExtender raises on a malformed system: OutOfRange,
-    or DomainMismatch when a stored rank is missing.  The size check also
-    decides L1, because a matroid has at least one element.
+    Raises what RankExtender raises on a malformed system (InvalidParams,
+    TooLarge, OutOfRange, or DomainMismatch when a stored rank is missing),
+    then DomainMismatch when the system's ground set is not the size of
+    m's.  The size check also decides L1, because a matroid has at least
+    one element.
     """
-    n = sys.ground_size
+    ext = RankExtender(s)
+    n = s.ground_size
     if n != m.n:
         raise errors.DomainMismatch("system has %d elements, the matroid %d" % (n, m.n))
-    ext = RankExtender(sys)
     ranks = m._rank_table()
     base, r_e, fullmask = ext.base, ext.r_e, ext.full
 
@@ -307,15 +282,15 @@ def validate(sys: LockedSystem, m: Matroid) -> AxiomReport:
         out.append(Violation(axiom, tuple(witnesses), message))
 
     def fmt(t: tuple[int, ...]) -> str:
-        return subset_text(sys.names, t)
+        return subset_text(s.names, t)
 
-    parallel = list(zip(sys.parallel, ext.parallel_masks))
-    coparallel = list(zip(sys.coparallel, ext.coparallel_masks))
-    locked = list(zip(sys.locked, ext.locked_masks))
+    parallel = list(zip(s.parallel, ext.parallel_masks))
+    coparallel = list(zip(s.coparallel, ext.coparallel_masks))
+    locked = list(zip(s.locked, ext.locked_masks))
 
     # L2: both closure families partition E
-    for tag, fam, masks in (("parallel", sys.parallel, ext.parallel_masks),
-                            ("coparallel", sys.coparallel, ext.coparallel_masks)):
+    for tag, fam, masks in (("parallel", s.parallel, ext.parallel_masks),
+                            ("coparallel", s.coparallel, ext.coparallel_masks)):
         seen = 0
         ok = True
         for xm in masks:
@@ -327,14 +302,14 @@ def validate(sys: LockedSystem, m: Matroid) -> AxiomReport:
 
     # L3
     for p, pm in parallel:
-        for s, sm in coparallel:
-            if pm & sm and len(p) > 1 and len(s) > 1:
-                bad("L3", (p, s),
+        for c, cm in coparallel:
+            if pm & cm and len(p) > 1 and len(c) > 1:
+                bad("L3", (p, c),
                     "intersecting classes %s and %s are both non-singletons"
-                    % (fmt(p), fmt(s)))
+                    % (fmt(p), fmt(c)))
 
     # L4
-    closure_set = set(sys.parallel) | set(sys.coparallel)
+    closure_set = set(s.parallel) | set(s.coparallel)
     seen_locked = set()
     for x, xm in locked:
         if xm == 0 or xm == fullmask:
@@ -354,8 +329,8 @@ def validate(sys: LockedSystem, m: Matroid) -> AxiomReport:
                     % (fmt(x), fmt(l)))
 
     # L6: nonnegative and consistent with the rank table
-    for t in sorted(sys.r, key=subset_key):
-        val = sys.r[t]
+    for t in sorted(s.rho, key=subset_key):
+        val = s.rho[t]
         if val < 0:
             bad("L6", (t,), "negative rank r(%s)=%d" % (fmt(t), val))
         ov = ranks[mask_of(t)]
@@ -367,9 +342,9 @@ def validate(sys: LockedSystem, m: Matroid) -> AxiomReport:
     # L7
     if base[0] != 0:
         bad("L7", ((),), "r(empty) = %d, expected 0" % base[0])
-    for t in sorted(sys.r, key=subset_key):
-        if sys.r[t] > r_e:
-            bad("L7", (t,), "r(%s)=%d exceeds r(E)=%d" % (fmt(t), sys.r[t], r_e))
+    for t in sorted(s.rho, key=subset_key):
+        if s.rho[t] > r_e:
+            bad("L7", (t,), "r(%s)=%d exceeds r(E)=%d" % (fmt(t), s.rho[t], r_e))
 
     # L8..L11
     for p, pm in parallel:
@@ -378,13 +353,13 @@ def validate(sys: LockedSystem, m: Matroid) -> AxiomReport:
         want, got = min(n - pm.bit_count(), r_e), base[fullmask ^ pm]
         if got != want:
             bad("L9", (p,), "r(E\\%s)=%d, expected %d" % (fmt(p), got, want))
-    for s, sm in coparallel:
-        want = min(len(s), r_e)
-        if base[sm] != want:
-            bad("L10", (s,), "r(%s)=%d, expected %d" % (fmt(s), base[sm], want))
-        want, got = min(n - sm.bit_count(), r_e + 1 - len(s)), base[fullmask ^ sm]
+    for c, cm in coparallel:
+        want = min(len(c), r_e)
+        if base[cm] != want:
+            bad("L10", (c,), "r(%s)=%d, expected %d" % (fmt(c), base[cm], want))
+        want, got = min(n - cm.bit_count(), r_e + 1 - len(c)), base[fullmask ^ cm]
         if got != want:
-            bad("L11", (s,), "r(E\\%s)=%d, expected %d" % (fmt(s), got, want))
+            bad("L11", (c,), "r(E\\%s)=%d, expected %d" % (fmt(c), got, want))
 
     # L12
     for l, lm in locked:
@@ -394,7 +369,7 @@ def validate(sys: LockedSystem, m: Matroid) -> AxiomReport:
 
     # L13: strictly increasing on nested members of P, L, {empty, E}
     chain_fam = [(x, mask_of(x)) for x in sorted(
-        set(sys.parallel) | set(sys.locked) | {(), tuple(range(n))}, key=subset_key)]
+        set(s.parallel) | set(s.locked) | {(), tuple(range(n))}, key=subset_key)]
     for x, xm in chain_fam:
         for y, ym in chain_fam:
             if xm != ym and xm & ~ym == 0 and r_of(xm) >= r_of(ym):
@@ -404,7 +379,7 @@ def validate(sys: LockedSystem, m: Matroid) -> AxiomReport:
 
     # L14: submodular on the structured family
     fam14 = [(x, mask_of(x)) for x in sorted(
-        set(sys.parallel) | set(sys.coparallel) | set(sys.locked) | {(), tuple(range(n))},
+        set(s.parallel) | set(s.coparallel) | set(s.locked) | {(), tuple(range(n))},
         key=subset_key)]
     for i, (x, xm) in enumerate(fam14):
         for y, ym in fam14[i + 1:]:

@@ -4,7 +4,8 @@ Subcommands: gen, locked, lattice, iso, selfdual, axioms, polytope, bench.
 Output is deterministic for fixed inputs and seeds; report-style commands
 start with a ``# format: 1`` header and echo the seed when they use one.
 Exit codes: 2 for usage or input errors, 1 for a negative verdict of a
-yes/no query (iso, selfdual), 0 otherwise.
+yes/no query (iso, selfdual, and axioms check when it reports a
+violation), 0 otherwise.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .corpus import standard_corpus
 from .isoengine import mip_bruteforce, mip_locked, mip_zero_locked, tsd
 from .lattice import augmented_lattice, dot_text, label_text, reduced_lattice, series_encode
 from .locked import locked_structure, structure_text
-from .matroid import Matroid, is_connected, load, save, two_sum, with_names
+from .matroid import Matroid, _reject_disconnected, is_connected, load, save, two_sum, with_names
 from .polytope import (
     build_P,
     greedy_max_basis,
@@ -163,13 +164,14 @@ def _cmd_axioms(args) -> int:
     print("# format: 1")
     print("matroid %s n=%d rank=%d" % (m.name, m.n, m.rank))
     sys.stdout.write(report.text())
-    return 0
+    return 0 if report.ok else 1
 
 
 def _cmd_polytope(args) -> int:
     m = load(args.matroid)
     rng = Random(args.seed)
     s = locked_structure(m)
+    _reject_disconnected(m)  # the rows cut out the bases polytope of connected matroids only
     system = build_P(s)
     print("# format: 1")
     print("# seed: %d" % args.seed)

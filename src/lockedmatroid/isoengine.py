@@ -27,7 +27,7 @@ from ._bits import bits_of, mask_of
 from .dagiso import are_isomorphic
 from .lattice import reduced_lattice, series_encode, to_colored
 from .locked import LockedStructure, _locked_iter, dual_structure, locked_structure
-from .matroid import Matroid, closures, is_connected
+from .matroid import Matroid, _reject_disconnected, closures
 
 # brute force is exponential in n; larger inputs raise TooLarge
 BRUTEFORCE_MAX_N = 10
@@ -110,11 +110,15 @@ def mip_locked(m1: Matroid, m2: Matroid, route: str = "labels") -> IsoReport:
     """Locked-lattice isomorphism test.
 
     route: "labels" compares the reduced lattices as colored DAGs; "series"
-    compares their unlabeled series-arc encodings.
+    compares their unlabeled series-arc encodings.  Raises Disconnected,
+    after both structures are built, when either matroid is disconnected.
     """
     if route not in ("labels", "series"):
         raise errors.InvalidParams("unknown mip_locked route %r" % route)
-    return _compare_lattices(locked_structure(m1), locked_structure(m2), route)
+    s1, s2 = locked_structure(m1), locked_structure(m2)
+    _reject_disconnected(m1)
+    _reject_disconnected(m2)
+    return _compare_lattices(s1, s2, route)
 
 
 def _compare_lattices(s1: LockedStructure, s2: LockedStructure, route: str) -> IsoReport:
@@ -147,8 +151,7 @@ def mip_zero_locked(m1: Matroid, m2: Matroid) -> IsoReport:
     """Isomorphism for matroids without locked subsets: compare the sorted
     coparallel (and, symmetrically, parallel) closure cardinality sequences."""
     for m in (m1, m2):
-        if not is_connected(m):
-            raise errors.Disconnected("%s is not connected" % m.name)
+        _reject_disconnected(m)
         if next(iter(_locked_iter(m)), None) is not None:
             raise errors.NotZeroLocked("%s has a locked subset" % m.name)
     p1, s1 = closures(m1)
@@ -177,11 +180,13 @@ def mip_zero_locked(m1: Matroid, m2: Matroid) -> IsoReport:
 def tsd(m: Matroid, method: str = "lattice") -> IsoReport:
     """Self-duality test.  The lattice method derives the dual's locked
     structure by complementation (no second enumeration) and compares the
-    two reduced lattices; the bruteforce method searches for an explicit
-    bijection between M and its dual."""
+    two reduced lattices, and refuses a disconnected matroid as mip_locked
+    does; the bruteforce method searches for an explicit bijection between
+    M and its dual."""
     if method == "bruteforce":
         return mip_bruteforce(m, m.dual())
     if method != "lattice":
         raise errors.InvalidParams("unknown tsd method %r" % method)
     s = locked_structure(m)
+    _reject_disconnected(m)
     return _compare_lattices(s, dual_structure(s), "labels")

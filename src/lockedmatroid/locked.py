@@ -5,7 +5,7 @@ restriction M|L and the dual restriction M*|(E\\L) are both connected and
 both have rank at least 2.  For a disconnected matroid the locked subsets
 are those of its connected components.  The locked structure bundles the
 parallel closures P, the coparallel closures S, the locked family L and
-the rank values of all of them (plus the empty set and E).
+the ranks rho of these sets, of the closures' complements, of {} and E.
 
 Enumeration is exhaustive over the proper nonempty subsets of each
 component C, walked as submasks of C.  Each subset meets three cheap
@@ -21,6 +21,7 @@ M*|(C\\L) is connected exactly when (M/L)|(C\\L) is.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -29,21 +30,34 @@ from typing import Iterator, Optional
 
 from . import errors
 from ._bits import bits_of, complement, mask_of, subset_key, subset_text
-from .matroid import (Matroid, _check_elements, _reject_loops_coloops, closures, components,
+from .matroid import (Matroid, _check_elements, _reject_loops_coloops, closures,
                       is_cyclic_flat, separator)
 
 
 @dataclass(frozen=True)
 class LockedStructure:
-    """The quadruple (parallel, coparallel, locked, rho) plus ground data."""
+    """The quadruple (parallel, coparallel, locked, rho) over named elements."""
 
     ground_size: int
-    rank: int
     names: tuple[str, ...]
     parallel: tuple[tuple[int, ...], ...]
     coparallel: tuple[tuple[int, ...], ...]
     locked: tuple[tuple[int, ...], ...]
     rho: dict
+
+    @property
+    def rank(self) -> int:
+        return self.rho[tuple(range(self.ground_size))]
+
+
+def _stored_domain(n: int, parallel, coparallel, locked) -> list[tuple[int, ...]]:
+    """The subsets whose ranks a structure stores: empty, E, each parallel
+    and then each coparallel class followed by its complement, then the
+    locked sets."""
+    out = [(), tuple(range(n))]
+    for x in itertools.chain(parallel, coparallel):
+        out += (x, complement(n, x))
+    return out + list(locked)
 
 
 @dataclass(frozen=True)
@@ -68,9 +82,8 @@ def is_locked(m: Matroid, subset) -> bool:
     lm = _check_elements(m.n, subset)
     if lm == 0 or lm == m.full_mask:
         raise errors.NotProperSubset("locked subsets are proper and nonempty")
-    ranks = m._rank_table()
-    comp = next(c for c in components(ranks, m.full_mask) if c & lm)
-    return lm & ~comp == 0 and _is_locked_in_component(ranks, comp, lm)
+    comp = next(c for c in m._components() if c & lm)
+    return lm & ~comp == 0 and _is_locked_in_component(m._rank_table(), comp, lm)
 
 
 def _is_locked_in_component(ranks, comp: int, lm: int) -> bool:
@@ -94,7 +107,7 @@ def _locked_iter(m: Matroid) -> Iterator[int]:
     cyclic-flat tests, in that order, and only the survivors through the two
     separator scans."""
     ranks = m._rank_table()
-    for comp in sorted(components(ranks, m.full_mask)):
+    for comp in m._components():
         x = (comp - 1) & comp
         while x:
             if _is_locked_in_component(ranks, comp, x):
@@ -111,12 +124,8 @@ def _assemble(m: Matroid, locked_masks) -> LockedStructure:
     parallel, coparallel = closures(m)
     locked = tuple(sorted((bits_of(x) for x in locked_masks), key=subset_key))
     ranks = m._rank_table()
-    r_e = ranks[m.full_mask]
-    rho: dict = {(): 0, tuple(range(m.n)): r_e}
-    for fam in (parallel, coparallel, locked):
-        for x in fam:
-            rho[x] = ranks[mask_of(x)]
-    return LockedStructure(m.n, r_e, m.names, parallel, coparallel, locked, rho)
+    rho = {x: ranks[mask_of(x)] for x in _stored_domain(m.n, parallel, coparallel, locked)}
+    return LockedStructure(m.n, m.names, parallel, coparallel, locked, rho)
 
 
 def k_locked_decision(m: Matroid, k: int, c=1) -> KLockedVerdict:
@@ -141,22 +150,14 @@ def k_locked_decision(m: Matroid, k: int, c=1) -> KLockedVerdict:
 
 
 def dual_structure(s: LockedStructure) -> LockedStructure:
-    """Locked structure of the dual matroid, computed without re-enumeration:
-    swap the two closure families, complement every locked set, and map every
-    rank through rho*(X) = rho(E\\X) + |X| - rank."""
+    """Locked structure of the dual of a connected matroid, without a second
+    enumeration: swap the closure families, complement each locked set, and
+    store r*(E\\X) = r(X) + |E\\X| - r(E) for each stored X.  (The dual of a
+    disconnected matroid complements locked sets per component.)"""
     n, r = s.ground_size, s.rank
-    full = tuple(range(n))
     locked = tuple(sorted((complement(n, x) for x in s.locked), key=subset_key))
-    rho: dict = {(): 0, full: n - r}
-    for p in s.coparallel:  # parallel classes of the dual
-        rho[p] = min(1, n - r)
-    for c in s.parallel:  # coparallel classes of the dual; a class equal to E
-        # has rank r*(E), not its cardinality
-        rho[c] = min(len(c), n - r)
-    for x in s.locked:
-        comp = complement(n, x)
-        rho[comp] = s.rho[x] + len(comp) - r
-    return LockedStructure(n, n - r, s.names, s.coparallel, s.parallel, locked, rho)
+    rho = {complement(n, x): v + n - len(x) - r for x, v in s.rho.items()}
+    return LockedStructure(n, s.names, s.coparallel, s.parallel, locked, rho)
 
 
 def structure_text(s: LockedStructure) -> str:

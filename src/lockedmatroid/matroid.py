@@ -173,6 +173,7 @@ class Matroid:
         "_basis_masks",
         "_mask_set",
         "_ranks",
+        "_comps",
     )
 
     def __init__(self, ground: GroundSet, basis_masks: Iterable[int], name: str = "M",
@@ -190,6 +191,7 @@ class Matroid:
         self._basis_masks = tuple(mask_of(b) for b in bases)
         self._mask_set = None
         self._ranks = None
+        self._comps = None
 
     # -- identity ----------------------------------------------------------
 
@@ -237,6 +239,13 @@ class Matroid:
         if self._ranks is None:
             self._build_tables()
         return self._ranks
+
+    def _components(self) -> list[int]:
+        """The connected components of M as masks, in increasing order; split
+        once, on first use, and shared by every connectivity question on M."""
+        if self._comps is None:
+            self._comps = sorted(components(self._rank_table(), self.full_mask))
+        return self._comps
 
     def _build_tables(self) -> None:
         n = self.n
@@ -427,7 +436,7 @@ def find_separator(m: Matroid) -> Optional[tuple[int, ...]]:
     Separators are the proper unions of components, so this is the
     smallest component, lexicographically first.
     """
-    comps = components(m._rank_table(), m.full_mask)
+    comps = m._components()
     if len(comps) == 1:
         return None
     return min((bits_of(c) for c in comps), key=subset_key)
@@ -445,6 +454,11 @@ def _reject_loops_coloops(m: Matroid) -> None:
     co = m.coloops()
     if co:
         raise errors.ColoopPresent(co[0])
+
+
+def _reject_disconnected(m: Matroid) -> None:
+    if len(m._components()) > 1:
+        raise errors.Disconnected("%s is not connected" % m.name)
 
 
 def closures(m: Matroid) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:

@@ -38,10 +38,10 @@ def test_validate_corpus_clean(corpus):
 def test_validate_missing_domain():
     m = lm.mk4()
     sys = lm.extract_system(m)
-    r2 = dict(sys.r)
+    r2 = dict(sys.rho)
     del r2[(0, 1, 3)]
     with pytest.raises(errors.DomainMismatch):
-        lm.validate(replace(sys, r=r2), oracle_for(m))
+        lm.validate(replace(sys, rho=r2), oracle_for(m))
 
 
 def test_validate_refuses_a_matroid_of_another_size():
@@ -51,12 +51,6 @@ def test_validate_refuses_a_matroid_of_another_size():
             lm.validate(sys, m)
 
 
-def test_system_from_structure_matches_extract(corpus):
-    for m in corpus:
-        s = lm.locked_structure(m)
-        assert lm.system_from_structure(s) == lm.extract_system(m), m.name
-
-
 # -- mutation battery: every single-field mutation must be caught ----------------
 
 def mutations_mk4():
@@ -64,30 +58,30 @@ def mutations_mk4():
     sys = lm.extract_system(m)
     out = []
 
-    r2 = dict(sys.r)
+    r2 = dict(sys.rho)
     r2[(0, 1, 3)] = 1  # locked triangle rank 2 -> 1
-    out.append(("locked-rank-bump-down", replace(sys, r=r2), {"L6", "L12", "L13"}))
+    out.append(("locked-rank-bump-down", replace(sys, rho=r2), {"L6", "L12", "L13"}))
 
-    r2 = dict(sys.r)
+    r2 = dict(sys.rho)
     r2[(0,)] = 2  # parallel class rank 1 -> 2
-    out.append(("parallel-rank-bump", replace(sys, r=r2), {"L6", "L8"}))
+    out.append(("parallel-rank-bump", replace(sys, rho=r2), {"L6", "L8"}))
 
-    r2 = dict(sys.r)
+    r2 = dict(sys.rho)
     r2[tuple(range(6))] = 4  # rank of E bumped
-    out.append(("ground-rank-bump", replace(sys, r=r2), {"L6", "L9", "L11"}))
+    out.append(("ground-rank-bump", replace(sys, rho=r2), {"L6", "L9", "L11"}))
 
     merged = ((0, 1),) + sys.parallel[2:]
-    r2 = dict(sys.r)
+    r2 = dict(sys.rho)
     r2[(0, 1)] = 1  # claim {a,b} is one parallel class
     r2[(2, 3, 4, 5)] = 3
-    out.append(("parallel-merge", replace(sys, parallel=merged, r=r2),
+    out.append(("parallel-merge", replace(sys, parallel=merged, rho=r2),
                 {"L5", "L6"}))
 
     merged = ((0, 1),) + sys.coparallel[2:]
-    r2 = dict(sys.r)
+    r2 = dict(sys.rho)
     r2[(0, 1)] = 2
     r2[(2, 3, 4, 5)] = 3
-    out.append(("coparallel-merge", replace(sys, coparallel=merged, r=r2), {"L5"}))
+    out.append(("coparallel-merge", replace(sys, coparallel=merged, rho=r2), {"L5"}))
 
     dropped = sys.parallel[1:]  # element 0 in no parallel class
     out.append(("parallel-class-dropped", replace(sys, parallel=dropped), {"L2"}))
@@ -96,9 +90,9 @@ def mutations_mk4():
     out.append(("locked-equals-closure", replace(sys, locked=extra), {"L4", "L12"}))
 
     extra = tuple(sorted(sys.locked + ((0, 1),)))
-    r2 = dict(sys.r)
+    r2 = dict(sys.rho)
     r2[(0, 1)] = 2  # an independent pair is never locked: every split is tight
-    out.append(("locked-independent-pair", replace(sys, locked=extra, r=r2),
+    out.append(("locked-independent-pair", replace(sys, locked=extra, rho=r2),
                 {"L15"}))
 
     return out
@@ -121,7 +115,7 @@ def test_locked_set_removal_breaks_rank_extension():
     m = lm.mk4()
     sys = lm.extract_system(m)
     mutated = replace(sys, locked=sys.locked[1:],
-                      r={k: v for k, v in sys.r.items() if k != sys.locked[0]})
+                      rho={k: v for k, v in sys.rho.items() if k != sys.locked[0]})
     ranks = m._rank_table()
     ext = lm.RankExtender(mutated)
     bad = [comb for k in range(1, 6)
@@ -157,17 +151,17 @@ def test_rank_extender_refuses_a_system_missing_stored_ranks():
     sys = lm.extract_system(m)
     assert (0, 6) in sys.parallel and (0,) in sys.coparallel
     for gone in (tuple(range(7)), (1, 2, 3, 4, 5, 6), (1, 2, 3, 4, 5)):  # E, E\S, E\P
-        r = {x: v for x, v in sys.r.items() if x != gone}
+        r = {x: v for x, v in sys.rho.items() if x != gone}
         with pytest.raises(errors.DomainMismatch,
                            match=r"^missing stored ranks for \[%s\]$" % re.escape(repr(gone))):
-            lm.RankExtender(replace(sys, r=r))
+            lm.RankExtender(replace(sys, rho=r))
 
 
 def _with_bad_index(sys, where, bad):
     if where == "locked":
         return replace(sys, locked=sys.locked + ((0, bad),))
     if where == "rank key":
-        return replace(sys, r={**sys.r, (0, bad): 2})
+        return replace(sys, rho={**sys.rho, (0, bad): 2})
     return replace(sys, **{where: getattr(sys, where) + ((bad,),)})
 
 
@@ -181,6 +175,29 @@ def test_rank_extender_refuses_an_index_off_the_ground_set(where, bad):
     with pytest.raises(errors.OutOfRange, match=r"^element index .* not in 0\.\.5$"):
         lm.RankExtender(sys)
     with pytest.raises(errors.OutOfRange):
+        lm.validate(sys, m)
+
+
+ILL_TYPED = {
+    "ground_size '6'": lambda sys: replace(sys, ground_size="6"),
+    "rank value 'a'": lambda sys: replace(sys, rho={**sys.rho, (0, 1, 3): "a"}),
+    "rank value 1.5": lambda sys: replace(sys, rho={**sys.rho, (0, 1, 3): 1.5}),
+    "rank key 5": lambda sys: replace(sys, rho={**sys.rho, 5: 1}),
+    "locked member 5": lambda sys: replace(sys, locked=sys.locked + (5,)),
+    "locked member [0, 1, 3]": lambda sys: replace(sys, locked=([0, 1, 3],) + sys.locked[1:]),
+    "parallel member 5": lambda sys: replace(sys, parallel=sys.parallel + (5,)),
+}
+
+
+@pytest.mark.parametrize("edit", ILL_TYPED.values(), ids=ILL_TYPED.keys())
+def test_rank_extender_refuses_ill_typed_fields(edit):
+    # each raised a raw TypeError, or was accepted (1.5 leaked into value),
+    # before the extender checked the types; validate builds it first
+    m = lm.mk4()
+    sys = edit(lm.extract_system(m))
+    with pytest.raises(errors.InvalidParams, match=r"is not (an int|a tuple of element indices)$"):
+        lm.RankExtender(sys)
+    with pytest.raises(errors.InvalidParams):
         lm.validate(sys, m)
 
 
@@ -210,11 +227,11 @@ def test_mixed_chain_below_zero_raises():
     # edits r({e}) = -1 and r(E\{e}) in {-1, 0}; a locked triangle at -1
     # is refused the same way.  Every other edit still answers.
     sys = lm.extract_system(lm.mk4())
-    assert len(sys.r) == 18
+    assert len(sys.rho) == 18
     answers = {}
-    for x in sys.r:
+    for x in sys.rho:
         for val in (-1, 0):
-            ext = lm.RankExtender(replace(sys, r={**sys.r, x: val}))
+            ext = lm.RankExtender(replace(sys, rho={**sys.rho, x: val}))
             with time_limit(5):
                 try:
                     answers[x, val] = ext.value(())
@@ -236,7 +253,7 @@ def test_value_without_a_chain_raises():
     # with no closure classes and no locked sets, only r(empty) and r(E) are
     # stored, and no rule leads out of {a}
     sys = replace(lm.extract_system(lm.mk4()), parallel=(), coparallel=(), locked=(),
-                  r={(): 0, tuple(range(6)): 3})
+                  rho={(): 0, tuple(range(6)): 3})
     ext = lm.RankExtender(sys)
     with pytest.raises(errors.NoDecomposition, match=r"^no P1\.\.P4 chain for \(0,\)$"):
         ext.value((0,))
@@ -250,7 +267,7 @@ def test_validate_reports_l2_overlap_and_both_l4_branches():
     # {a,b} overlaps the classes {a} and {b}; its ranks are stored, so only
     # the partition rule sees it
     overlap = replace(sys, parallel=sys.parallel + ((0, 1),),
-                      r={**sys.r, (0, 1): 2, (2, 3, 4, 5): 3})
+                      rho={**sys.rho, (0, 1): 2, (2, 3, 4, 5): 3})
     lines = lm.validate(overlap, m).text().splitlines()
     assert "L2 parallel classes do not partition the ground set" in lines
     improper = replace(sys, locked=sys.locked + ((), tuple(range(6))))
@@ -386,7 +403,7 @@ def test_splits_against_brute_force():
 
 # -- the axiom layer end to end, pinned ------------------------------------------
 
-AXIOM_LAYER_DIGEST = "ce42300e3e4b630f776faaa19761833857f066c6783936951bf4c0e9227de1bf"
+AXIOM_LAYER_DIGEST = "c483d688c86449d21bee27b548405c2d08a321e08252cf2af4e21d272ed2b1d2"
 
 
 def _double_two_sum():
@@ -401,8 +418,9 @@ def _report_key(sys, oracle):
 
 def test_axiom_layer_pinned(corpus):
     # validate reports (violations, text), DomainMismatch messages and the
-    # stored ranks of extract_system and system_from_structure, hashed; the
-    # digest was computed before the layer was refactored
+    # stored ranks of extract_system and of the dual's structure, hashed; the
+    # digest was computed before the layer was refactored, with the dual's
+    # system extracted from the dual matroid
     from lockedmatroid.cli import parse_gen_spec
 
     h = hashlib.sha256()
@@ -410,8 +428,8 @@ def test_axiom_layer_pinned(corpus):
     def feed(*item):
         h.update(repr(item).encode())
 
-    # U(1,3)+U(1,2): a complement of one class is another class, stored with
-    # a rank the closure formula overrides in system_from_structure
+    # U(1,3)+U(1,2): a complement of one class is another class, and the
+    # dual's ranks hold without the connected matroids' closure formulas
     disconnected = lm.from_bases(5, [(a, b) for a in range(3) for b in (3, 4)])
     matroids = list(corpus) + [_double_two_sum(), parse_gen_spec("twosum:mk4+mk4@a,f0"),
                                disconnected]
@@ -419,25 +437,23 @@ def test_axiom_layer_pinned(corpus):
         oracle = oracle_for(m)
         s = lm.locked_structure(m)
         sys = lm.extract_system(m)
-        feed(m.name, sorted(sys.r.items()), _report_key(sys, oracle))
-        from_s = lm.system_from_structure(s)
-        feed(sorted(from_s.r.items()), _report_key(from_s, oracle))
-        dual = lm.system_from_structure(lm.dual_structure(s))
-        feed(dual.locked, sorted(dual.r.items()), _report_key(dual, oracle_for(m.dual())))
+        feed(m.name, sorted(sys.rho.items()), _report_key(sys, oracle))
+        dual = lm.dual_structure(s)
+        feed(dual.locked, sorted(dual.rho.items()), _report_key(dual, oracle_for(m.dual())))
     for name, mutated, _ in mutations_mk4():
         feed(name, _report_key(mutated, oracle_for(lm.mk4())))
     rng = random.Random(20261018)
     for m in corpus:
         sys = lm.extract_system(m)
-        keys = sorted(sys.r, key=lambda t: (len(t), t))
+        keys = sorted(sys.rho, key=lambda t: (len(t), t))
         for _ in range(20):
-            r2 = dict(sys.r)
+            r2 = dict(sys.rho)
             t = rng.choice(keys)
             r2[t] += rng.choice((-2, -1, 1, 2))
-            feed(m.name, t, r2[t], _report_key(replace(sys, r=r2), oracle_for(m)))
+            feed(m.name, t, r2[t], _report_key(replace(sys, rho=r2), oracle_for(m)))
         for _ in range(5):  # the first three missing sets name the domain order
-            r2 = {t: sys.r[t] for t in keys if rng.random() < 0.5}
+            r2 = {t: sys.rho[t] for t in keys if rng.random() < 0.5}
             with pytest.raises(errors.DomainMismatch) as exc:
-                lm.validate(replace(sys, r=r2), oracle_for(m))
+                lm.validate(replace(sys, rho=r2), oracle_for(m))
             feed(str(exc.value))
     assert h.hexdigest() == AXIOM_LAYER_DIGEST

@@ -213,6 +213,66 @@ def test_axioms_check_refuses_disconnected(tmp_path, capsys):
                    "matroids; M is not connected\n")
 
 
+def test_axioms_check_exits_1_on_a_violation(tmp_path, capsys):
+    p = tmp_path / "twosum.matroid"
+    assert run(capsys, "gen", "twosum:mk4+mk4@a,f0", str(p))[0] == 0
+    code, out, err = run(capsys, "axioms", "check", str(p))
+    lines = out.splitlines()
+    assert (code, err) == (1, "")
+    assert lines[:2] == ["# format: 1", "matroid twosum n=10 rank=5"]
+    assert sorted(line.split()[0] for line in lines[2:]) == ["L18"] * 4 + ["L19"] * 4
+
+
+def _disconnected_files(tmp_path):
+    # U(2,3)+U(1,3), the 2-sum of U(1,4) and U(3,4), and M(K4)+U(1,2)
+    u23 = [(0, 1), (0, 2), (1, 2)]
+    paths = {name: tmp_path / ("%s.matroid" % name) for name in ("a", "b", "k")}
+    lm.save(lm.from_bases(6, [x + (y,) for x in u23 for y in (3, 4, 5)]), paths["a"])
+    lm.save(lm.two_sum(lm.uniform(1, 4), lm.uniform(3, 4, prefix="f"), 0, 0), paths["b"])
+    lm.save(lm.from_bases(8, [b + (y,) for b in lm.mk4().bases for y in (6, 7)]), paths["k"])
+    return {name: str(p) for name, p in paths.items()}
+
+
+REFUSED = (2, "", "error: M is not connected\n")
+
+
+def test_iso_refuses_disconnected(tmp_path, capsys):
+    # the lattice route answered isomorphic; with --method both the two
+    # methods disagreed
+    f = _disconnected_files(tmp_path)
+    for method in ("lattice", "both"):
+        assert run(capsys, "iso", f["a"], f["b"], "--method", method) == REFUSED
+        assert run(capsys, "iso", f["b"], f["a"], "--method", method) == REFUSED
+    assert run(capsys, "iso", f["a"], f["b"])[0] == 2
+    assert run(capsys, "iso", f["a"], f["b"], "--method", "bruteforce") == (
+        1, "not isomorphic\n", "")
+
+
+def test_selfdual_refuses_disconnected(tmp_path, capsys):
+    # M(K4)+U(1,2) is self-dual; the lattice method answered not self-dual
+    f = _disconnected_files(tmp_path)
+    for method in ("lattice", "both"):
+        assert run(capsys, "selfdual", f["k"], "--method", method) == REFUSED
+    assert run(capsys, "selfdual", f["k"])[0] == 2
+    assert run(capsys, "selfdual", f["k"], "--method", "bruteforce") == (0, "self-dual\n", "")
+
+
+def test_polytope_verify_refuses_disconnected(tmp_path, capsys):
+    # U(2,3)+U(1,3) printed three FAIL lines; M(K4)+U(1,2) printed two
+    # lines and then "error: objective is unbounded over the system"
+    f = _disconnected_files(tmp_path)
+    for name in ("a", "k"):
+        assert run(capsys, "polytope", "verify", f[name], "--trials", "3") == REFUSED
+
+
+def test_locked_and_lattice_accept_disconnected(tmp_path, capsys):
+    f = _disconnected_files(tmp_path)
+    for argv in (["locked", f["k"]], ["locked", f["k"], "--full"], ["lattice", f["k"]],
+                 ["lattice", f["k"], "--augmented", "--dot"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "") and out
+
+
 def test_polytope_verify(tmp_path, capsys):
     p = tmp_path / "mk4.matroid"
     lm.save(lm.mk4(), p)

@@ -1,3 +1,4 @@
+import itertools
 import math
 from collections import Counter
 from random import Random
@@ -6,6 +7,15 @@ import pytest
 
 import lockedmatroid as lm
 from lockedmatroid import errors
+from helpers import shuffled_direct_sum
+
+
+def uniform_part(r, n):
+    return n, list(itertools.combinations(range(n), r))
+
+
+def direct_sum(*parts):
+    return lm.from_bases(*shuffled_direct_sum(parts, Random(1)))
 
 
 def test_bruteforce_mk4_relabeled():
@@ -95,6 +105,42 @@ def test_zero_locked_rejects_disconnected():
     disc = lm.from_bases(4, [(0, 2), (0, 3), (1, 2), (1, 3)])
     with pytest.raises(errors.Disconnected):
         lm.mip_zero_locked(disc, lm.uniform(2, 4))
+
+
+def test_lattice_routes_refuse_disconnected():
+    # U(2,3)+U(1,3) against the 2-sum of U(1,4) and U(3,4): 9 bases against
+    # 10, yet both routes answered isomorphic
+    a = direct_sum(uniform_part(2, 3), uniform_part(1, 3))
+    b = lm.two_sum(lm.uniform(1, 4), lm.uniform(3, 4, prefix="f"), 0, 0)
+    assert (len(a.bases), len(b.bases)) == (9, 10)
+    assert not lm.mip_bruteforce(a, b).answer
+    for route in ("labels", "series"):
+        for pair in ((a, b), (b, a), (a, a)):
+            with pytest.raises(errors.Disconnected, match="^M is not connected$"):
+                lm.mip_locked(*pair, route=route)
+
+
+def test_tsd_lattice_refuses_disconnected():
+    # M(K4)+U(1,2) is self-dual; the lattice method answered not self-dual,
+    # because the dual structure complements a locked set in E, not in its
+    # component
+    m = direct_sum((6, list(lm.mk4().bases)), uniform_part(1, 2))
+    assert lm.tsd(m, "bruteforce").answer
+    with pytest.raises(errors.Disconnected, match="^M is not connected$"):
+        lm.tsd(m)
+
+
+def test_lattice_routes_keep_loop_and_coloop_errors_first():
+    # a loop or a coloop is a component of its own; their errors come first,
+    # from either matroid's structure
+    loopy = lm.from_bases(3, [(0,), (1,)])
+    coloopy = lm.from_bases(3, [(0, 2), (1, 2)])
+    disconnected = direct_sum(uniform_part(1, 2), uniform_part(1, 2))
+    for bad, error in ((loopy, errors.LoopPresent), (coloopy, errors.ColoopPresent)):
+        with pytest.raises(error):
+            lm.mip_locked(disconnected, bad)
+        with pytest.raises(error):
+            lm.tsd(bad)
 
 
 def test_zero_locked_opcount_linearithmic():

@@ -10,6 +10,7 @@ from lockedmatroid.cli import parse_gen_spec
 from lockedmatroid.matroid import components
 from helpers import (naive_is_cyclic_flat, naive_is_locked, naive_locked_sets,
                      shuffled_direct_sum)
+from test_stress_tier import STRESS_TIER
 
 # locked counts of the corpus, frozen after a first run of the naive oracle
 EXPECTED_LOCKED = {
@@ -176,6 +177,27 @@ def test_dual_structure_involution(structures):
 def test_dual_structure_equals_dual_enumeration(corpus, structures):
     for m in corpus:
         assert lm.dual_structure(structures[m.name]) == lm.locked_structure(m.dual())
+
+
+def test_dual_structure_matches_the_dual_on_the_stress_inputs(corpus):
+    # the whole structure, rho on every stored set included, of the corpus,
+    # seven stress inputs and the duals of all of them
+    stress = [lm.uniform(5, 10), lm.graphic(5, tuple(itertools.combinations(range(5), 2))),
+              parse_gen_spec("twosum:mk4+mk4@a,f0")]
+    stress += [build() for name, build in STRESS_TIER.items() if name != "uniform(8,16)"]
+    battery = [x for m in list(corpus) + stress for x in (m, m.dual())]
+    assert len(battery) == 56
+    for m in battery:
+        assert lm.dual_structure(lm.locked_structure(m)) == lm.locked_structure(m.dual()), m.name
+
+
+def test_dual_structure_ranks_exact_on_a_disconnected_matroid():
+    # U(1,3)+U(1,2): the closure formulas of connected matroids gave the
+    # dual's coparallel classes {d,e} and {a,b,c} ranks 2 and 3
+    m = lm.from_bases(5, [(a, b) for a in range(3) for b in (3, 4)])
+    ds = lm.dual_structure(lm.locked_structure(m))
+    assert [ds.rho[c] for c in ds.coparallel] == [1, 2]
+    assert ds == lm.locked_structure(m.dual())
 
 
 def test_dual_structure_u24_fixed_point():
