@@ -36,6 +36,18 @@ def splits(mask: int) -> Iterator[int]:
         yield low | b
 
 
+def lane_bits(n: int) -> Iterator[int]:
+    """HAS_0, ..., HAS_{n-1} over 2^n byte lanes, lane x being byte x of a
+    little-endian integer: HAS_i holds 1 in each lane whose index has bit i
+    and 0 in the others.  Each pattern is built by repeating a block of
+    2^(i+1) lanes, afresh on every call: a cache of them for each n would
+    cost more memory than the tables they build."""
+    size = 1 << n
+    for i in range(n):
+        half = 1 << i
+        yield int.from_bytes((bytes(half) + b"\1" * half) * (size >> (i + 1)), "little")
+
+
 def subset_key(t: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
     """Canonical order for subsets: by cardinality, then lexicographic."""
     return (len(t), t)

@@ -27,7 +27,7 @@ from ._bits import bits_of, mask_of
 from .dagiso import are_isomorphic
 from .lattice import reduced_lattice, series_encode, to_colored
 from .locked import LockedStructure, _locked_iter, dual_structure, locked_structure
-from .matroid import Matroid, _reject_disconnected, closures
+from .matroid import Matroid, _reject_disconnected, _reject_loops_coloops, closures
 
 # brute force is exponential in n; larger inputs raise TooLarge
 BRUTEFORCE_MAX_N = 10
@@ -149,7 +149,11 @@ class _CountedValue:
 
 def mip_zero_locked(m1: Matroid, m2: Matroid) -> IsoReport:
     """Isomorphism for matroids without locked subsets: compare the sorted
-    coparallel (and, symmetrically, parallel) closure cardinality sequences."""
+    coparallel (and, symmetrically, parallel) closure cardinality sequences.
+    Like mip_locked, raises LoopPresent or ColoopPresent for either matroid
+    before Disconnected."""
+    for m in (m1, m2):
+        _reject_loops_coloops(m)
     for m in (m1, m2):
         _reject_disconnected(m)
         if next(iter(_locked_iter(m)), None) is not None:

@@ -7,14 +7,15 @@ are those of its connected components.  The locked structure bundles the
 parallel closures P, the coparallel closures S, the locked family L and
 the ranks rho of these sets, of the closures' complements, of {} and E.
 
-Enumeration is exhaustive over the proper nonempty subsets of each
-component C, walked as submasks of C.  Each subset meets three cheap
-tests before the connectivity scans: rank >= 2, corank >= 2, and
-matroid.is_cyclic_flat.  The last one is exact: a locked L is a cyclic
-flat of C, because M|L, connected of rank >= 2, has no coloops, and
-(M/L)|(C\\L), connected on >= 2 elements, has no loops (Bonin and de Mier,
-"The lattice of cyclic flats of a matroid", 2008).  That O(|C|) rank-table
-test rejects nearly every subset.  Both scans are matroid.separator on the
+Enumeration tests only the cyclic flats of each component C, which
+matroid.cyclic_flats reads from the rank table as byte lanes, a few dozen
+big-integer operations instead of a walk over the submasks of C.  That is
+exact: a locked L is a cyclic flat of C, because M|L, connected of rank
+>= 2, has no coloops, and (M/L)|(C\\L), connected on >= 2 elements, has no
+loops (Bonin and de Mier, "The lattice of cyclic flats of a matroid",
+2008).  Each candidate then meets the one lockedness rule: rank >= 2,
+corank >= 2 (which reject {} and C), the O(|C|) matroid.is_cyclic_flat
+test, and two connectivity scans.  Both scans are matroid.separator on the
 same rank table: one on L, and one on C\\L with L contracted, because
 M*|(C\\L) is connected exactly when (M/L)|(C\\L) is.
 """
@@ -31,7 +32,7 @@ from typing import Iterator, Optional
 from . import errors
 from ._bits import bits_of, complement, mask_of, subset_key, subset_text
 from .matroid import (Matroid, _check_elements, _reject_loops_coloops, closures,
-                      is_cyclic_flat, separator)
+                      cyclic_flats, is_cyclic_flat, separator)
 
 
 @dataclass(frozen=True)
@@ -101,18 +102,15 @@ def _is_locked_in_component(ranks, comp: int, lm: int) -> bool:
 
 
 def _locked_iter(m: Matroid) -> Iterator[int]:
-    """Masks of the locked subsets, per connected component, each component's
-    proper nonempty submasks walked in decreasing integer order; callers
-    that need an order sort.  Every subset goes through the rank, corank and
-    cyclic-flat tests, in that order, and only the survivors through the two
-    separator scans."""
+    """Masks of the locked subsets, component by component, in increasing
+    integer order within each; callers that need an order sort.  Only each
+    component's cyclic flats are tested, each through the rank, corank and
+    cyclic-flat tests before the two separator scans."""
     ranks = m._rank_table()
     for comp in m._components():
-        x = (comp - 1) & comp
-        while x:
+        for x in cyclic_flats(ranks, m.n, comp):
             if _is_locked_in_component(ranks, comp, x):
                 yield x
-            x = (x - 1) & comp
 
 
 def locked_structure(m: Matroid) -> LockedStructure:
@@ -151,9 +149,14 @@ def k_locked_decision(m: Matroid, k: int, c=1) -> KLockedVerdict:
 
 def dual_structure(s: LockedStructure) -> LockedStructure:
     """Locked structure of the dual of a connected matroid, without a second
-    enumeration: swap the closure families, complement each locked set, and
-    store r*(E\\X) = r(X) + |E\\X| - r(E) for each stored X.  (The dual of a
-    disconnected matroid complements locked sets per component.)"""
+    enumeration: swap the closure families, complement each locked set in
+    E, and store r*(E\\X) = r(X) + |E\\X| - r(E) for each stored X.
+
+    For connected input only.  On a disconnected matroid the dual's locked
+    sets are complements within each component, not within E, so the
+    result differs from locked_structure(m.dual()); every caller in the
+    package (tsd, and the CLI through it) refuses disconnected input with
+    Disconnected before calling this."""
     n, r = s.ground_size, s.rank
     locked = tuple(sorted((complement(n, x) for x in s.locked), key=subset_key))
     rho = {complement(n, x): v + n - len(x) - r for x, v in s.rho.items()}

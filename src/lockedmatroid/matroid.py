@@ -6,9 +6,12 @@ bases are kept in canonical order (all bases share one cardinality, so the
 order is lexicographic on the sorted index tuples), and derived matroids
 (dual, minor, 2-sum, relabeling) reuse that canonical form.
 
-Every rank query, rank_of included, reads one full rank table (2^n
-entries, indexed by mask), built once per matroid on first use.  That is
-the intended scale here: the table refuses ground sets of more than
+Every rank query, rank_of included, reads one full rank table, built once
+per matroid on first use: a bytes object of 2^n ranks indexed by mask.  It
+is built by byte-lane arithmetic, with byte x of one big integer holding
+the value for the subset x, so that each pass over all 2^n subsets is a
+few integer operations; cyclic_flats reads the table the same way.  That
+is the intended scale here: the table refuses ground sets of more than
 MAX_N = 16 elements with TooLarge, whichever constructor made the matroid.
 
 Every connectivity test goes through one primitive, separator(ranks, X, C),
@@ -22,10 +25,10 @@ from __future__ import annotations
 import itertools
 from array import array
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from . import errors
-from ._bits import bits_of, mask_of, subset_key
+from ._bits import bits_of, lane_bits, mask_of, subset_key
 
 
 @dataclass(frozen=True)
@@ -103,7 +106,7 @@ def _check_exchange(masks: Sequence[int], mask_set: set[int]) -> None:
                     )
 
 
-def _locally_submodular(ranks: list[int], n: int) -> bool:
+def _locally_submodular(ranks: bytes, n: int) -> bool:
     """Local submodularity of a normalised, unit-increasing rank table.
 
     r(X) + r(X+e+f) <= r(X+e) + r(X+f) holds by unit increase unless
@@ -235,7 +238,7 @@ class Matroid:
         """Rank of a subset: the largest intersection with a basis."""
         return self._rank_table()[_check_elements(self.n, elements)]
 
-    def _rank_table(self) -> list[int]:
+    def _rank_table(self) -> bytes:
         if self._ranks is None:
             self._build_tables()
         return self._ranks
@@ -254,28 +257,24 @@ class Matroid:
         ind = bytearray(size)
         for b in self._basis_masks:
             ind[b] = 1
-        for m in range(size - 1, -1, -1):
-            if ind[m]:
-                rest = m
-                while rest:
-                    low = rest & -rest
-                    ind[m ^ low] = 1
-                    rest ^= low
-        ranks = [0] * size
-        for m in range(1, size):
-            if ind[m]:
-                ranks[m] = m.bit_count()
-            else:
-                best = 0
-                rest = m
-                while rest:
-                    low = rest & -rest
-                    r = ranks[m ^ low]
-                    if r > best:
-                        best = r
-                    rest ^= low
-                ranks[m] = best
-        self._ranks = ranks
+        # Byte lane x of each integer below holds a value for the subset x.
+        # Values stay below 0x80, so a lane never carries into the next.
+        ind = int.from_bytes(ind, "little")
+        count = 0
+        for i, has in enumerate(lane_bits(n)):
+            ind |= (ind & has) >> (8 << i)  # subsets of independent sets
+            count += has
+        r = (ind * 0xFF) & count  # |X| on the independent sets, 0 elsewhere
+        for i, has in enumerate(lane_bits(n)):
+            # on the lanes X that hold i: r(X) = max(r(X), r(X - i)); b + 0x80 - a
+            # keeps bit 7 exactly where b >= a, and borrows from no lane
+            shift = 8 << i
+            top = has * 0xFF
+            a = (r << shift) & top
+            b = r & top
+            ge = (((b | (has << 7)) - a) >> 7) & has
+            r ^= (a ^ b) & ((has ^ ge) * 0xFF)
+        self._ranks = r.to_bytes(size, "little")
 
     def is_independent(self, elements: Iterable[int]) -> bool:
         m = _check_elements(self.n, elements)
@@ -419,6 +418,32 @@ def is_cyclic_flat(ranks: Sequence[int], comp: int, x: int) -> bool:
             return False
         b ^= low
     return True
+
+
+def cyclic_flats(ranks: bytes, n: int, comp: int) -> Iterator[int]:
+    """The cyclic flats of M|comp, as masks in increasing order, read from
+    M's rank table in byte lanes, one lane per subset X.  For each e in
+    comp, D_e(X) = r(X+e) - r(X) on the lanes X without e is one
+    subtraction, and every lane of it is 0 or 1, with no borrow, because r
+    is monotone and grows by at most one.  X is a cyclic flat when
+    D_e(X) = 1 for every e in comp\\X and D_e(X-e) = 0 for every e in X,
+    the conditions of is_cyclic_flat."""
+    size = 1 << n
+    r = int.from_bytes(ranks, "little")
+    ones = flats = int.from_bytes(b"\1" * size, "little")
+    for e, has in enumerate(lane_bits(n)):
+        if not comp >> e & 1:
+            flats &= ~has  # X inside comp
+            continue
+        shift = 8 << e
+        rest = (ones ^ has) * 0xFF  # the lanes without e
+        d = ((r >> shift) & rest) - (r & rest)
+        flats &= d | (has ^ (d << shift))
+    lanes = flats.to_bytes(size, "little")
+    x = lanes.find(1)
+    while x >= 0:
+        yield x
+        x = lanes.find(1, x + 1)
 
 
 def components(ranks: Sequence[int], x: int) -> list[int]:

@@ -3,9 +3,11 @@
 Everything here is deliberately written from the definitions, without the
 bitmask tables or shortcuts of the package under test: ranks by scanning
 the basis list, connectivity by trying every partition, locked sets by the
-bare definition, spanning trees by brute-force edge subsets.  The one
-exception is `reference_canonical_form`, a frozen copy of an earlier
-canonical-form search that the package's faster search must reproduce.
+bare definition, spanning trees by brute-force edge subsets.  The
+exceptions are frozen copies of earlier code paths that the package's
+faster ones must reproduce: `reference_canonical_form` (the search before
+its worklist refinement), `reference_rank_table` and
+`reference_locked_iter` (the per-subset loops before the byte lanes).
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from typing import Optional
 
 from lockedmatroid import errors
 from lockedmatroid.dagiso import CanonicalForm, ColoredDigraph, _digest
+from lockedmatroid.locked import _is_locked_in_component
 
 
 def naive_rank(bases, subset) -> int:
@@ -286,3 +289,49 @@ def reference_canonical_form(g: ColoredDigraph) -> CanonicalForm:
     colors_canon, arcs_canon = best_key
     return CanonicalForm(tuple(best_perm), colors_canon, arcs_canon,
                          _digest(n, colors_canon, arcs_canon))
+
+
+def reference_rank_table(m) -> list[int]:
+    """Matroid._build_tables as it was before the byte lanes: close the
+    basis masks downward subset by subset, then take each dependent set's
+    rank as the largest rank of a set one element smaller."""
+    n = m.n
+    size = 1 << n
+    ind = bytearray(size)
+    for b in m._basis_masks:
+        ind[b] = 1
+    for x in range(size - 1, -1, -1):
+        if ind[x]:
+            rest = x
+            while rest:
+                low = rest & -rest
+                ind[x ^ low] = 1
+                rest ^= low
+    ranks = [0] * size
+    for x in range(1, size):
+        if ind[x]:
+            ranks[x] = x.bit_count()
+        else:
+            best = 0
+            rest = x
+            while rest:
+                low = rest & -rest
+                r = ranks[x ^ low]
+                if r > best:
+                    best = r
+                rest ^= low
+            ranks[x] = best
+    return ranks
+
+
+def reference_locked_iter(m):
+    """locked._locked_iter as it was before the cyclic-flat lanes: every
+    proper nonempty submask of each component, in decreasing integer order,
+    through the package's lockedness rule."""
+    ranks = m._rank_table()
+    for comp in m._components():
+        x = (comp - 1) & comp
+        while x:
+            if _is_locked_in_component(ranks, comp, x):
+                yield x
+            x = (x - 1) & comp

@@ -125,6 +125,15 @@ def test_iso_l0_method(tmp_path, capsys):
     assert code == 1 and out.strip() == "not isomorphic"
 
 
+def test_iso_l0_reports_a_loop(tmp_path, capsys):
+    # the loop is named before connectivity, as the lattice method does
+    p = tmp_path / "loopy.matroid"
+    lm.save(lm.from_bases(3, [(0,), (1,)]), p)
+    for method in ("l0", "lattice"):
+        code, out, err = run(capsys, "iso", str(p), str(p), "--method", method)
+        assert (code, out, err) == (2, "", "error: loop present: element 2\n"), method
+
+
 def test_selfdual(tmp_path, capsys):
     p = tmp_path / "v.matroid"
     lm.save(lm.vamos(), p)

@@ -107,6 +107,18 @@ def test_zero_locked_rejects_disconnected():
         lm.mip_zero_locked(disc, lm.uniform(2, 4))
 
 
+def test_zero_locked_reports_loops_and_coloops_before_connectivity():
+    # a loop or a coloop is a component of its own: l0 names it, as the
+    # lattice routes do, where it used to raise Disconnected
+    loopy = lm.from_bases(3, [(0,), (1,)])
+    coloopy = lm.from_bases(3, [(0, 2), (1, 2)])
+    disconnected = direct_sum(uniform_part(1, 2), uniform_part(1, 2))
+    for bad, error in ((loopy, errors.LoopPresent), (coloopy, errors.ColoopPresent)):
+        for pair in ((bad, bad), (disconnected, bad), (bad, disconnected)):
+            with pytest.raises(error):
+                lm.mip_zero_locked(*pair)
+
+
 def test_lattice_routes_refuse_disconnected():
     # U(2,3)+U(1,3) against the 2-sum of U(1,4) and U(3,4): 9 bases against
     # 10, yet both routes answered isomorphic

@@ -9,7 +9,8 @@ from lockedmatroid._bits import bits_of
 from lockedmatroid.cli import parse_gen_spec
 from lockedmatroid.matroid import components
 from helpers import (naive_is_cyclic_flat, naive_is_locked, naive_locked_sets,
-                     shuffled_direct_sum)
+                     reference_locked_iter, shuffled_direct_sum)
+from test_matroid import lane_battery
 from test_stress_tier import STRESS_TIER
 
 # locked counts of the corpus, frozen after a first run of the naive oracle
@@ -200,6 +201,21 @@ def test_dual_structure_ranks_exact_on_a_disconnected_matroid():
     assert ds == lm.locked_structure(m.dual())
 
 
+def test_dual_structure_is_for_connected_matroids_only():
+    # M(K4)+U(1,2): the dual's locked sets are complements within M(K4)'s
+    # component, but dual_structure complements in E and keeps {6,7}; tsd
+    # refuses such input before it calls dual_structure
+    mk4 = lm.mk4()
+    m = lm.from_bases(8, [b + (y,) for b in mk4.bases for y in (6, 7)])
+    assert not lm.is_connected(m)
+    got = lm.dual_structure(lm.locked_structure(m)).locked
+    want = lm.locked_structure(m.dual()).locked
+    assert (0, 1, 2, 6, 7) in got and (0, 1, 2) not in got
+    assert (0, 1, 2) in want and got != want
+    with pytest.raises(errors.Disconnected):
+        lm.tsd(m)
+
+
 def test_dual_structure_u24_fixed_point():
     s = lm.locked_structure(lm.uniform(2, 4))
     assert lm.dual_structure(s) == s
@@ -291,15 +307,43 @@ def _cyclic_flat_battery(corpus):
     return [x for m in ms for x in (m, m.dual())]
 
 
-def test_locked_sets_are_cyclic_flats_of_their_component(corpus, monkeypatch):
-    # the cyclic-flat pre-test is exact: every locked set is a cyclic flat
-    # of its component, and the enumeration without the test finds the same
+def test_locked_sets_are_cyclic_flats_of_their_component(corpus):
+    # the cyclic-flat filter is exact: every locked set is a cyclic flat of
+    # its component, and the enumeration over the cyclic-flat lanes finds
+    # the same sets as the walk over every submask
     battery = _cyclic_flat_battery(corpus)
-    filtered = [lm.locked_structure(m) for m in battery]
-    for m, s in zip(battery, filtered):
+    for m in battery:
+        s = lm.locked_structure(m)
         comps = components(m._rank_table(), m.full_mask)
         for x in s.locked:
             comp = next(c for c in comps if c >> x[0] & 1)
             assert naive_is_cyclic_flat(m.bases, bits_of(comp), x), (m.name, x)
-    monkeypatch.setattr(locked, "is_cyclic_flat", lambda ranks, comp, x: True)
-    assert [lm.locked_structure(m) for m in battery] == filtered
+        assert sorted(locked._locked_iter(m)) == sorted(reference_locked_iter(m)), m.name
+
+
+def test_locked_iter_matches_reference(corpus):
+    # the corpus, the stress tier, relabelled 2-sums and the edge cases
+    # n = 1, rank 0 and U(16,16), each with its dual
+    for m in lane_battery(corpus):
+        assert sorted(locked._locked_iter(m)) == sorted(reference_locked_iter(m)), m.name
+
+
+def test_k_locked_decision_aborts_past_the_threshold(monkeypatch):
+    # M(K6) has more locked sets than ceil(n**0) = 1: the decision stops
+    # testing at the second one it finds
+    mk6 = STRESS_TIER["mk6"]()
+    calls = [0]
+    original = locked._is_locked_in_component
+
+    def counted(*args):
+        calls[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(locked, "_is_locked_in_component", counted)
+    lm.locked_structure(mk6)
+    full = calls[0]
+    calls[0] = 0
+    verdict = lm.k_locked_decision(mk6, 0)
+    assert not verdict.yes and verdict.threshold == 1
+    assert verdict.locked_count is None and verdict.structure is None
+    assert 2 <= calls[0] < full

@@ -9,9 +9,11 @@ import lockedmatroid as lm
 from lockedmatroid import errors
 from lockedmatroid._bits import bits_of, mask_of
 from lockedmatroid.matroid import (GroundSet, Matroid, _check_exchange, components,
-                                   is_cyclic_flat, separator)
+                                   cyclic_flats, is_cyclic_flat, separator)
 from helpers import (naive_connected, naive_dual_bases, naive_is_cyclic_flat,
-                     naive_minor_connected, naive_rank, shuffled_direct_sum, spanning_trees)
+                     naive_minor_connected, naive_rank, reference_rank_table,
+                     shuffled_direct_sum, spanning_trees)
+from test_stress_tier import STRESS_TIER
 
 K4_EDGES = ((0, 2), (0, 1), (0, 3), (1, 2), (1, 3), (2, 3))
 
@@ -324,6 +326,29 @@ def test_rank_table_matches_naive(corpus):
                 assert ranks[sum(1 << e for e in comb)] == naive_rank(m.bases, comb)
 
 
+def lane_battery(corpus):
+    """The corpus, the stress tier, seeded 2-sums under seeded relabellings
+    and the edge cases n = 1, rank 0 and U(16,16), each with its dual."""
+    rng = Random(14)
+    ms = list(corpus) + [build() for build in STRESS_TIER.values()]
+    for m in lm.seeded_two_sums(2) + lm.seeded_two_sums(5):
+        perm = list(range(m.n))
+        rng.shuffle(perm)
+        ms.append(lm.relabel(m, perm))
+    ms += [lm.from_bases(1, [(0,)]), lm.from_bases(4, [()]), lm.uniform(16, 16)]
+    return [x for m in ms for x in (m, m.dual())]
+
+
+def test_rank_table_matches_reference(corpus):
+    # the byte-lane table against the per-subset loops it replaced
+    battery = lane_battery(corpus)
+    assert len(battery) == 70
+    for m in battery:
+        table = Matroid(m.ground, m._basis_masks)._rank_table()
+        assert type(table) is bytes and table == bytes(reference_rank_table(m)), m.name
+    assert lm.uniform(16, 16)._rank_table()[-1] == 16
+
+
 def test_is_independent_matches_bases(corpus):
     for m in corpus:
         fresh = Matroid(m.ground, m._basis_masks)  # no rank table yet
@@ -445,6 +470,10 @@ def test_is_cyclic_flat_matches_definition(corpus):
                 for sub in itertools.combinations(ground, k):
                     assert (is_cyclic_flat(ranks, comp, mask_of(sub))
                             == naive_is_cyclic_flat(m.bases, ground, sub)), (m.name, sub)
+            # the lane filter yields exactly these, in increasing order
+            flats = [x for x in range(comp + 1) if x & ~comp == 0
+                     and is_cyclic_flat(ranks, comp, x)]
+            assert list(cyclic_flats(ranks, m.n, comp)) == flats, m.name
 
 
 def _first_separator(m):
