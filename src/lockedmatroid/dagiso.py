@@ -14,6 +14,12 @@ interchangeable strands) polynomial in practice.  Both cuts skip only cells
 that cannot split and subtrees that an automorphism maps onto searched
 ones, so the result is that of the full search.
 
+A pair is tested as McKay & Piperno do: unequal vertex counts, arc counts
+or (colour, in-degree, out-degree) profiles answer at once, and otherwise
+the second digraph is searched against the first one's canonical key, which
+ends at the first leaf that reaches or beats that key.  A pair costs one
+full search, and the witness is the one two canonical forms would give.
+
 Digests are the hex encoding of the canonical byte string itself, not a
 hash: equal digests are equivalent to isomorphism by construction.
 """
@@ -34,15 +40,23 @@ class ColoredDigraph:
 
     def __post_init__(self):
         n = self.vertex_count
+        if not isinstance(n, int):
+            raise errors.InvalidParams("vertex count must be an integer: %r" % (n,))
         if n < 0:
             raise errors.InvalidParams("negative vertex count")
         if len(self.colors) != n:
             raise errors.InvalidParams("need one color per vertex")
+        if not all(isinstance(c, int) for c in self.colors):
+            raise errors.InvalidParams("colors must be integers")
         if any(c < 0 for c in self.colors):
             raise errors.InvalidParams("colors must be nonnegative")
-        for (u, v) in self.arcs:
+        for arc in self.arcs:
+            if not (isinstance(arc, tuple) and len(arc) == 2
+                    and all(isinstance(x, int) for x in arc)):
+                raise errors.InvalidParams("arc is not a pair of integers: %r" % (arc,))
+            u, v = arc
             if not (0 <= u < n and 0 <= v < n):
-                raise errors.OutOfRange("arc endpoint out of range: %r" % ((u, v),))
+                raise errors.OutOfRange("arc endpoint out of range: %r" % (arc,))
 
 
 @dataclass(frozen=True)
@@ -77,9 +91,18 @@ def _split(col: list[int], cells: dict[int, list[int]], c: int,
 
 
 def canonical_form(g: ColoredDigraph) -> CanonicalForm:
+    perm, (colors_canon, arcs_canon) = _search(g, None)
+    return CanonicalForm(tuple(perm), colors_canon, arcs_canon,
+                         _digest(g.vertex_count, colors_canon, arcs_canon))
+
+
+def _search(g: ColoredDigraph, target: Optional[tuple]) -> tuple[list[int], tuple]:
+    """(perm, key) of the first leaf in search order with the least key
+    (colors, arcs); with a target key, the search stops at the first leaf
+    whose key is at most the target and returns that leaf."""
     n = g.vertex_count
     if n == 0:
-        return CanonicalForm((), (), (), _digest(0, (), ()))
+        return [], ((), ())
     in_adj = [[] for _ in range(n)]
     out_adj = [[] for _ in range(n)]
     for (u, v) in g.arcs:
@@ -120,11 +143,13 @@ def canonical_form(g: ColoredDigraph) -> CanonicalForm:
     autos: list[list[int]] = []
 
     def leaf(col: list[int], path: list[int]) -> int:
-        # Returns the depth the search resumes at.  A key equal to the best
-        # gives an automorphism that fixes the common prefix of the two paths
-        # (a vertex alone in its cell keeps its position) and maps the next
-        # vertex of this path onto the best path's: the rest of that subtree
-        # is an image of one already searched.
+        # Returns the depth the search resumes at; -1 ends it.  A key equal to
+        # the best gives an automorphism that fixes the common prefix of the
+        # two paths (a vertex alone in its cell keeps its position) and maps
+        # the next vertex of this path onto the best path's: the rest of that
+        # subtree is an image of one already searched.  Until a leaf reaches
+        # the target every key seen lies above it, so the search up to that
+        # leaf is the one without a target.
         nonlocal best_key, best_perm, best_inv, best_path
         inv = [0] * n
         for v in range(n):
@@ -134,6 +159,8 @@ def canonical_form(g: ColoredDigraph) -> CanonicalForm:
         key = (colors_canon, arcs_canon)
         if best_key is None or key < best_key:
             best_key, best_perm, best_inv, best_path = key, list(col), inv, path
+            if target is not None and key <= target:
+                return -1
         elif key == best_key:
             autos.append([best_inv[col[v]] for v in range(n)])
             k = 0
@@ -183,9 +210,7 @@ def canonical_form(g: ColoredDigraph) -> CanonicalForm:
     dfs(col, cells, [])
     if best_perm is None:
         raise errors.LockedMatroidError("canonical search reached no leaf")
-    colors_canon, arcs_canon = best_key
-    return CanonicalForm(tuple(best_perm), colors_canon, arcs_canon,
-                         _digest(n, colors_canon, arcs_canon))
+    return best_perm, best_key
 
 
 def _digest(n: int, colors, arcs) -> str:
@@ -197,15 +222,36 @@ def _digest(n: int, colors, arcs) -> str:
     return payload.encode("utf-8").hex()
 
 
+def _profile(g: ColoredDigraph) -> tuple[tuple, list[int], list[int]]:
+    """(invariants, in-degrees, out-degrees): the invariants are the vertex
+    count, the arc count and the sorted (colour, in-degree, out-degree)
+    profile, equal on isomorphic digraphs."""
+    ind = [0] * g.vertex_count
+    outd = [0] * g.vertex_count
+    for (u, v) in g.arcs:
+        outd[u] += 1
+        ind[v] += 1
+    return (g.vertex_count, len(g.arcs), sorted(zip(g.colors, ind, outd))), ind, outd
+
+
 def are_isomorphic(g1: ColoredDigraph, g2: ColoredDigraph):
     """(answer, witness): witness maps vertices of g1 to vertices of g2 and is
-    verified arc-by-arc and color-by-color before being returned."""
+    verified arc-by-arc and color-by-color before being returned.
+
+    Unequal invariants answer without a search.  Otherwise g1's canonical key
+    is the target of g2's search: g2 is isomorphic to g1 exactly when its
+    least key is that target, and the first leaf reaching it is g2's
+    canonical leaf, so one full search decides the pair and the witness is
+    the one two canonical forms give."""
+    if _profile(g1)[0] != _profile(g2)[0]:
+        return False, None
     cf1 = canonical_form(g1)
-    cf2 = canonical_form(g2)
-    if cf1.digest != cf2.digest:
+    target = (cf1.colors, cf1.arcs)
+    perm2, key2 = _search(g2, target)
+    if key2 != target:
         return False, None
     inv2 = [0] * g2.vertex_count
-    for v, p in enumerate(cf2.perm):
+    for v, p in enumerate(perm2):
         inv2[p] = v
     mapping = tuple(inv2[cf1.perm[v]] for v in range(g1.vertex_count))
     if any(g1.colors[v] != g2.colors[mapping[v]] for v in range(g1.vertex_count)):
@@ -221,21 +267,8 @@ def brute_force_iso(g1: ColoredDigraph, g2: ColoredDigraph, max_n: int = 12) -> 
     False before the size cap applies; larger equal-profile inputs raise
     TooLarge."""
     n = g1.vertex_count
-    if n != g2.vertex_count or len(g1.arcs) != len(g2.arcs):
-        return False
-    if sorted(g1.colors) != sorted(g2.colors):
-        return False
-
-    def profile(g):
-        ind = [0] * g.vertex_count
-        outd = [0] * g.vertex_count
-        for (u, v) in g.arcs:
-            outd[u] += 1
-            ind[v] += 1
-        return sorted(zip(g.colors, ind, outd)), ind, outd
-
-    p1, in1, out1 = profile(g1)
-    p2, in2, out2 = profile(g2)
+    p1, in1, out1 = _profile(g1)
+    p2, in2, out2 = _profile(g2)
     if p1 != p2:
         return False
     if n > max_n:

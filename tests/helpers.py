@@ -6,7 +6,8 @@ the basis list, connectivity by trying every partition, locked sets by the
 bare definition, spanning trees by brute-force edge subsets.  The
 exceptions are frozen copies of earlier code paths that the package's
 faster ones must reproduce: `reference_canonical_form` (the search before
-its worklist refinement), `reference_rank_table` and
+its worklist refinement), `reference_are_isomorphic` (two such searches and
+a digest compare per pair), `reference_rank_table` and
 `reference_locked_iter` (the per-subset loops before the byte lanes).
 """
 
@@ -289,6 +290,19 @@ def reference_canonical_form(g: ColoredDigraph) -> CanonicalForm:
     colors_canon, arcs_canon = best_key
     return CanonicalForm(tuple(best_perm), colors_canon, arcs_canon,
                          _digest(n, colors_canon, arcs_canon))
+
+
+def reference_are_isomorphic(g1: ColoredDigraph, g2: ColoredDigraph):
+    """dagiso.are_isomorphic as it was before the target search: two full
+    canonical searches and a digest compare.  The (answer, witness) it
+    returns is the one the package must reproduce."""
+    cf1, cf2 = reference_canonical_form(g1), reference_canonical_form(g2)
+    if cf1.digest != cf2.digest:
+        return False, None
+    inv2 = [0] * g2.vertex_count
+    for v, p in enumerate(cf2.perm):
+        inv2[p] = v
+    return True, tuple(inv2[cf1.perm[v]] for v in range(g1.vertex_count))
 
 
 def reference_rank_table(m) -> list[int]:

@@ -5,10 +5,11 @@ from random import Random
 import pytest
 
 import lockedmatroid as lm
-from lockedmatroid import errors
+from lockedmatroid import dagiso, errors
 from lockedmatroid.dagiso import ColoredDigraph, canonical_form
 from helpers import (permute_digraph, random_colored_dag, random_colored_digraph,
-                     reference_canonical_form)
+                     reference_are_isomorphic, reference_canonical_form)
+from test_stress_tier import STRESS_TIER
 
 
 def test_single_vertex_digest_stable():
@@ -30,6 +31,15 @@ def test_empty_graph():
     ((1, (), (-1,)), errors.InvalidParams, "colors must be nonnegative"),
     ((2, ((0, 2),), (0, 0)), errors.OutOfRange, r"arc endpoint out of range: \(0, 2\)"),
     ((2, ((-1, 0),), (0, 0)), errors.OutOfRange, r"arc endpoint out of range: \(-1, 0\)"),
+    ((2, ((0, 1, 1),), (0, 0)), errors.InvalidParams,
+     r"arc is not a pair of integers: \(0, 1, 1\)"),
+    ((2, ((0,),), (0, 0)), errors.InvalidParams, r"arc is not a pair of integers: \(0,\)"),
+    ((2, ([0, 1],), (0, 0)), errors.InvalidParams, r"arc is not a pair of integers: \[0, 1\]"),
+    ((2, ((0, 1.0),), (0, 0)), errors.InvalidParams,
+     r"arc is not a pair of integers: \(0, 1\.0\)"),
+    ((2.0, (), (0, 0)), errors.InvalidParams, r"vertex count must be an integer: 2\.0"),
+    ((1, (), ("a",)), errors.InvalidParams, "colors must be integers"),
+    ((1, (), (1.5,)), errors.InvalidParams, "colors must be integers"),
 ])
 def test_colored_digraph_refusals(args, error, message):
     with pytest.raises(error, match="^%s$" % message):
@@ -185,6 +195,51 @@ def test_canonical_forms_pinned(corpus, structures):
     assert h.hexdigest() == "604b7ad1378006a014d4e8c46690a189998def868a8007977a34e513abfced50"
 
 
+def _cycles(lengths) -> ColoredDigraph:
+    """Disjoint uncoloured directed cycles of the given lengths, in order."""
+    arcs, base = [], 0
+    for length in lengths:
+        arcs += [(base + i, base + (i + 1) % length) for i in range(length)]
+        base += length
+    return ColoredDigraph(base, tuple(arcs), (0,) * base)
+
+
+def _relabelled(rng: Random, g: ColoredDigraph) -> ColoredDigraph:
+    arcs, cols = permute_digraph(rng, g.vertex_count, g.arcs, g.colors)
+    return ColoredDigraph(g.vertex_count, tuple(arcs), cols)
+
+
+def _partitions(total: int, largest: int):
+    """The partitions of total into parts of at most largest, largest first."""
+    if total == 0:
+        yield ()
+    for first in range(min(total, largest), 0, -1):
+        for rest in _partitions(total - first, first):
+            yield (first,) + rest
+
+
+def _cycle_covers(total: int) -> list[ColoredDigraph]:
+    """Unions of directed cycles on total vertices: one for every partition
+    of total into cycle lengths up to 7 vertices, and only k copies of one
+    C_L above.  Any two agree on vertex count, arc count and degree profile,
+    and none is isomorphic to another.  Covers with unequal lengths leave
+    vertices of several orbits in one equitable cell."""
+    if total <= 7:
+        lengths = list(_partitions(total, total))
+    else:
+        lengths = [(d,) * (total // d) for d in range(1, total + 1) if total % d == 0]
+    return [_cycles(order) for order in lengths]
+
+
+def _equal_cycle_cover_pairs():
+    """C6 against 2 x C3 and every other pair of distinct covers up to 12
+    vertices, in both orders: 2 x 226 pairs."""
+    for total in range(2, 13):
+        for g1, g2 in itertools.combinations(_cycle_covers(total), 2):
+            yield g1, g2
+            yield g2, g1
+
+
 def _symmetric_and_cyclic_inputs(corpus, structures):
     """Digraphs with cycles and large automorphism groups, then every corpus
     lattice (labels and series, structure and dual)."""
@@ -197,11 +252,7 @@ def _symmetric_and_cyclic_inputs(corpus, structures):
                    if len(set(lengths)) > 1]
     for lengths in cycle_sets:
         for order in (lengths, lengths[::-1]):
-            arcs, base = [], 0
-            for length in order:
-                arcs += [(base + i, base + (i + 1) % length) for i in range(length)]
-                base += length
-            yield ColoredDigraph(base, tuple(arcs), (0,) * base)
+            yield _cycles(order)
     for a in range(1, 6):  # K_{a,b}, every arc from the a side to the b side
         for b in range(1, 6):
             arcs = [(i, a + j) for i in range(a) for j in range(b)]
@@ -234,3 +285,95 @@ def test_canonical_form_matches_reference_search(corpus, structures):
         assert (cf.digest, cf.perm) == (ref.digest, ref.perm), g
         count += 1
     assert count == 2 * 65 + 25 + 6 + 300 + 4 * len(corpus)
+
+
+def _two_search_oracle_pairs(corpus, structures):
+    """Seeded random digraph pairs, relabelled and independent; cycle covers
+    against relabellings and against each other; every corpus and
+    stress-tier lattice on both encodings against a relabelling and against
+    its dual's lattice."""
+    rng = Random(1503)
+    for trial in range(600):
+        n = rng.randint(1, 8)
+        arcs, cols = random_colored_digraph(rng, n)
+        g = ColoredDigraph(n, tuple(arcs), cols)
+        if trial % 2 == 0:
+            yield g, _relabelled(rng, g)
+        else:
+            arcs, cols = random_colored_digraph(rng, n)
+            yield g, ColoredDigraph(n, tuple(arcs), cols)
+    for total in range(1, 13):
+        for g in _cycle_covers(total):
+            yield g, _relabelled(rng, g)
+    yield from _equal_cycle_cover_pairs()
+    stress = [lm.locked_structure(build()) for build in STRESS_TIER.values()]
+    for s in [structures[m.name] for m in corpus] + stress:
+        dual = lm.reduced_lattice(lm.dual_structure(s))
+        for encode in (lm.to_colored, lm.series_encode):
+            g = encode(lm.reduced_lattice(s))
+            yield g, _relabelled(rng, g)
+            yield g, encode(dual)
+
+
+def test_are_isomorphic_matches_two_full_searches(corpus, structures):
+    # g2 searched against g1's key stops at g2's canonical leaf when the two
+    # are isomorphic, so the answer and the witness are those of two full
+    # canonical searches and a digest compare
+    count = 0
+    for g1, g2 in _two_search_oracle_pairs(corpus, structures):
+        assert lm.are_isomorphic(g1, g2) == reference_are_isomorphic(g1, g2), (g1, g2)
+        count += 1
+    assert count == 600 + 63 + 2 * 226 + 4 * (len(corpus) + len(STRESS_TIER))
+
+
+def _rewired_pairs(rng: Random, count: int):
+    """Seeded simple digraphs and a copy with arcs (a, b), (c, d) swapped for
+    (a, d), (c, b): every vertex keeps its colour and its in- and
+    out-degree.  Only the non-isomorphic pairs are kept."""
+    while count:
+        n = rng.randint(3, 8)
+        arcs, cols = random_colored_digraph(rng, n)
+        if len(arcs) < 2:
+            continue
+        (a, b), (c, d) = rng.sample(arcs, 2)
+        if (a, d) in arcs or (c, b) in arcs:
+            continue
+        swapped = [arc for arc in arcs if arc not in ((a, b), (c, d))] + [(a, d), (c, b)]
+        g1 = ColoredDigraph(n, tuple(arcs), cols)
+        g2 = ColoredDigraph(n, tuple(sorted(swapped)), cols)
+        if not lm.brute_force_iso(g1, g2):
+            count -= 1
+            yield g1, g2
+
+
+def test_equal_invariants_reach_the_target_search(monkeypatch):
+    # pairs that agree on vertex count, arc count and the (colour, in-degree,
+    # out-degree) profile: g1's canonical search, then g2's search against
+    # g1's key, must tell them apart, in either order
+    targets = []
+    search = dagiso._search
+
+    def spy(g, target):
+        targets.append(target)
+        return search(g, target)
+
+    monkeypatch.setattr(dagiso, "_search", spy)
+    rewired = [pair for g1, g2 in _rewired_pairs(Random(77), 200) for pair in ((g1, g2), (g2, g1))]
+    for a, b in list(_equal_cycle_cover_pairs()) + rewired:
+        assert dagiso._profile(a)[0] == dagiso._profile(b)[0]
+        cf = canonical_form(a)
+        targets.clear()
+        assert lm.are_isomorphic(a, b) == (False, None), (a, b)
+        assert targets == [None, (cf.colors, cf.arcs)]
+        assert not lm.brute_force_iso(a, b)
+    # equal colour and degree multisets, but a colour on a vertex of another
+    # degree: the profile answers before any search, and before brute
+    # force's size cap
+    for n in (3, 13):
+        path = tuple((i, i + 1) for i in range(n - 1))
+        first = ColoredDigraph(n, path, (1,) + (0,) * (n - 1))
+        last = ColoredDigraph(n, path, (0,) * (n - 1) + (1,))
+        targets.clear()
+        assert lm.are_isomorphic(first, last) == (False, None)
+        assert targets == []
+        assert not lm.brute_force_iso(first, last)
