@@ -7,17 +7,31 @@ are those of its connected components.  The locked structure bundles the
 parallel closures P, the coparallel closures S, the locked family L and
 the ranks rho of these sets, of the closures' complements, of {} and E.
 
-Enumeration tests only the cyclic flats of each component C, which
-matroid.cyclic_flats reads from the rank table as byte lanes, a few dozen
-big-integer operations instead of a walk over the submasks of C.  That is
-exact: a locked L is a cyclic flat of C, because M|L, connected of rank
->= 2, has no coloops, and (M/L)|(C\\L), connected on >= 2 elements, has no
-loops (Bonin and de Mier, "The lattice of cyclic flats of a matroid",
-2008).  Each candidate then meets the one lockedness rule: rank >= 2,
-corank >= 2 (which reject {} and C), the O(|C|) matroid.is_cyclic_flat
-test, and two connectivity scans.  Both scans are matroid.separator on the
-same rank table: one on L, and one on C\\L with L contracted, because
-M*|(C\\L) is connected exactly when (M/L)|(C\\L) is.
+Lockedness is read from the list Z of cyclic flats of each component C,
+which matroid.cyclic_flats reads from the rank table as byte lanes (Bonin
+and de Mier, "The lattice of cyclic flats of a matroid", 2008).  A locked
+L is in Z, because M|L, connected of rank >= 2, has no coloops, and
+(M/L)|(C\\L), connected on >= 2 elements, has no loops.  For L in Z:
+
+- M|L is connected exactly when no nonempty proper subset A of L in Z has
+  r(A) + r(L\\A) = r(L).  Such an A separates M|L.  Conversely, let K be a
+  component of a disconnected M|L.  K is cyclic, as M|L has no coloops.
+  K is closed in C: no element of C\\L is in cl(L) = L, which holds
+  cl(K), and an element of L\\K in cl(K) would lie on a circuit that
+  meets two components of M|L.  So K is such an A.
+- M*|(C\\L) is connected exactly when N = (M/L)|(C\\L) is, because
+  (M|C)*|(C\\L) is the dual of N.  A nonempty proper subset Y of C\\L
+  separates N exactly when X = L + Y has
+  r(X) + r(L + (C\\X)) = r(C) + r(L).  N has no loops, as L is closed,
+  and no coloops, as C is connected on >= 2 elements.  So a component K of
+  a disconnected N is cyclic and closed in N, and X = L + K is cyclic and
+  closed in C: X is in Z, strictly between L and C, and satisfies that
+  equation.
+
+Each candidate L in Z then needs rank and corank |C\\L| + r(L) - r(C)
+at least 2 (which rejects {} and C), and one rank lookup for each flat of
+Z inside or around it: O(|Z|) lookups per candidate, where the walks over
+the splits of L and of C\\L read up to 2^|C| ranks.
 """
 
 from __future__ import annotations
@@ -31,8 +45,7 @@ from typing import Iterator, Optional
 
 from . import errors
 from ._bits import bits_of, complement, mask_of, subset_key, subset_text
-from .matroid import (Matroid, _check_elements, _reject_loops_coloops, closures,
-                      cyclic_flats, is_cyclic_flat, separator)
+from .matroid import Matroid, _check_elements, _reject_loops_coloops, closures, cyclic_flats
 
 
 @dataclass(frozen=True)
@@ -84,32 +97,41 @@ def is_locked(m: Matroid, subset) -> bool:
     if lm == 0 or lm == m.full_mask:
         raise errors.NotProperSubset("locked subsets are proper and nonempty")
     comp = next(c for c in m._components() if c & lm)
-    return lm & ~comp == 0 and _is_locked_in_component(m._rank_table(), comp, lm)
+    if lm & ~comp:
+        return False
+    ranks = m._rank_table()
+    flats = list(cyclic_flats(ranks, m.n, comp))
+    return lm in flats and _is_locked_in_component(ranks, comp, flats, lm)
 
 
-def _is_locked_in_component(ranks, comp: int, lm: int) -> bool:
+def _is_locked_in_component(ranks, comp: int, flats: list[int], lm: int) -> bool:
+    """The lockedness rule for a cyclic flat L of the component C, given the
+    list Z of C's cyclic flats: rank and corank >= 2, no flat of Z strictly
+    inside L splits it, and no flat of Z strictly between L and C splits
+    C\\L with L contracted (see the module docstring)."""
     r_l = ranks[lm]
-    if r_l < 2:
+    r_c = ranks[comp]
+    if r_l < 2 or (comp ^ lm).bit_count() + r_l - r_c < 2:
         return False
-    co_rank = (comp ^ lm).bit_count() + r_l - ranks[comp]
-    if co_rank < 2:
-        return False
-    if not is_cyclic_flat(ranks, comp, lm):
-        return False
-    if separator(ranks, lm) is not None:
-        return False
-    return separator(ranks, comp ^ lm, lm) is None
+    for x in flats:
+        if x | lm == lm:
+            if x and x != lm and ranks[x] + ranks[lm ^ x] == r_l:
+                return False
+        elif x & lm == lm and x != comp:
+            if ranks[x] + ranks[lm | (comp ^ x)] == r_c + r_l:
+                return False
+    return True
 
 
 def _locked_iter(m: Matroid) -> Iterator[int]:
     """Masks of the locked subsets, component by component, in increasing
-    integer order within each; callers that need an order sort.  Only each
-    component's cyclic flats are tested, each through the rank, corank and
-    cyclic-flat tests before the two separator scans."""
+    integer order within each; callers that need an order sort.  Each
+    component's cyclic flats are listed once and are the only candidates."""
     ranks = m._rank_table()
     for comp in m._components():
-        for x in cyclic_flats(ranks, m.n, comp):
-            if _is_locked_in_component(ranks, comp, x):
+        flats = list(cyclic_flats(ranks, m.n, comp))
+        for x in flats:
+            if _is_locked_in_component(ranks, comp, flats, x):
                 yield x
 
 

@@ -14,10 +14,12 @@ few integer operations; cyclic_flats reads the table the same way.  That
 is the intended scale here: the table refuses ground sets of more than
 MAX_N = 16 elements with TooLarge, whichever constructor made the matroid.
 
-Every connectivity test goes through one primitive, separator(ranks, X, C),
-which looks up a 1-separation of the minor (M/C)|X in M's rank table;
-components, find_separator, is_connected and the lockedness tests of the
-locked module are built on it.
+Connectivity has one primitive, the separator lanes of Matroid._components:
+byte X of r + reversed r is r(X) + r(E-X), which equals r(E) exactly when X
+is a separator, so one lane pass marks every separator and the components
+are peeled off as the least ones.  find_separator and is_connected read
+those components, and the lockedness test of the locked module reads the
+cyclic flats of each.
 """
 
 from __future__ import annotations
@@ -74,6 +76,10 @@ def _check_elements(n: int, elements: Iterable[int]) -> int:
 # The rank table has 2^n entries; its one writer, Matroid._build_tables,
 # refuses larger ground sets before it allocates.
 MAX_N = 16
+
+# a bytes.translate table that turns the zero lanes of a table into 1 and
+# every other lane into 0
+_ZERO_TO_ONE = b"\1" + bytes(255)
 
 
 def _refuse_large(n: int) -> None:
@@ -244,10 +250,37 @@ class Matroid:
         return self._ranks
 
     def _components(self) -> list[int]:
-        """The connected components of M as masks, in increasing order; split
-        once, on first use, and shared by every connectivity question on M."""
+        """The connected components of M as masks, in increasing order; found
+        once, on first use, and shared by every connectivity question on M.
+
+        Byte lane X of r + reversed r holds r(X) + r(E-X), which is at least
+        r(E) and at most |X| + |E-X| = n <= 16, so the sum and the subtraction of r(E)
+        from every lane neither carry nor borrow: lane X is 0 exactly when X
+        is a separator.  Every nonzero separator is a union of components,
+        so the least one is a component C; the separators that avoid C are
+        the unions of the other components, so clearing every lane that
+        meets C and taking the least nonzero separator again gives the next
+        component, in increasing order, until E is covered.  Loops and
+        coloops are components of one element like any other."""
         if self._comps is None:
-            self._comps = sorted(components(self._rank_table(), self.full_mask))
+            ranks = self._rank_table()
+            n, full = self.n, self.full_mask
+            size = 1 << n
+            ones = int.from_bytes(b"\1" * size, "little")
+            excess = (int.from_bytes(ranks, "little") + int.from_bytes(ranks[::-1], "little")
+                      - ranks[full] * ones)
+            lanes = excess.to_bytes(size, "little").translate(_ZERO_TO_ONE)
+            comps = [lanes.find(1, 1)]  # lane 0, the empty set, is a separator
+            if comps[0] != full:
+                has = list(lane_bits(n))
+                seps = int.from_bytes(lanes, "little")
+                covered = comps[0]
+                while covered != full:
+                    for e in bits_of(comps[-1]):
+                        seps &= ~has[e]
+                    comps.append(seps.to_bytes(size, "little").find(1, 1))
+                    covered |= comps[-1]
+            self._comps = comps
         return self._comps
 
     def _build_tables(self) -> None:
@@ -372,62 +405,14 @@ def restriction(m: Matroid, elements: Iterable[int]) -> Matroid:
     return minor(m, delete=bits_of(m.full_mask & ~keep))
 
 
-def separator(ranks: Sequence[int], x: int, c: int = 0) -> Optional[int]:
-    """A separator of the minor (M/C)|X, read from M's rank table: a submask
-    A of X that holds X's lowest element, with A != X and
-    r(A+C) + r(X-A+C) = r(X+C) + r(C).  Submasks are tried largest first.
-    None when (M/C)|X is connected; X of at most one element always is.
-
-    This one test covers every connectivity question here: M|X is
-    connected when separator(ranks, X) is None, and M*|(E\\L) is connected
-    exactly when (M/L)|(E\\L) is, because (M*)|Y = (M/(E\\Y))* and
-    connectivity does not change under duality.
-    """
-    if x & (x - 1) == 0:
-        return None
-    low = x & -x
-    rest = x ^ low
-    # C folded into the loop constants: lowc | b = A+C, restc ^ b = X-A+C
-    lowc = low | c
-    restc = rest | c
-    target = ranks[x | c] + ranks[c]
-    b = (rest - 1) & rest
-    while True:
-        if ranks[lowc | b] + ranks[restc ^ b] == target:
-            return low | b
-        if b == 0:
-            return None
-        b = (b - 1) & rest
-
-
-def is_cyclic_flat(ranks: Sequence[int], comp: int, x: int) -> bool:
-    """X is a cyclic flat of M|comp, read from M's rank table: r(X-e) = r(X)
-    for every e in X (X is a union of circuits) and r(X+e) > r(X) for every
-    e in comp\\X (X is closed in comp).  X must be a submask of comp."""
-    r = ranks[x]
-    b = x
-    while b:
-        low = b & -b
-        if ranks[x ^ low] != r:
-            return False
-        b ^= low
-    b = comp ^ x
-    while b:
-        low = b & -b
-        if ranks[x | low] == r:
-            return False
-        b ^= low
-    return True
-
-
 def cyclic_flats(ranks: bytes, n: int, comp: int) -> Iterator[int]:
     """The cyclic flats of M|comp, as masks in increasing order, read from
     M's rank table in byte lanes, one lane per subset X.  For each e in
     comp, D_e(X) = r(X+e) - r(X) on the lanes X without e is one
     subtraction, and every lane of it is 0 or 1, with no borrow, because r
     is monotone and grows by at most one.  X is a cyclic flat when
-    D_e(X) = 1 for every e in comp\\X and D_e(X-e) = 0 for every e in X,
-    the conditions of is_cyclic_flat."""
+    D_e(X) = 1 for every e in comp\\X (X is closed in comp) and
+    D_e(X-e) = 0 for every e in X (X is a union of circuits)."""
     size = 1 << n
     r = int.from_bytes(ranks, "little")
     ones = flats = int.from_bytes(b"\1" * size, "little")
@@ -444,14 +429,6 @@ def cyclic_flats(ranks: bytes, n: int, comp: int) -> Iterator[int]:
     while x >= 0:
         yield x
         x = lanes.find(1, x + 1)
-
-
-def components(ranks: Sequence[int], x: int) -> list[int]:
-    """The connected components of M|X, as masks."""
-    a = separator(ranks, x)
-    if a is None:
-        return [x]
-    return components(ranks, a) + components(ranks, x ^ a)
 
 
 def find_separator(m: Matroid) -> Optional[tuple[int, ...]]:
@@ -626,9 +603,13 @@ def from_text(text: str) -> Matroid:
             raise errors.FormatError("bad line: %r" % ln)
         toks = ln.split()[1:]
         try:
-            bases.append(tuple(idx[t] for t in toks))
+            basis = tuple(idx[t] for t in toks)
         except KeyError as k:
             raise errors.FormatError("unknown element %s in basis line" % k) from None
+        if len(set(basis)) != len(basis):
+            again = next(t for i, t in enumerate(toks) if t in toks[:i])
+            raise errors.FormatError("repeated element %r in basis line" % again)
+        bases.append(basis)
     return from_bases(len(names), bases, names=names, name=name)
 
 

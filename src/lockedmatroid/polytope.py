@@ -7,8 +7,9 @@ build_P assembles the rows
     x(S) >= |S| - 1    for every coparallel closure S
     x(L) <= rho(L)     for every locked subset L
 
-without box rows: 0 <= x(e) <= 1 is implied by these rows and that
-implication is something the test suite checks by LP rather than assumes.
+without box rows.  Whether the rows imply 0 <= x(e) <= 1 is checked by
+LP (polytope verify's box-implied line), not assumed: they need not, as on
+U(1,2), where P = S = E and x = (2, -1) meets every row.
 Membership, 0/1 vertex extraction and exact LP optimization all run on
 exact rationals with zero tolerance; greedy_max_basis supplies the
 independent combinatorial optimum the LP answers are compared against.

@@ -8,7 +8,9 @@ exceptions are frozen copies of earlier code paths that the package's
 faster ones must reproduce: `reference_canonical_form` (the search before
 its worklist refinement), `reference_are_isomorphic` (two such searches and
 a digest compare per pair), `reference_rank_table` and
-`reference_locked_iter` (the per-subset loops before the byte lanes).
+`reference_locked_iter` (the per-subset loops before the byte lanes), and
+`separator`, `is_cyclic_flat` and `components` (the rank-table submask
+walks before the separator lanes and the cyclic-flat pair test).
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from typing import Optional
 
 from lockedmatroid import errors
 from lockedmatroid.dagiso import CanonicalForm, ColoredDigraph, _digest
-from lockedmatroid.locked import _is_locked_in_component
 
 
 def naive_rank(bases, subset) -> int:
@@ -338,14 +339,83 @@ def reference_rank_table(m) -> list[int]:
     return ranks
 
 
+def separator(ranks, x: int, c: int = 0) -> Optional[int]:
+    """A separator of the minor (M/C)|X, read from M's rank table: a submask
+    A of X that holds X's lowest element, with A != X and
+    r(A+C) + r(X-A+C) = r(X+C) + r(C).  Submasks are tried largest first.
+    None when (M/C)|X is connected; X of at most one element always is."""
+    if x & (x - 1) == 0:
+        return None
+    low = x & -x
+    rest = x ^ low
+    # C folded into the loop constants: lowc | b = A+C, restc ^ b = X-A+C
+    lowc = low | c
+    restc = rest | c
+    target = ranks[x | c] + ranks[c]
+    b = (rest - 1) & rest
+    while True:
+        if ranks[lowc | b] + ranks[restc ^ b] == target:
+            return low | b
+        if b == 0:
+            return None
+        b = (b - 1) & rest
+
+
+def is_cyclic_flat(ranks, comp: int, x: int) -> bool:
+    """X is a cyclic flat of M|comp, read from M's rank table: r(X-e) = r(X)
+    for every e in X (X is a union of circuits) and r(X+e) > r(X) for every
+    e in comp\\X (X is closed in comp).  X must be a submask of comp."""
+    r = ranks[x]
+    b = x
+    while b:
+        low = b & -b
+        if ranks[x ^ low] != r:
+            return False
+        b ^= low
+    b = comp ^ x
+    while b:
+        low = b & -b
+        if ranks[x | low] == r:
+            return False
+        b ^= low
+    return True
+
+
+def components(ranks, x: int) -> list[int]:
+    """The connected components of M|X, as masks, split recursively at the
+    first separator found."""
+    a = separator(ranks, x)
+    if a is None:
+        return [x]
+    return components(ranks, a) + components(ranks, x ^ a)
+
+
+def reference_is_locked_in_component(ranks, comp: int, lm: int) -> bool:
+    """locked._is_locked_in_component as it was before the cyclic-flat pair
+    test: rank, corank, the cyclic-flat test, then separator scans of M|L
+    and of (M/L)|(C\\L)."""
+    r_l = ranks[lm]
+    if r_l < 2:
+        return False
+    co_rank = (comp ^ lm).bit_count() + r_l - ranks[comp]
+    if co_rank < 2:
+        return False
+    if not is_cyclic_flat(ranks, comp, lm):
+        return False
+    if separator(ranks, lm) is not None:
+        return False
+    return separator(ranks, comp ^ lm, lm) is None
+
+
 def reference_locked_iter(m):
     """locked._locked_iter as it was before the cyclic-flat lanes: every
     proper nonempty submask of each component, in decreasing integer order,
-    through the package's lockedness rule."""
+    through the separator-scan lockedness rule, with the components split
+    by `components`."""
     ranks = m._rank_table()
-    for comp in m._components():
+    for comp in components(ranks, m.full_mask):
         x = (comp - 1) & comp
         while x:
-            if _is_locked_in_component(ranks, comp, x):
+            if reference_is_locked_in_component(ranks, comp, x):
                 yield x
             x = (x - 1) & comp

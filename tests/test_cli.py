@@ -295,6 +295,26 @@ def test_polytope_verify(tmp_path, capsys):
     assert "pq-agreement pass (50 points)" in out
 
 
+def test_polytope_verify_reports_a_box_the_rows_miss(tmp_path, capsys):
+    # U(1,2) has P = S = E, so its rows x(E) = 1, x(P) <= 1, x(S) >= 1 hold
+    # at (2, -1): the box step fails and the check goes on
+    p = tmp_path / "u12.matroid"
+    assert run(capsys, "gen", "uniform:1,2", str(p))[0] == 0
+    code, out, err = run(capsys, "polytope", "verify", str(p))
+    assert (code, err) == (0, "")
+    assert out == ("# format: 1\n# seed: 1\nmatroid uniform(1,2) n=2 rank=1\n"
+                   "vertices-match pass (2 bases)\nlp-greedy pass (20/20 trials)\n"
+                   "box-implied FAIL\npq-agreement pass (200 points)\n")
+
+
+def test_repeated_element_in_a_basis_line_exit_2(tmp_path, capsys):
+    p = tmp_path / "rep.matroid"
+    p.write_text("matroid r\nelements a,b,c\nbasis a a\n")
+    code, out, err = run(capsys, "locked", str(p))
+    assert (code, out) == (2, "")
+    assert err == "error: repeated element 'a' in basis line\n"
+
+
 @pytest.mark.parametrize("option", ["--trials", "--points"])
 @pytest.mark.parametrize("value", ["-3", "-1", "x", "2.5"])
 def test_polytope_verify_refuses_bad_counts(tmp_path, capsys, option, value):

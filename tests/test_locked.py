@@ -7,8 +7,7 @@ import lockedmatroid as lm
 from lockedmatroid import errors, locked
 from lockedmatroid._bits import bits_of
 from lockedmatroid.cli import parse_gen_spec
-from lockedmatroid.matroid import components
-from helpers import (naive_is_cyclic_flat, naive_is_locked, naive_locked_sets,
+from helpers import (components, naive_is_cyclic_flat, naive_is_locked, naive_locked_sets,
                      reference_locked_iter, shuffled_direct_sum)
 from test_matroid import lane_battery
 from test_stress_tier import STRESS_TIER
@@ -60,9 +59,12 @@ def test_is_locked_u24_exhaustive():
 
 
 def test_is_locked_matches_naive_definition(corpus):
-    for m in corpus:
-        if m.n > 7:
-            continue
+    # every proper nonempty subset of every corpus member with n <= 8, and of
+    # a graph where a triangle and a double edge form a cyclic flat whose
+    # restriction is disconnected (the pair test inside L decides it) and of
+    # its dual (the pair test above L decides it)
+    g = lm.graphic(5, ((0, 1), (1, 2), (0, 2), (3, 4), (3, 4), (2, 3), (0, 4), (1, 3)))
+    for m in [c for c in corpus if c.n <= 8] + [g, g.dual()]:
         expected = set(naive_locked_sets(m.n, m.bases))
         got = {comb for k in range(1, m.n)
                for comb in itertools.combinations(range(m.n), k)

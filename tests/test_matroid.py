@@ -8,11 +8,10 @@ from hypothesis import given, settings, strategies as st
 import lockedmatroid as lm
 from lockedmatroid import errors
 from lockedmatroid._bits import bits_of, mask_of
-from lockedmatroid.matroid import (GroundSet, Matroid, _check_exchange, components,
-                                   cyclic_flats, is_cyclic_flat, separator)
-from helpers import (naive_connected, naive_dual_bases, naive_is_cyclic_flat,
-                     naive_minor_connected, naive_rank, reference_rank_table,
-                     shuffled_direct_sum, spanning_trees)
+from lockedmatroid.matroid import GroundSet, Matroid, _check_exchange, cyclic_flats
+from helpers import (components, is_cyclic_flat, naive_connected, naive_dual_bases,
+                     naive_is_cyclic_flat, naive_minor_connected, naive_rank,
+                     reference_rank_table, separator, shuffled_direct_sum, spanning_trees)
 from test_stress_tier import STRESS_TIER
 
 K4_EDGES = ((0, 2), (0, 1), (0, 3), (1, 2), (1, 3), (2, 3))
@@ -476,6 +475,30 @@ def test_is_cyclic_flat_matches_definition(corpus):
             assert list(cyclic_flats(ranks, m.n, comp)) == flats, m.name
 
 
+def test_lane_components_match_recursive_split(corpus):
+    # the separator lanes against the recursive split at the first separator
+    # found: the lane battery (n = 1, rank 0, U(16,16)), U(0,16), and
+    # shuffled direct sums of two to eight connected parts, loops and
+    # coloops among them, at most 16 elements in all
+    pool = [(1, [()]), (1, [(0,)])] + [(n, list(itertools.combinations(range(n), r)))
+                                       for r, n in ((1, 2), (1, 3), (2, 3), (2, 4))]
+    pool.append((6, list(lm.mk4().bases)))
+    rng = Random(16)
+    sums = []
+    for count in range(2, 9):
+        for _ in range(3):
+            parts = []
+            for i in range(count):
+                room = 16 - sum(p[0] for p in parts) - (count - 1 - i)
+                parts.append(rng.choice([p for p in pool if p[0] <= room]))
+            sums.append((count, lm.from_bases(*shuffled_direct_sum(parts, rng))))
+    for m in lane_battery(corpus) + [lm.uniform(0, 16)]:
+        assert m._components() == sorted(components(m._rank_table(), m.full_mask)), m.name
+    for count, m in sums:
+        want = sorted(components(m._rank_table(), m.full_mask))
+        assert len(want) == count and m._components() == want, m.bases
+
+
 def _first_separator(m):
     full = set(range(m.n))
     for k in range(1, m.n):
@@ -669,6 +692,9 @@ def test_text_reader_errors():
         lm.from_text("matroid x\nelements a,b\nbasis q\n")
     with pytest.raises(errors.FormatError, match="^duplicate element names$"):
         lm.from_text("matroid x\nelements a,b,a\nbasis a\n")
+    # a repeated element is refused, not read as a smaller basis with a loop
+    with pytest.raises(errors.FormatError, match="^repeated element 'b' in basis line$"):
+        lm.from_text("matroid x\nelements a,b,c\nbasis a c\nbasis c b b\n")
 
 
 def test_save_load_bit_exact(tmp_path, corpus):
