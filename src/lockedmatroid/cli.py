@@ -24,12 +24,12 @@ from .lattice import augmented_lattice, dot_text, label_text, reduced_lattice, s
 from .locked import locked_structure, structure_text
 from .matroid import Matroid, _reject_disconnected, is_connected, load, save, two_sum, with_names
 from .polytope import (
+    _member,
+    _member_Q,
+    _sample_points,
     build_P,
     greedy_max_basis,
     lp_maximize,
-    member,
-    member_Q,
-    sample_rational_points,
     zero_one_vertices,
 )
 
@@ -204,8 +204,8 @@ def _cmd_polytope(args) -> int:
     print("box-implied %s" % ("pass" if boxed else "FAIL"))
 
     if m.n <= 6:
-        pts = sample_rational_points(m.n, m.rank, args.points, rng)
-        bad = sum(1 for p in pts if member(system, p)[0] != member_Q(m, p))
+        pts = _sample_points(m.n, m.rank, args.points, rng)
+        bad = sum(1 for x, d in pts if _member(system, x, d)[0] != _member_Q(m, x, d))
         print("pq-agreement %s (%d points)" %
               ("pass" if bad == 0 else "FAIL", len(pts)))
     else:

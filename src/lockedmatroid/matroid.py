@@ -362,12 +362,21 @@ def from_bases(n: int, bases: Iterable[Iterable[int]], names: Optional[Sequence[
     names the failing triple.
 
     Raises EmptyBases, UnequalCardinality or ExchangeViolation (with a
-    concrete failing triple) when the input is not a matroid, and TooLarge
-    when n > MAX_N, before it reads any basis.
+    concrete failing triple) when the input is not a matroid, TooLarge
+    when n > MAX_N, before it reads any basis, and InvalidParams when a
+    basis lists an element twice, before it builds anything.
     """
     _refuse_large(n)
     ground = GroundSet(n, tuple(names)) if names is not None else GroundSet.default(n)
-    masks = sorted({_check_elements(n, b) for b in bases})
+    masks = set()
+    for b in bases:
+        b = tuple(b)
+        mask = _check_elements(n, b)
+        if mask.bit_count() != len(b):
+            again = next(e for i, e in enumerate(b) if e in b[:i])
+            raise errors.InvalidParams("repeated element %d in basis %r" % (again, b))
+        masks.add(mask)
+    masks = sorted(masks)
     m = Matroid(ground, masks, name)
     _check_bases(m, masks)
     return m

@@ -10,9 +10,14 @@ build_P assembles the rows
 without box rows.  Whether the rows imply 0 <= x(e) <= 1 is checked by
 LP (polytope verify's box-implied line), not assumed: they need not, as on
 U(1,2), where P = S = E and x = (2, -1) meets every row.
-Membership, 0/1 vertex extraction and exact LP optimization all run on
-exact rationals with zero tolerance; greedy_max_basis supplies the
-independent combinatorial optimum the LP answers are compared against.
+Membership, 0/1 vertex extraction and exact LP optimization all run with
+zero tolerance.  The membership checks run on integers: ``_member`` and
+``_member_Q`` read a point as numerators over one positive denominator,
+``_sample_points`` draws points in that form, and ``zero_one_vertices``
+counts each subset's elements in a row by ``bit_count``; ``member`` and
+``member_Q`` are the Fraction-accepting wrappers.  greedy_max_basis
+supplies the independent combinatorial optimum the LP answers are
+compared against.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ from random import Random
 from typing import Optional, Sequence
 
 from . import errors, simplex
+from ._bits import mask_of
 from .locked import LockedStructure
 from .matroid import Matroid
 
@@ -61,19 +67,15 @@ def build_P(s: LockedStructure) -> LinearSystem:
 def _integral(values: Sequence) -> tuple[list[int], int]:
     """Exact rationals over one common denominator d: values[i] == ints[i] / d,
     with d the lcm of the reduced denominators."""
-    fracs = [Fraction(v) for v in values]
+    fracs = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
     d = math.lcm(*(f.denominator for f in fracs))
     return [f.numerator * (d // f.denominator) for f in fracs], d
 
 
-def member(sys: LinearSystem, point: Sequence) -> tuple[bool, Optional[Row]]:
-    """Exact membership; on failure returns the first violated row in order."""
-    x, d = _integral(point)
-    if len(x) != sys.dimension:
-        raise errors.DimensionMismatch(
-            "point has %d coordinates, system has %d" % (len(x), sys.dimension))
+def _member(sys: LinearSystem, x: Sequence[int], d: int) -> tuple[bool, Optional[Row]]:
+    """member on the point x / d: integer numerators over one d > 0."""
     for row in sys.rows:
-        total = sum(x[i] for i in row.support)
+        total = sum([x[i] for i in row.support])
         bound = d * row.bound
         if row.rel == "==" and total != bound:
             return False, row
@@ -84,13 +86,17 @@ def member(sys: LinearSystem, point: Sequence) -> tuple[bool, Optional[Row]]:
     return True, None
 
 
-def member_Q(m: Matroid, point: Sequence) -> bool:
-    """Exact check of x(E) = r(E), the unit box, and x(A) <= r(A) for every
-    subset A.  Scans all 2^n subsets against the rank table, which raises
-    TooLarge past MAX_N elements."""
+def member(sys: LinearSystem, point: Sequence) -> tuple[bool, Optional[Row]]:
+    """Exact membership; on failure returns the first violated row in order."""
     x, d = _integral(point)
-    if len(x) != m.n:
-        raise errors.DimensionMismatch("point dimension mismatch")
+    if len(x) != sys.dimension:
+        raise errors.DimensionMismatch(
+            "point has %d coordinates, system has %d" % (len(x), sys.dimension))
+    return _member(sys, x, d)
+
+
+def _member_Q(m: Matroid, x: Sequence[int], d: int) -> bool:
+    """member_Q on the point x / d: integer numerators over one d > 0."""
     ranks = m._rank_table()
     if sum(x) != d * m.rank:
         return False
@@ -106,17 +112,29 @@ def member_Q(m: Matroid, point: Sequence) -> bool:
     return True
 
 
+def member_Q(m: Matroid, point: Sequence) -> bool:
+    """Exact check of x(E) = r(E), the unit box, and x(A) <= r(A) for every
+    subset A.  Scans all 2^n subsets against the rank table, which raises
+    TooLarge past MAX_N elements."""
+    x, d = _integral(point)
+    if len(x) != m.n:
+        raise errors.DimensionMismatch("point dimension mismatch")
+    return _member_Q(m, x, d)
+
+
 def zero_one_vertices(sys: LinearSystem, cardinality: int) -> tuple[tuple[int, ...], ...]:
     """All 0/1 points of the given cardinality satisfying the system,
     as subsets in canonical order."""
-    out = []
-    for comb in itertools.combinations(range(sys.dimension), cardinality):
-        point = [0] * sys.dimension
-        for i in comb:
-            point[i] = 1
-        if member(sys, point)[0]:
-            out.append(comb)
-    return tuple(out)
+    rows = {"==": [], "<=": [], ">=": []}
+    for row in sys.rows:
+        rows.setdefault(row.rel, []).append((mask_of(row.support), row.bound))
+    eq, le, ge = rows["=="], rows["<="], rows[">="]
+    bits = [1 << i for i in range(sys.dimension)]
+    return tuple(comb for comb, c in zip(itertools.combinations(range(sys.dimension), cardinality),
+                                         map(sum, itertools.combinations(bits, cardinality)))
+                 if all((c & a).bit_count() == b for a, b in eq)
+                 and all((c & a).bit_count() <= b for a, b in le)
+                 and all((c & a).bit_count() >= b for a, b in ge))
 
 
 @lru_cache(maxsize=128)
@@ -153,13 +171,13 @@ def lp_maximize(sys: LinearSystem, weights: Sequence, add_box: bool = True
         raise errors.Infeasible("system has no feasible point")
     if status == simplex.UNBOUNDED:
         raise errors.Unbounded("objective is unbounded over the system")
-    value = Fraction(value, scale)
-    ok, bad_row = member(sys, point)
+    x, d = _integral(point)
+    ok, bad_row = _member(sys, x, d)
     if not ok:
         raise errors.LockedMatroidError("LP witness violates %r" % (bad_row,))
-    if sum(w * c for w, c in zip(ints, point)) != value * scale:
+    if sum(w * c for w, c in zip(ints, x)) * value.denominator != value.numerator * d:
         raise errors.LockedMatroidError("LP witness does not attain the optimum")
-    return value, point
+    return Fraction(value, scale), point
 
 
 def greedy_max_basis(m: Matroid, weights: Sequence[int]) -> tuple[int, tuple[int, ...]]:
@@ -181,17 +199,29 @@ def greedy_max_basis(m: Matroid, weights: Sequence[int]) -> tuple[int, tuple[int
     return sum(weights[e] for e in chosen), tuple(sorted(chosen))
 
 
+def _sample_points(n: int, target_sum: int, count: int,
+                   rng: Random) -> list[tuple[tuple[int, ...], int]]:
+    """sample_rational_points as (numerators, denominator) pairs over the
+    denominator lcm(dens) * n, with the same draws from rng."""
+    if n < 1:
+        raise errors.InvalidParams("sample points need at least one coordinate, got n=%r" % n)
+    points = []
+    for _ in range(count):
+        dens, nums = [], []
+        for _ in range(n):
+            den = rng.randint(1, MAX_DENOMINATOR)
+            dens.append(den)
+            nums.append(rng.randint(0, den))
+        lcm = math.lcm(*dens)
+        nums = [a * (lcm // den) for a, den in zip(nums, dens)]
+        shift = target_sum * lcm - sum(nums)
+        points.append((tuple(a * n + shift for a in nums), lcm * n))
+    return points
+
+
 def sample_rational_points(n: int, target_sum: int, count: int,
                            rng: Random) -> list[tuple[Fraction, ...]]:
     """Seeded rational sample points: coordinates with denominators up to
     MAX_DENOMINATOR drawn in [0,1], then shifted onto the hyperplane
     x(E) = target_sum.  Points may leave the unit box; they are kept."""
-    points = []
-    for _ in range(count):
-        coords = []
-        for _ in range(n):
-            den = rng.randint(1, MAX_DENOMINATOR)
-            coords.append(Fraction(rng.randint(0, den), den))
-        shift = Fraction(target_sum - sum(coords), n)
-        points.append(tuple(c + shift for c in coords))
-    return points
+    return [tuple(Fraction(a, d) for a in x) for x, d in _sample_points(n, target_sum, count, rng)]

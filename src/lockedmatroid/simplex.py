@@ -4,15 +4,19 @@ Constraint rows are primitive integer vectors: every value is a ratio
 inside one row, so a row needs no denominator.  The objective is one more
 integer row whose last cell is its positive denominator.  ``_eliminate``
 is the one row update: clear the pivot column, then divide by the gcd.
+It reads only the pivot row's nonzero cells, and a pivot skips the rows
+that are already zero in its column.
 Rows are not rescaled to unit pivots: a basic variable's value is rhs
 divided by its own column entry, whose positivity is a maintained
 invariant.  Only the returned optimum and witness are Fractions.
 
 Variables are nonnegative in ``nonneg`` mode and free (split into a
 difference of nonnegative parts) otherwise.  Phase one minimizes the sum
-of artificial variables; the resulting feasible tableau is kept so many
-objectives can be maximized over one constraint set without repeating
-phase one.
+of artificial variables.  After it no artificial is basic, so their
+columns are cut off every row, and the resulting feasible tableau is kept
+so many objectives can be maximized over one constraint set without
+repeating phase one.  A pivot replaces rows and never changes one in
+place, so each ``maximize`` starts from a shallow copy of the stored rows.
 """
 
 from __future__ import annotations
@@ -36,16 +40,21 @@ def _primitive(nums: list[int]) -> list[int]:
     return [x // g for x in nums] if g > 1 else nums
 
 
-def _eliminate(row: list[int], prow: list[int], c: int) -> list[int]:
-    """row with column c cleared by the pivot row prow (prow[c] > 0), divided
-    by its gcd.  Cells of row past the end of prow (the objective's
-    denominator) are multiplied by prow[c]."""
+def _cells(prow: list[int]) -> list[tuple[int, int]]:
+    """The (column, value) pairs of a row's nonzero cells."""
+    return [(j, y) for j, y in enumerate(prow) if y]
+
+
+def _eliminate(row: list[int], c: int, p: int, cells: list[tuple[int, int]]) -> list[int]:
+    """A new row: row with its nonzero cell at column c cleared by the pivot
+    row whose nonzero cells are ``cells`` and whose entry at c is p > 0,
+    divided by its gcd.  Every cell of row is multiplied by p, including
+    those past the end of the pivot row (the objective's denominator)."""
     a = row[c]
-    if a == 0:
-        return row
-    p = prow[c]
-    return _primitive([x * p - a * y for x, y in zip(row, prow)]
-                      + [x * p for x in row[len(prow):]])
+    new = [x * p for x in row] if p != 1 else row[:]
+    for j, y in cells:
+        new[j] -= a * y
+    return _primitive(new)
 
 
 class SimplexProgram:
@@ -74,8 +83,7 @@ class SimplexProgram:
         n_art = sum(1 for _, rel, _ in normd if rel in (">=", "=="))
         ncols = self.n_struct + n_slack + n_art
         slack_at = self.n_struct
-        art_at = self.n_struct + n_slack
-        self.art_cols = frozenset(range(art_at, art_at + n_art))
+        art_at = width = self.n_struct + n_slack
 
         for coeffs, rel, bound in normd:
             row = [0] * (ncols + 1)
@@ -102,7 +110,7 @@ class SimplexProgram:
             rows.append(row)
 
         self.ncols = ncols
-        self._phase1(rows, basis)
+        self._phase1(rows, basis, width)
 
     # -- pivoting ------------------------------------------------------------
 
@@ -112,16 +120,17 @@ class SimplexProgram:
         prow = rows[r]
         if prow[c] < 0:
             rows[r] = prow = [-x for x in prow]
+        p, cells = prow[c], _cells(prow)
         for i, row in enumerate(rows):
-            if i != r:
-                rows[i] = _eliminate(row, prow, c)
+            if row[c] and i != r:
+                rows[i] = _eliminate(row, c, p, cells)
         basis[r] = c
-        return _eliminate(obj, prow, c)
+        return _eliminate(obj, c, p, cells) if obj[c] else obj
 
-    def _bland(self, rows, basis, obj: list[int], banned: frozenset[int]) -> tuple[str, list[int]]:
+    def _bland(self, rows, basis, obj: list[int]) -> tuple[str, list[int]]:
         ncols = self.ncols
         while True:
-            enter = next((j for j in range(ncols) if j not in banned and obj[j] < 0), -1)
+            enter = next((j for j in range(ncols) if obj[j] < 0), -1)
             if enter < 0:
                 return OPTIMAL, obj
             leave = -1
@@ -144,18 +153,18 @@ class SimplexProgram:
         basic column cleared."""
         obj = [-c for c in c_vec] + [0, 1]
         for row, col in zip(rows, basis):
-            obj = _eliminate(obj, row, col)
+            if obj[col]:
+                obj = _eliminate(obj, col, row[col], _cells(row))
         return obj
 
     # -- phases ----------------------------------------------------------------
 
-    def _phase1(self, rows, basis) -> None:
-        if self.art_cols:
-            c_vec = [0] * (self.ncols)
-            for j in self.art_cols:
-                c_vec[j] = -1
+    def _phase1(self, rows, basis, width: int) -> None:
+        """Columns from width on are the artificials."""
+        if width < self.ncols:
+            c_vec = [0] * width + [-1] * (self.ncols - width)
             obj = self._objective_row(rows, basis, c_vec)
-            status, obj = self._bland(rows, basis, obj, frozenset())
+            status, obj = self._bland(rows, basis, obj)
             if status != OPTIMAL:  # -sum of artificials is bounded above by 0
                 raise errors.LockedMatroidError("phase one of the simplex is unbounded")
             if obj[-2] != 0:  # optimum of -sum(artificials) below zero
@@ -164,18 +173,20 @@ class SimplexProgram:
             # drive residual artificials out of the basis (degenerate rows)
             drop: list[int] = []
             for i in range(len(rows)):
-                if basis[i] in self.art_cols:
-                    pivot_col = next((j for j in range(self.ncols)
-                                      if j not in self.art_cols and rows[i][j] != 0), -1)
+                if basis[i] >= width:
+                    pivot_col = next((j for j in range(width) if rows[i][j] != 0), -1)
                     if pivot_col < 0:
                         drop.append(i)  # redundant constraint
                     else:
                         obj = self._pivot(rows, basis, obj, i, pivot_col)
             for i in reversed(drop):
                 del rows[i], basis[i]
+            # no artificial is basic or may enter again: cut their columns
+            rows = [row[:width] + row[-1:] for row in rows]
+            self.ncols = width
         self.feasible = True
-        self._rows0 = [row[:] for row in rows]
-        self._basis0 = basis[:]
+        self._rows0 = rows
+        self._basis0 = basis
 
     def maximize(self, objective: Sequence[int]) -> tuple[str, Optional[Fraction], Optional[tuple]]:
         """Maximize an integer objective over the constraint set.
@@ -187,7 +198,7 @@ class SimplexProgram:
             raise errors.DimensionMismatch("objective width mismatch")
         if not self.feasible:
             return INFEASIBLE, None, None
-        rows = [row[:] for row in self._rows0]
+        rows = list(self._rows0)
         basis = self._basis0[:]
         c_vec = [0] * self.ncols
         for j, w in enumerate(objective):
@@ -195,7 +206,7 @@ class SimplexProgram:
             if not self.nonneg:
                 c_vec[self.n_vars + j] = -w
         obj = self._objective_row(rows, basis, c_vec)
-        status, obj = self._bland(rows, basis, obj, self.art_cols)
+        status, obj = self._bland(rows, basis, obj)
         if status != OPTIMAL:
             return status, None, None
         value = Fraction(obj[-2], obj[-1])

@@ -10,7 +10,9 @@ its worklist refinement), `reference_are_isomorphic` (two such searches and
 a digest compare per pair), `reference_rank_table` and
 `reference_locked_iter` (the per-subset loops before the byte lanes), and
 `separator`, `is_cyclic_flat` and `components` (the rank-table submask
-walks before the separator lanes and the cyclic-flat pair test).
+walks before the separator lanes and the cyclic-flat pair test), and
+`reference_sample_rational_points` (the Fraction sampler before the
+integer one).
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from typing import Optional
 
 from lockedmatroid import errors
 from lockedmatroid.dagiso import CanonicalForm, ColoredDigraph, _digest
+from lockedmatroid.polytope import MAX_DENOMINATOR
 
 
 def naive_rank(bases, subset) -> int:
@@ -190,6 +193,22 @@ def fraction_member_Q(m, point) -> bool:
         return False
     return all(sum((x[e] for e in a), Fraction(0)) <= naive_rank(m.bases, a)
                for k in range(1, m.n + 1) for a in itertools.combinations(range(m.n), k))
+
+
+def reference_sample_rational_points(n: int, target_sum: int, count: int,
+                                     rng: Random) -> list[tuple[Fraction, ...]]:
+    """Seeded rational sample points: coordinates with denominators up to
+    MAX_DENOMINATOR drawn in [0,1], then shifted onto the hyperplane
+    x(E) = target_sum.  Points may leave the unit box; they are kept."""
+    points = []
+    for _ in range(count):
+        coords = []
+        for _ in range(n):
+            den = rng.randint(1, MAX_DENOMINATOR)
+            coords.append(Fraction(rng.randint(0, den), den))
+        shift = Fraction(target_sum - sum(coords), n)
+        points.append(tuple(c + shift for c in coords))
+    return points
 
 
 def _dense(values) -> list[int]:

@@ -53,6 +53,24 @@ def test_from_bases_out_of_range():
         lm.from_bases(3, [(0, 3)])
 
 
+@pytest.mark.parametrize("n, bases, again", [
+    (3, [(0, 0, 1), (1, 2)], 0),  # collapsed to {0,1}, it made a rank-2 matroid
+    (2, [(0, 0)], 0),  # collapsed to {0}, it made a rank-1 matroid with a loop
+    (4, [(0, 1), (2, 3, 2), (0, 2)], 2),
+    (3, [[1, 2], iter([2, 1, 1])], 1),
+])
+def test_from_bases_refuses_a_repeated_element(n, bases, again):
+    with pytest.raises(errors.InvalidParams, match=r"^repeated element %d in basis \(" % again):
+        lm.from_bases(n, bases)
+
+
+def test_subset_readers_keep_set_semantics():
+    # only a basis may not repeat an element; subsets read as sets
+    m = lm.mk4()
+    assert m.rank_of((0, 0, 1)) == m.rank_of((1, 0)) == 2
+    assert m.is_independent([2, 2]) and m.is_independent((0, 1, 0, 1))
+
+
 def _verdict(check):
     """None when check() passes, else the (B1, B2, e) it raises."""
     try:

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 from fractions import Fraction
@@ -7,8 +8,10 @@ import pytest
 
 import lockedmatroid as lm
 from lockedmatroid import errors
-from lockedmatroid.polytope import build_P, lp_maximize, member, member_Q, sample_rational_points
-from helpers import exhaustive_max_basis, fraction_member, fraction_member_Q
+from lockedmatroid.polytope import (LinearSystem, _member, _member_Q, _sample_points, build_P,
+                                    lp_maximize, member, member_Q, sample_rational_points)
+from helpers import (exhaustive_max_basis, fraction_member, fraction_member_Q,
+                     reference_sample_rational_points)
 
 
 def system_for(m):
@@ -143,6 +146,36 @@ def test_vertices_equal_bases(corpus):
 def test_vertices_u24():
     sys = system_for(lm.uniform(2, 4))
     assert lm.zero_one_vertices(sys, 2) == tuple(itertools.combinations(range(4), 2))
+
+
+def _member_scan(sys, cardinality):
+    """zero_one_vertices by one member call per 0/1 point."""
+    out = []
+    for comb in itertools.combinations(range(sys.dimension), cardinality):
+        point = [int(i in comb) for i in range(sys.dimension)]
+        if member(sys, point)[0]:
+            out.append(comb)
+    return tuple(out)
+
+
+def test_vertex_masks_match_the_member_scan(corpus):
+    # row masks and bit counts against one member call per point, on the
+    # corpus systems and with each row's bound lowered by one, which leaves
+    # some, or no, points
+    sizes = set()
+    for m in corpus:
+        sys = system_for(m)
+        assert lm.zero_one_vertices(sys, m.rank) == _member_scan(sys, m.rank), m.name
+        for i, row in enumerate(sys.rows):
+            rows = list(sys.rows)
+            rows[i] = dataclasses.replace(row, bound=row.bound - 1)
+            low = LinearSystem(sys.dimension, tuple(rows))
+            for k in {m.rank, m.rank - 1}:
+                got = lm.zero_one_vertices(low, k)
+                assert got == _member_scan(low, k), (m.name, i, k)
+                if k == m.rank:
+                    sizes.add("empty" if not got else "all" if got == m.bases else "part")
+    assert sizes == {"empty", "part", "all"}
 
 
 # -- greedy ------------------------------------------------------------------------
@@ -309,3 +342,47 @@ def test_lp_maximize_pinned(corpus):
                 out = lp_maximize(sys, w, add_box=add_box)
                 h.update(repr((m.name, w, add_box, out)).encode("utf-8"))
     assert h.hexdigest() == "438152661c529f5750f313e15f8fce8e60f4055c01268b42db9f7fde77b2158e"
+
+
+def test_integer_sampler_matches_the_fraction_sampler():
+    # same points and the same generator state afterwards, over 240 seeds
+    for seed in range(240):
+        rng = Random(seed)
+        n = rng.randint(1, 7)
+        target, count = rng.randint(0, n), rng.randint(0, 6)
+        mine, ref = Random(seed * 7919), Random(seed * 7919)
+        assert sample_rational_points(n, target, count, mine) == \
+            reference_sample_rational_points(n, target, count, ref)
+        assert mine.getstate() == ref.getstate()
+        ints = _sample_points(n, target, count, ref)
+        assert [tuple(Fraction(a, d) for a in x) for x, d in ints] == \
+            sample_rational_points(n, target, count, mine)
+        assert mine.getstate() == ref.getstate()
+
+
+def test_sampler_refuses_an_empty_ground_set():
+    # the shift onto x(E) = target divides by n
+    for n in (0, -1):
+        with pytest.raises(errors.InvalidParams, match="at least one coordinate"):
+            sample_rational_points(n, 0, 1, Random(1))
+
+
+def test_integer_cores_match_the_fraction_oracles(corpus):
+    # _member and _member_Q on the sampler's (numerators, denominator) pairs,
+    # about a third of which leave the unit box
+    small = [m for m in corpus if m.n <= 6]
+    seen = {"outside box": 0, "in Q": 0, "in P": 0}
+    for seed in range(200):
+        rng = Random(seed)
+        m = small[seed % len(small)]
+        sys = system_for(m)
+        for x, d in _sample_points(m.n, m.rank, 3, rng):
+            point = tuple(Fraction(a, d) for a in x)
+            in_p = _member(sys, x, d)
+            assert in_p == fraction_member(sys, point), (m.name, point)
+            in_q = _member_Q(m, x, d)
+            assert in_q == fraction_member_Q(m, point), (m.name, point)
+            seen["outside box"] += any(c < 0 or c > 1 for c in point)
+            seen["in Q"] += in_q
+            seen["in P"] += in_p[0]
+    assert min(seen.values()) > 50, seen

@@ -1,10 +1,11 @@
+import copy
 import hashlib
 from random import Random
 
 import pytest
 
 from lockedmatroid import errors
-from lockedmatroid.simplex import OPTIMAL, SimplexProgram
+from lockedmatroid.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, SimplexProgram
 
 _FLIP = {"==": "==", "<=": ">=", ">=": "<="}
 
@@ -72,3 +73,22 @@ def test_widths_must_match_the_variable_count():
     prog = SimplexProgram(2, [([1, 1], "<=", 1)])
     with pytest.raises(errors.DimensionMismatch, match="^objective width mismatch$"):
         prog.maximize([1])
+
+
+def test_maximize_leaves_the_stored_tableau_alone():
+    # maximize starts from a shallow copy of the phase-one rows, so no pivot
+    # may change a stored row in place; the artificial columns are gone
+    statuses = set()
+    rng = Random(11)
+    for n, cons, nonneg, objs in random_programs(31, 400):
+        prog = SimplexProgram(n, cons, nonneg=nonneg)
+        before = copy.deepcopy(vars(prog))
+        if prog.feasible:
+            n_slack = sum(1 for _, rel, _ in cons if rel != "==")
+            width = prog.n_struct + n_slack + 1
+            assert all(len(row) == width for row in prog._rows0)
+            assert prog.ncols == width - 1
+        for w in objs + [[rng.randint(-3, 3) for _ in range(n)] for _ in range(5)]:
+            statuses.add(prog.maximize(w)[0])
+            assert vars(prog) == before
+    assert statuses == {OPTIMAL, INFEASIBLE, UNBOUNDED}
