@@ -48,6 +48,20 @@ def lane_bits(n: int) -> Iterator[int]:
         yield int.from_bytes((bytes(half) + b"\1" * half) * (size >> (i + 1)), "little")
 
 
+def subset_bits(n: int) -> Iterator[int]:
+    """HAS_0, ..., HAS_{n-1} packed to one bit per subset: bit x of HAS_i
+    is bit i of x.  The first three repeat the bytes 0xAA, 0xCC and 0xF0;
+    HAS_i for i >= 3 repeats a block of 2^i zero bits and 2^i one bits."""
+    size = 1 << n
+    for i in range(n):
+        if i < 3:
+            block = bytes([(0xAA, 0xCC, 0xF0)[i]])
+        else:
+            block = bytes(1 << (i - 3)) + b"\xff" * (1 << (i - 3))
+        reps = max(1, size // (8 * len(block)))
+        yield int.from_bytes(block * reps, "little") & ((1 << size) - 1)
+
+
 def subset_key(t: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
     """Canonical order for subsets: by cardinality, then lexicographic."""
     return (len(t), t)

@@ -179,7 +179,7 @@ def _cmd_polytope(args) -> int:
 
     verts = zero_one_vertices(system, m.rank)
     print("vertices-match %s (%d bases)" %
-          ("pass" if verts == m.bases else "FAIL", len(m.bases)))
+          ("pass" if verts == m.bases else "FAIL", len(m._basis_masks)))
 
     agree = 0
     for _ in range(args.trials):
@@ -221,7 +221,7 @@ def _cmd_bench(args) -> int:
         d = reduced_lattice(s)
         se = series_encode(d)
         print("%s n=%d rank=%d bases=%d locked=%d lattice=%d/%d series=%d/%d" % (
-            m.name, m.n, m.rank, len(m.bases), len(s.locked),
+            m.name, m.n, m.rank, len(m._basis_masks), len(s.locked),
             d.vertex_count, len(d.arcs), se.vertex_count, len(se.arcs)))
     return 0
 

@@ -57,7 +57,7 @@ def mip_bruteforce(m1: Matroid, m2: Matroid) -> IsoReport:
         return counts
 
     sig1 = sig2 = None
-    if (m1.n, m1.rank, len(m1.bases)) == (m2.n, m2.rank, len(m2.bases)):
+    if (m1.n, m1.rank, len(m1._basis_masks)) == (m2.n, m2.rank, len(m2._basis_masks)):
         sig1, sig2 = signature(m1), signature(m2)
     if sig1 is None or sorted(sig1) != sorted(sig2):
         return IsoReport(False, "bruteforce")
@@ -100,7 +100,7 @@ def mip_bruteforce(m1: Matroid, m2: Matroid) -> IsoReport:
 
     if not extend(0):
         return IsoReport(False, "bruteforce")
-    mapped = {mask_of(witness[e] for e in b) for b in m1.bases}
+    mapped = {mask_of(witness[e] for e in bits_of(b)) for b in m1._basis_masks}
     if mapped != set(m2._basis_masks):
         raise errors.LockedMatroidError("witness does not carry bases onto bases")
     return IsoReport(True, "bruteforce", witness=witness)

@@ -1,18 +1,22 @@
 """Matroids on small ground sets, represented by an explicit basis list.
 
 Subsets of the ground set travel as sorted tuples of element indices at the
-public surface and as bitmasks internally.  Everything is deterministic:
-bases are kept in canonical order (all bases share one cardinality, so the
-order is lexicographic on the sorted index tuples), and derived matroids
-(dual, minor, 2-sum, relabeling) reuse that canonical form.
+public surface and as bitmasks internally.  A Matroid keeps its bases as
+masks only, sorted by value; from_text parses each basis line straight to a
+mask.  Everything is deterministic: Matroid.bases, built from the masks on
+first read, lists the bases in canonical order (all bases share one
+cardinality, so the order is lexicographic on the sorted index tuples), and
+derived matroids (dual, minor, 2-sum, relabeling) reuse that canonical form.
 
 Every rank query, rank_of included, reads one full rank table, built once
 per matroid on first use: a bytes object of 2^n ranks indexed by mask.  It
 is built by byte-lane arithmetic, with byte x of one big integer holding
 the value for the subset x, so that each pass over all 2^n subsets is a
-few integer operations; cyclic_flats reads the table the same way.  That
-is the intended scale here: the table refuses ground sets of more than
-MAX_N = 16 elements with TooLarge, whichever constructor made the matroid.
+few integer operations.  cyclic_flats reads the table the same way, and
+validation packs the same lanes to one bit per subset to test local
+submodularity.  That is the intended scale here: the table refuses ground
+sets of more than MAX_N = 16 elements with TooLarge, whichever constructor
+made the matroid.
 
 Connectivity has one primitive, the separator lanes of Matroid._components:
 byte X of r + reversed r is r(X) + r(E-X), which equals r(E) exactly when X
@@ -25,12 +29,11 @@ cyclic flats of each.
 from __future__ import annotations
 
 import itertools
-from array import array
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
 from . import errors
-from ._bits import bits_of, lane_bits, mask_of, subset_key
+from ._bits import bits_of, lane_bits, mask_of, subset_bits, subset_key
 
 
 @dataclass(frozen=True)
@@ -112,58 +115,46 @@ def _check_exchange(masks: Sequence[int], mask_set: set[int]) -> None:
                     )
 
 
-def _locally_submodular(ranks: bytes, n: int) -> bool:
-    """Local submodularity of a normalised, unit-increasing rank table.
+def _rank_steps(ranks: bytes, n: int) -> Iterator[tuple[int, int]]:
+    """(HAS_e, D_e) for e = 0, ..., n-1, over the byte lanes of a rank
+    table, one lane per subset X: lane X of D_e holds r(X+e) - r(X) on the
+    lanes X without e and 0 on the others.  It is one subtraction, and
+    every lane of it is 0 or 1, with no borrow, because r is monotone and
+    grows by at most one."""
+    size = 1 << n
+    r = int.from_bytes(ranks, "little")
+    ones = int.from_bytes(b"\1" * size, "little")
+    for e, has in enumerate(lane_bits(n)):
+        rest = (ones ^ has) * 0xFF  # the lanes without e
+        yield has, ((r >> (8 << e)) & rest) - (r & rest)
 
-    r(X) + r(X+e+f) <= r(X+e) + r(X+f) holds by unit increase unless
-    r(X+e) = r(X+f) = r(X), so only pairs e, f in cl(X) \\ X are scanned.
-    For those it asks r(X+e+f) = r(X), that is f in cl(X+e).  Spanning sets
-    pass by monotonicity and are skipped.
+
+def _locally_submodular(ranks: bytes, n: int) -> bool:
+    """Local submodularity of a normalised, unit-increasing rank table:
+    r(X) + r(X+e+f) <= r(X+e) + r(X+f) for every X and e, f outside it.
+
+    By unit increase it can fail only where D_e(X) = D_f(X) = 0 and
+    D_f(X+e) = 1.  Each D_e of _rank_steps is packed to one bit per subset:
+    three shifts gather the 0/1 lanes 8k..8k+7 into the low bits of lane 8k,
+    and a slice keeps every eighth byte.  With Z_e the subsets X without e
+    where D_e(X) = 0, the table fails exactly when (D_f >> 2^e) & Z_e & Z_f
+    is nonzero for some e < f.  The packed integers take 2^n bits each, an
+    eighth of a lane table.
     """
     size = 1 << n
-    full = size - 1
-    r_full = ranks[full]
-    # spanned[X]: the elements of cl(X) \ X; an array, because 2^n int
-    # objects would cost ~1 MB at n = 15
-    spanned = array("I", [0]) * size
-    for x in range(full, -1, -1):
-        r = ranks[x]
-        if r == r_full:
-            spanned[x] = full ^ x
-            continue
-        s = 0
-        rest = full ^ x
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            if ranks[x | low] == r:
-                s |= low
-        spanned[x] = s
-        rest = s
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            # spanned[x | low] is final: x | low > x
-            if rest & ~spanned[x | low]:
+    everything = (1 << size) - 1
+    zeros = []  # Z_e for each e scanned so far
+    for (_, lanes), has in zip(_rank_steps(ranks, n), subset_bits(n)):
+        lanes |= lanes >> 7
+        lanes |= lanes >> 14
+        lanes |= lanes >> 28
+        d = int.from_bytes(lanes.to_bytes(size, "little")[::8], "little")
+        z = everything ^ d ^ has
+        for e, z_e in enumerate(zeros):
+            if (d >> (1 << e)) & z_e & z:
                 return False
+        zeros.append(z)
     return True
-
-
-def _check_bases(m: "Matroid", scan_order: Sequence[int]) -> None:
-    """Raise unless the bases of m form a matroid.
-
-    The verdict comes from the rank table, which stays on m as its memo.
-    On a rejected family the pairwise exchange scan, run over scan_order,
-    names the first failing (B1, B2, e).
-    """
-    cards = {b.bit_count() for b in scan_order}
-    if len(cards) != 1:
-        raise errors.UnequalCardinality("bases of different sizes: %s" % sorted(cards))
-    if _locally_submodular(m._rank_table(), m.n):
-        return
-    _check_exchange(scan_order, set(scan_order))
-    raise errors.LockedMatroidError("rank table is not submodular, yet no basis "
-                                    "exchange fails")
 
 
 class Matroid:
@@ -175,11 +166,11 @@ class Matroid:
 
     __slots__ = (
         "ground",
-        "bases",
         "rank",
         "name",
         "index_map",
         "_basis_masks",
+        "_bases",
         "_mask_set",
         "_ranks",
         "_comps",
@@ -189,15 +180,15 @@ class Matroid:
                  index_map: Optional[dict] = None):
         # Internal constructor: trusts that the masks form a matroid.
         # Use from_bases() for validated construction from raw input.
-        bases = sorted({bits_of(m) for m in basis_masks})
-        if not bases:
+        masks = tuple(sorted(set(basis_masks)))
+        if not masks:
             raise errors.EmptyBases("a matroid needs at least one basis")
         self.ground = ground
-        self.bases = tuple(bases)
-        self.rank = len(bases[0])
+        self.rank = masks[0].bit_count()
         self.name = name
         self.index_map = index_map
-        self._basis_masks = tuple(mask_of(b) for b in bases)
+        self._basis_masks = masks  # sorted by value
+        self._bases = None
         self._mask_set = None
         self._ranks = None
         self._comps = None
@@ -220,15 +211,23 @@ class Matroid:
         if not isinstance(other, Matroid):
             return NotImplemented
         # display name and provenance maps are metadata, not identity
-        return (self.ground == other.ground) and (self.bases == other.bases)
+        return (self.ground == other.ground) and (self._basis_masks == other._basis_masks)
 
     def __hash__(self) -> int:
-        return hash((self.ground, self.bases))
+        return hash((self.ground, self._basis_masks))
 
     def __repr__(self) -> str:
         return "Matroid(%s, n=%d, rank=%d, bases=%d)" % (
-            self.name, self.n, self.rank, len(self.bases)
+            self.name, self.n, self.rank, len(self._basis_masks)
         )
+
+    @property
+    def bases(self) -> tuple[tuple[int, ...], ...]:
+        """The bases as sorted index tuples in canonical (lexicographic)
+        order, built from the masks on first read."""
+        if self._bases is None:
+            self._bases = tuple(sorted(map(bits_of, self._basis_masks)))
+        return self._bases
 
     @property
     def _basis_mask_set(self) -> frozenset:
@@ -344,9 +343,27 @@ class Matroid:
         submodular, which holds exactly when the basis exchange axiom does;
         the table stays as this matroid's memo.  Raises UnequalCardinality,
         TooLarge (n > MAX_N, from the rank table) or ExchangeViolation with
-        a concrete triple.
+        a concrete triple: on a rejected family the pairwise exchange scan,
+        run over the masks in increasing order, names the first failing
+        (B1, B2, e).
         """
-        _check_bases(self, self._basis_masks)
+        masks = self._basis_masks
+        cards = {b.bit_count() for b in masks}
+        if len(cards) != 1:
+            raise errors.UnequalCardinality("bases of different sizes: %s" % sorted(cards))
+        if _locally_submodular(self._rank_table(), self.n):
+            return
+        _check_exchange(masks, set(masks))
+        raise errors.LockedMatroidError("rank table is not submodular, yet no basis "
+                                        "exchange fails")
+
+
+def _validated(ground: GroundSet, masks: Iterable[int], name: str) -> Matroid:
+    """The tail that from_bases and from_text share: EmptyBases, then
+    Matroid.validate on the new matroid, whose rank table stays as its memo."""
+    m = Matroid(ground, masks, name)
+    m.validate()
+    return m
 
 
 def from_bases(n: int, bases: Iterable[Iterable[int]], names: Optional[Sequence[str]] = None,
@@ -357,9 +374,10 @@ def from_bases(n: int, bases: Iterable[Iterable[int]], names: Optional[Sequence[
     keeps for every later rank query, and checks local submodularity:
     r(X) + r(X+e+f) <= r(X+e) + r(X+f).  An equicardinal family is a basis
     family exactly when its rank function passes (Oxley, Matroid Theory,
-    ch. 1), so this decides the basis exchange axiom in O(2^n n^2) table
-    lookups.  Only a rejected family gets the pairwise exchange scan, which
-    names the failing triple.
+    ch. 1), so this decides the basis exchange axiom in n lane subtractions
+    over the table and n^2/2 operations on integers of 2^n bits, one bit
+    per subset (see _locally_submodular).  Only a rejected family gets the
+    pairwise exchange scan, which names the failing triple.
 
     Raises EmptyBases, UnequalCardinality or ExchangeViolation (with a
     concrete failing triple) when the input is not a matroid, TooLarge
@@ -376,10 +394,7 @@ def from_bases(n: int, bases: Iterable[Iterable[int]], names: Optional[Sequence[
             again = next(e for i, e in enumerate(b) if e in b[:i])
             raise errors.InvalidParams("repeated element %d in basis %r" % (again, b))
         masks.add(mask)
-    masks = sorted(masks)
-    m = Matroid(ground, masks, name)
-    _check_bases(m, masks)
-    return m
+    return _validated(ground, masks, name)
 
 
 def minor(m: Matroid, delete: Iterable[int] = (), contract: Iterable[int] = ()) -> Matroid:
@@ -416,23 +431,18 @@ def restriction(m: Matroid, elements: Iterable[int]) -> Matroid:
 
 def cyclic_flats(ranks: bytes, n: int, comp: int) -> Iterator[int]:
     """The cyclic flats of M|comp, as masks in increasing order, read from
-    M's rank table in byte lanes, one lane per subset X.  For each e in
-    comp, D_e(X) = r(X+e) - r(X) on the lanes X without e is one
-    subtraction, and every lane of it is 0 or 1, with no borrow, because r
-    is monotone and grows by at most one.  X is a cyclic flat when
+    M's rank table in byte lanes, one lane per subset X, with the lanes
+    D_e(X) = r(X+e) - r(X) of _rank_steps for each e in comp (on the lanes
+    X without e; lanes with e are 0).  X is a cyclic flat when
     D_e(X) = 1 for every e in comp\\X (X is closed in comp) and
     D_e(X-e) = 0 for every e in X (X is a union of circuits)."""
     size = 1 << n
-    r = int.from_bytes(ranks, "little")
-    ones = flats = int.from_bytes(b"\1" * size, "little")
-    for e, has in enumerate(lane_bits(n)):
+    flats = int.from_bytes(b"\1" * size, "little")
+    for e, (has, d) in enumerate(_rank_steps(ranks, n)):
         if not comp >> e & 1:
             flats &= ~has  # X inside comp
             continue
-        shift = 8 << e
-        rest = (ones ^ has) * 0xFF  # the lanes without e
-        d = ((r >> shift) & rest) - (r & rest)
-        flats &= d | (has ^ (d << shift))
+        flats &= d | (has ^ (d << (8 << e)))
     lanes = flats.to_bytes(size, "little")
     x = lanes.find(1)
     while x >= 0:
@@ -551,8 +561,7 @@ def relax(m: Matroid, subset: Iterable[int], name: Optional[str] = None) -> Matr
         raise errors.InvalidParams("relaxation set must have %d elements" % m.rank)
     if m._rank_table()[x] == m.rank:
         raise errors.InvalidParams("set is already a basis")
-    new = [bits_of(b) for b in m._basis_masks] + [bits_of(x)]
-    return from_bases(m.n, new, names=m.names, name=name or "relax(%s)" % m.name)
+    return _validated(m.ground, m._basis_masks + (x,), name or "relax(%s)" % m.name)
 
 
 def with_names(m: Matroid, names: Sequence[str], name: Optional[str] = None) -> Matroid:
@@ -570,7 +579,8 @@ def relabel(m: Matroid, perm: Sequence[int], name: Optional[str] = None) -> Matr
     """
     if not all(isinstance(e, int) for e in perm) or sorted(perm) != list(range(m.n)):
         raise errors.InvalidParams("not a permutation of 0..%d" % (m.n - 1))
-    bases = [mask_of(perm[e] for e in b) for b in m.bases]
+    image = [1 << e for e in perm]
+    bases = [sum(image[e] for e in bits_of(b)) for b in m._basis_masks]
     return Matroid(m.ground, bases, name or "relabel(%s)" % m.name)
 
 
@@ -594,6 +604,10 @@ def to_text(m: Matroid) -> str:
 
 
 def from_text(text: str) -> Matroid:
+    """Parse the text format, each basis line straight to a mask, and
+    validate as from_bases does.  Raises FormatError on a malformed line and
+    TooLarge past MAX_N elements, right after the elements line and before
+    any basis line is read."""
     lines = [ln.rstrip("\r") for ln in text.split("\n") if ln.strip() != ""]
     if len(lines) < 3:
         raise errors.FormatError("matroid file needs a header and at least one basis")
@@ -603,23 +617,25 @@ def from_text(text: str) -> Matroid:
     if not lines[1].startswith("elements "):
         raise errors.FormatError("second line must be 'elements <names>'")
     names = tuple(s.strip() for s in lines[1][len("elements "):].split(","))
-    idx = {nm: i for i, nm in enumerate(names)}
-    if len(idx) != len(names):
+    bit = {nm: 1 << i for i, nm in enumerate(names)}
+    if len(bit) != len(names):
         raise errors.FormatError("duplicate element names")
-    bases = []
+    _refuse_large(len(names))
+    masks = []
     for ln in lines[2:]:
         if ln != "basis" and not ln.startswith("basis "):
             raise errors.FormatError("bad line: %r" % ln)
-        toks = ln.split()[1:]
+        toks = ln[6:].split()
         try:
-            basis = tuple(idx[t] for t in toks)
+            # distinct bits sum to a mask of as many bits; a repeat carries
+            mask = sum(map(bit.__getitem__, toks))
         except KeyError as k:
             raise errors.FormatError("unknown element %s in basis line" % k) from None
-        if len(set(basis)) != len(basis):
+        if mask.bit_count() != len(toks):
             again = next(t for i, t in enumerate(toks) if t in toks[:i])
             raise errors.FormatError("repeated element %r in basis line" % again)
-        bases.append(basis)
-    return from_bases(len(names), bases, names=names, name=name)
+        masks.append(mask)
+    return _validated(GroundSet(len(names), names), masks, name)
 
 
 def save(m: Matroid, path) -> None:

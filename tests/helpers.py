@@ -7,8 +7,9 @@ bare definition, spanning trees by brute-force edge subsets.  The
 exceptions are frozen copies of earlier code paths that the package's
 faster ones must reproduce: `reference_canonical_form` (the search before
 its worklist refinement), `reference_are_isomorphic` (two such searches and
-a digest compare per pair), `reference_rank_table` and
-`reference_locked_iter` (the per-subset loops before the byte lanes), and
+a digest compare per pair), `reference_rank_table`,
+`reference_locked_iter` and `reference_locally_submodular` (the per-subset
+loops before the byte lanes and the packed lanes), and
 `separator`, `is_cyclic_flat` and `components` (the rank-table submask
 walks before the separator lanes and the cyclic-flat pair test), and
 `reference_sample_rational_points` (the Fraction sampler before the
@@ -18,6 +19,7 @@ integer one).
 from __future__ import annotations
 
 import itertools
+from array import array
 from fractions import Fraction
 from random import Random
 from typing import Optional
@@ -438,3 +440,34 @@ def reference_locked_iter(m):
             if reference_is_locked_in_component(ranks, comp, x):
                 yield x
             x = (x - 1) & comp
+
+
+def reference_locally_submodular(ranks, n: int) -> bool:
+    """matroid._locally_submodular as it was before the packed lanes: for
+    each non-spanning X, from the largest down, the elements of cl(X)\\X,
+    and a failure where two of them, e < f, have f outside cl(X+e)."""
+    size = 1 << n
+    full = size - 1
+    r_full = ranks[full]
+    spanned = array("I", [0]) * size
+    for x in range(full, -1, -1):
+        r = ranks[x]
+        if r == r_full:
+            spanned[x] = full ^ x
+            continue
+        s = 0
+        rest = full ^ x
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if ranks[x | low] == r:
+                s |= low
+        spanned[x] = s
+        rest = s
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            # spanned[x | low] is final: x | low > x
+            if rest & ~spanned[x | low]:
+                return False
+    return True

@@ -8,10 +8,12 @@ from hypothesis import given, settings, strategies as st
 import lockedmatroid as lm
 from lockedmatroid import errors
 from lockedmatroid._bits import bits_of, mask_of
-from lockedmatroid.matroid import GroundSet, Matroid, _check_exchange, cyclic_flats
+from lockedmatroid.matroid import (GroundSet, Matroid, _check_exchange, _locally_submodular,
+                                   cyclic_flats)
 from helpers import (components, is_cyclic_flat, naive_connected, naive_dual_bases,
                      naive_is_cyclic_flat, naive_minor_connected, naive_rank,
-                     reference_rank_table, separator, shuffled_direct_sum, spanning_trees)
+                     reference_locally_submodular, reference_rank_table, separator,
+                     shuffled_direct_sum, spanning_trees)
 from test_stress_tier import STRESS_TIER
 
 K4_EDGES = ((0, 2), (0, 1), (0, 3), (1, 2), (1, 3), (2, 3))
@@ -81,14 +83,13 @@ def _verdict(check):
 
 
 def _assert_same_verdict(n, family):
-    # the old from_bases scanned the masks in integer order
+    # from_bases and validate() both scan the masks in integer order, so
+    # they name the same triple
     masks = sorted({mask_of(b) for b in family})
     expected = _verdict(lambda: _check_exchange(masks, set(masks)))
     assert _verdict(lambda: lm.from_bases(n, family)) == expected, (n, family)
-    # the old validate() scanned them in canonical (lexicographic) order
-    m = Matroid(GroundSet.default(n), masks)
-    lex = m._basis_masks
-    assert _verdict(m.validate) == _verdict(lambda: _check_exchange(lex, set(lex))), (n, family)
+    m = Matroid(GroundSet.default(n), reversed(masks))
+    assert _verdict(m.validate) == expected, (n, family)
     return expected is None
 
 
@@ -122,6 +123,90 @@ def test_from_bases_agrees_with_exchange_scan_on_random_families():
                 family = [b for b in subsets if rng.random() < p] or subsets[:1]
             verdicts.add(_assert_same_verdict(n, family))
     assert verdicts == {True, False}
+
+
+# -- local submodularity on packed lanes ---------------------------------------
+
+def _same_local_verdict(m):
+    ranks = m._rank_table()
+    verdict = _locally_submodular(ranks, m.n)
+    assert verdict == reference_locally_submodular(ranks, m.n), m
+    return verdict
+
+
+def test_locally_submodular_matches_reference_on_seeded_families():
+    rng = Random(18)
+    rejected = 0
+    while rejected < 2000:
+        n = rng.randint(2, 10)
+        r = rng.randint(1, n - 1)
+        family = {mask_of(rng.sample(range(n), r)) for _ in range(rng.randint(2, 12))}
+        if not _same_local_verdict(Matroid(GroundSet.default(n), family)):
+            rejected += 1
+
+
+@pytest.mark.parametrize("name", sorted(STRESS_TIER))
+def test_locally_submodular_matches_reference_on_the_stress_tier(name):
+    m = STRESS_TIER[name]()
+    assert _same_local_verdict(Matroid(m.ground, m._basis_masks))
+
+
+@pytest.mark.parametrize("name", ["mk6", "mk4chain3"])
+def test_single_basis_flips_agree_with_reference(name):
+    # drop one basis, or add one non-basis of the same size: every flip
+    # (and the unflipped family) gets the reference verdict, and a rejected
+    # one gets the same triple from validate() and from_bases
+    m = STRESS_TIER[name]()
+    rng = Random(name)
+    masks = set(m._basis_masks)
+    non_bases = [x for x in map(mask_of, itertools.combinations(range(m.n), m.rank))
+                 if x not in masks]
+    flips = ([masks] + [masks - {b} for b in rng.sample(sorted(masks), 2)]
+             + [masks | {x} for x in rng.sample(non_bases, 2)])
+    verdicts = set()
+    for family in flips:
+        flipped = Matroid(m.ground, family)
+        verdict = _same_local_verdict(flipped)
+        verdicts.add(verdict)
+        expected = _verdict(flipped.validate)
+        assert (expected is None) == verdict
+        assert _verdict(lambda: lm.from_bases(m.n, map(bits_of, family))) == expected
+    assert verdicts == {True, False}
+
+
+# -- the mask-only Matroid ------------------------------------------------------
+
+def test_bases_are_built_from_the_sorted_masks(corpus):
+    rng = Random(1804)
+    for m in corpus + [STRESS_TIER["mk4chain3"]()]:
+        perm = list(range(m.n))
+        rng.shuffle(perm)
+        for x in (m, m.dual(), lm.relabel(m, perm)):
+            assert list(x._basis_masks) == sorted(set(x._basis_masks))
+            assert x.bases == tuple(sorted(bits_of(b) for b in x._basis_masks))
+            assert x.bases is x.bases  # built once, on first read
+            assert x.rank == len(x.bases[0])
+            again = Matroid(x.ground, list(reversed(x._basis_masks)) * 2)
+            assert again == x and hash(again) == hash(x)
+
+
+def _reference_relabel_text(m, perm, name):
+    # relabel and to_text as they were on basis tuples
+    bases = sorted(tuple(sorted(perm[e] for e in b)) for b in m.bases)
+    lines = ["matroid %s" % name, "elements %s" % ",".join(m.names)]
+    lines += ["basis %s" % " ".join(m.names[i] for i in b) if b else "basis" for b in bases]
+    return "\n".join(lines) + "\n"
+
+
+def test_to_text_of_relabellings_is_unchanged(corpus):
+    rng = Random(18)
+    for m in corpus + [STRESS_TIER["uniform(6,12)"](), STRESS_TIER["mk4chain3"]()]:
+        for _ in range(3):
+            perm = list(range(m.n))
+            rng.shuffle(perm)
+            text = lm.to_text(lm.relabel(m, perm, name="r"))
+            assert text == _reference_relabel_text(m, perm, "r")
+            assert lm.to_text(lm.from_text(text)) == text
 
 
 def test_from_bases_size_guard():
@@ -713,6 +798,50 @@ def test_text_reader_errors():
     # a repeated element is refused, not read as a smaller basis with a loop
     with pytest.raises(errors.FormatError, match="^repeated element 'b' in basis line$"):
         lm.from_text("matroid x\nelements a,b,c\nbasis a c\nbasis c b b\n")
+
+
+_N17 = ",".join("e%d" % i for i in range(17))
+
+
+@pytest.mark.parametrize("text, exc, message", [
+    ("", errors.FormatError, "matroid file needs a header and at least one basis"),
+    ("matroid x\nelements a\n", errors.FormatError,
+     "matroid file needs a header and at least one basis"),
+    ("x\nelements a\nbasis a\n", errors.FormatError, "first line must be 'matroid <name>'"),
+    ("matroid x\nelems a\nbasis a\n", errors.FormatError,
+     "second line must be 'elements <names>'"),
+    ("matroid x\nelements a,b,a\nbasis q\n", errors.FormatError, "duplicate element names"),
+    ("matroid x\nelements %s,e0\nbasis q\n" % _N17, errors.FormatError,
+     "duplicate element names"),
+    # past MAX_N the file is refused right after the elements line, before
+    # any basis line (or a bad name) is read
+    ("matroid x\nelements %s\nbasis q\n" % _N17, errors.TooLarge,
+     "validation builds a 2^n rank table; |E| capped at 16, got 17"),
+    ("matroid x\nelements %s\nbasis e0 e0\n" % _N17, errors.TooLarge,
+     "validation builds a 2^n rank table; |E| capped at 16, got 17"),
+    ("matroid x\nelements %s,a b\nbasis e0\n" % _N17, errors.TooLarge,
+     "validation builds a 2^n rank table; |E| capped at 16, got 18"),
+    # basis lines in file order; within a line, unknown before repeated
+    ("matroid x\nelements a,b,c\nbasis a\nbsis b\nbasis z\n", errors.FormatError,
+     "bad line: 'bsis b'"),
+    ("matroid x\nelements a,b,c\nbasis a a z\n", errors.FormatError,
+     "unknown element 'z' in basis line"),
+    ("matroid x\nelements a,b,c\nbasis b\nbasis c b b\nbasis z\n", errors.FormatError,
+     "repeated element 'b' in basis line"),
+    # element names are checked after every basis line
+    ("matroid x\nelements a,,b\nbasis q\n", errors.FormatError,
+     "unknown element 'q' in basis line"),
+    ("matroid x\nelements a,,b\nbasis a\n", errors.InvalidParams, "bad element name ''"),
+    ("matroid x\nelements a,b c\nbasis a\n", errors.InvalidParams, "bad element name 'b c'"),
+    ("matroid x\nelements a,b,c\nbasis a\nbasis b c\n", errors.UnequalCardinality,
+     "bases of different sizes: [1, 2]"),
+    ("matroid x\nelements a,b,c,d\nbasis c d\nbasis a c\nbasis a b\n",
+     errors.ExchangeViolation, "basis exchange fails: B1=(0, 1), B2=(2, 3), e=0"),
+])
+def test_from_text_errors_keep_their_order(text, exc, message):
+    with pytest.raises(exc) as info:
+        lm.from_text(text)
+    assert type(info.value) is exc and str(info.value) == message
 
 
 def test_save_load_bit_exact(tmp_path, corpus):
