@@ -12,7 +12,17 @@ def mask_of(elements: Iterable[int]) -> int:
     return m
 
 
+# _BYTE_BITS[k][b]: the set bits of the byte value b, each plus 8k
+_BYTE_BITS = [tuple(tuple(i + 8 * k for i in range(8) if b >> i & 1) for b in range(256))
+              for k in range(2)]
+
+
 def bits_of(mask: int) -> tuple[int, ...]:
+    """The elements of mask in increasing order: below 2^16 from one table
+    for each of its two bytes, above it one bit at a time."""
+    if 0 <= mask < 0x10000:
+        low, high = _BYTE_BITS
+        return low[mask & 0xFF] + high[mask >> 8]
     out = []
     while mask:
         low = mask & -mask
@@ -41,7 +51,9 @@ def lane_bits(n: int) -> Iterator[int]:
     little-endian integer: HAS_i holds 1 in each lane whose index has bit i
     and 0 in the others.  Each pattern is built by repeating a block of
     2^(i+1) lanes, afresh on every call: a cache of them for each n would
-    cost more memory than the tables they build."""
+    cost more memory than the tables they build.  A caller that makes two
+    passes, as Matroid._build_tables does, lists them once and drops the
+    list when it returns."""
     size = 1 << n
     for i in range(n):
         half = 1 << i

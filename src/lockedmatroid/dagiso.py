@@ -14,6 +14,14 @@ interchangeable strands) polynomial in practice.  Both cuts skip only cells
 that cannot split and subtrees that an automorphism maps onto searched
 ones, so the result is that of the full search.
 
+Each node runs few interpreter steps.  After the root's first round every
+cell is degree-homogeneous, so a vertex's refinement key is one function
+of its degree class, built once per search: its in- and out-colours
+concatenated, a scalar or a pair when both degrees are at most 1.  Every
+leaf carries the sorted colours, so leaves compare on their arcs alone, as
+sorted integers p * n + q.  Each automorphism is kept with the points it
+moves, and a node merges it once into one union-find of orbits.
+
 A pair is tested as McKay & Piperno do: unequal vertex counts, arc counts
 or (colour, in-degree, out-degree) profiles answer at once, and otherwise
 the second digraph is searched against the first one's canonical key, which
@@ -27,6 +35,7 @@ hash: equal digests are equivalent to isomorphism by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Optional
 
 from . import errors
@@ -50,6 +59,9 @@ class ColoredDigraph:
             raise errors.InvalidParams("colors must be integers")
         if any(c < 0 for c in self.colors):
             raise errors.InvalidParams("colors must be nonnegative")
+        if _well_formed(self.arcs, n):
+            return
+        # the first bad arc sets the error
         for arc in self.arcs:
             if not (isinstance(arc, tuple) and len(arc) == 2
                     and all(isinstance(x, int) for x in arc)):
@@ -57,6 +69,14 @@ class ColoredDigraph:
             u, v = arc
             if not (0 <= u < n and 0 <= v < n):
                 raise errors.OutOfRange("arc endpoint out of range: %r" % (arc,))
+
+
+def _well_formed(arcs, n: int) -> bool:
+    """One bulk check that a tuple of arcs holds pairs of ints in range(n)."""
+    if type(arcs) is not tuple or set(map(type, arcs)) - {tuple} or set(map(len, arcs)) - {2}:
+        return False
+    ends = [x for arc in arcs for x in arc]
+    return not ends or (set(map(type, ends)) == {int} and 0 <= min(ends) and max(ends) < n)
 
 
 @dataclass(frozen=True)
@@ -96,6 +116,26 @@ def canonical_form(g: ColoredDigraph) -> CanonicalForm:
                          _digest(g.vertex_count, colors_canon, arcs_canon))
 
 
+def _degree_key(ins: list[int], outs: list[int]):
+    """v's refinement key after the root's first round, as a function of
+    the colouring, for in- and out-neighbours ins and outs.  Every cell is
+    then degree-homogeneous, so the (sorted in-colours, sorted out-colours)
+    pair of its vertices orders as the concatenation of the two; with both
+    degrees at most 1 that is a scalar or a pair, read by one itemgetter.
+    Isolated vertices are never examined and get None."""
+    if len(ins) <= 1 and len(outs) <= 1:
+        return itemgetter(*ins, *outs) if ins or outs else None
+    if not ins or not outs:
+        get = itemgetter(*(ins or outs))
+        return lambda col: tuple(sorted(get(col)))
+    get_in, get_out = itemgetter(*ins), itemgetter(*outs)
+    if len(ins) == 1:
+        return lambda col: (get_in(col), *sorted(get_out(col)))
+    if len(outs) == 1:
+        return lambda col: (*sorted(get_in(col)), get_out(col))
+    return lambda col: (*sorted(get_in(col)), *sorted(get_out(col)))
+
+
 def _search(g: ColoredDigraph, target: Optional[tuple]) -> tuple[list[int], tuple]:
     """(perm, key) of the first leaf in search order with the least key
     (colors, arcs); with a target key, the search stops at the first leaf
@@ -109,38 +149,49 @@ def _search(g: ColoredDigraph, target: Optional[tuple]) -> tuple[list[int], tupl
         out_adj[u].append(v)
         in_adj[v].append(u)
     nbrs = [set(in_adj[v]) | set(out_adj[v]) for v in range(n)]
+    degree_keys = [_degree_key(in_adj[v], out_adj[v]) for v in range(n)]
 
     def refine(col: list[int], cells: dict[int, list[int]], marked: list[int]) -> None:
-        # Each round splits every cell by (sorted in-colours, sorted
-        # out-colours), all read before the round; the old colour was the
-        # first key of the full re-rank, so pieces stay in place.  A cell's
-        # vertices agreed on their neighbours' colours a round ago, so it can
-        # split only if one of them has a neighbour in a marked piece: one of
-        # every piece of the last round's splits but the largest, whose
-        # counts follow from the others'.
+        # Each round splits every cell by its vertices' keys, all read before
+        # the round; the old colour was the first key of the full re-rank, so
+        # pieces stay in place.  A cell's vertices agreed on their neighbours'
+        # colours a round ago, so it can split only if one of them has a
+        # neighbour in a marked piece: one of every piece of the last round's
+        # splits but the largest, whose counts follow from the others'.
         while marked:
             near = {col[u] for c in marked for v in cells[c] for u in nbrs[v]}
+            halves = []  # (c, first, second) for a 2-vertex cell that splits
             splits = []
             for c in near:
                 vs = cells[c]
-                if len(vs) == 1:
-                    continue
-                groups: dict[tuple, list[int]] = {}
-                for v in vs:
-                    sig = (tuple(sorted([col[u] for u in in_adj[v]])),
-                           tuple(sorted([col[u] for u in out_adj[v]])))
-                    groups.setdefault(sig, []).append(v)
-                if len(groups) > 1:
-                    splits.append((c, [groups[s] for s in sorted(groups)]))
+                size = len(vs)
+                if size == 2:
+                    a, b = vs
+                    ka, kb = degree_keys[a](col), degree_keys[b](col)
+                    if ka != kb:
+                        halves.append((c, a, b) if ka < kb else (c, b, a))
+                elif size > 2:
+                    ks = [degree_keys[v](col) for v in vs]
+                    if ks.count(ks[0]) != size:
+                        splits.append((c, _grouped(vs, ks)))
             marked = []
+            for c, a, b in halves:  # _split on two pieces of one vertex
+                cells[c], cells[c + 1] = [a], [b]
+                col[b] = c + 1
+                marked.append(c + 1)
             for c, pieces in splits:
                 marked += _split(col, cells, c, pieces)
 
-    best_key: Optional[tuple] = None
+    # Every leaf's colours are the sorted colours: the first cells are the
+    # colour classes in order, and a split keeps each vertex inside its
+    # cell's range.  So leaves compare on their arcs alone, each arc (p, q)
+    # as the integer p * n + q, which orders as the pair.
+    colors = tuple(sorted(g.colors))
+    best_key: Optional[list[int]] = None
     best_perm: Optional[list[int]] = None
     best_inv: Optional[list[int]] = None
     best_path: list[int] = []
-    autos: list[list[int]] = []
+    autos: list[tuple[list[int], list[int]]] = []  # (automorphism, points it moves)
 
     def leaf(col: list[int], path: list[int]) -> int:
         # Returns the depth the search resumes at; -1 ends it.  A key equal to
@@ -151,18 +202,17 @@ def _search(g: ColoredDigraph, target: Optional[tuple]) -> tuple[list[int], tupl
         # the target every key seen lies above it, so the search up to that
         # leaf is the one without a target.
         nonlocal best_key, best_perm, best_inv, best_path
-        inv = [0] * n
-        for v in range(n):
-            inv[col[v]] = v
-        colors_canon = tuple(g.colors[inv[p]] for p in range(n))
-        arcs_canon = tuple(sorted((col[u], col[v]) for (u, v) in g.arcs))
-        key = (colors_canon, arcs_canon)
+        key = sorted([col[u] * n + col[v] for (u, v) in g.arcs])
         if best_key is None or key < best_key:
+            inv = [0] * n
+            for v in range(n):
+                inv[col[v]] = v
             best_key, best_perm, best_inv, best_path = key, list(col), inv, path
-            if target is not None and key <= target:
+            if target is not None and (colors, _pairs(key, n)) <= target:
                 return -1
         elif key == best_key:
-            autos.append([best_inv[col[v]] for v in range(n)])
+            a = list(map(best_inv.__getitem__, col))
+            autos.append((a, [v for v in range(n) if a[v] != v]))
             k = 0
             while path[k] == best_path[k]:
                 k += 1
@@ -172,28 +222,32 @@ def _search(g: ColoredDigraph, target: Optional[tuple]) -> tuple[list[int], tupl
     def dfs(col: list[int], cells: dict[int, list[int]], path: list[int]) -> int:
         if len(cells) == n:
             return leaf(col, path)
-        start, cell = min(((c, vs) for c, vs in cells.items() if len(vs) > 1),
-                          key=lambda item: (len(item[1]), item[0]))
+        _, start = min([(len(vs), c) for c, vs in cells.items() if len(vs) > 1])
+        cell = cells[start]
         depth = len(path)
-        # orbit[w] names w's orbit under the automorphisms found so far that
-        # fix every vertex of `path`; each automorphism is merged in once
-        orbit = list(range(n))
+        # one union-find over the orbits of the automorphisms found so far
+        # that fix every vertex of `path`; each is merged in once, over the
+        # points it moves
+        parent: Optional[list[int]] = None
         merged = 0
         done: list[int] = []
         for v in cell:
             if done:
-                for a in autos[merged:]:
+                for a, moved in autos[merged:]:
                     if all(a[f] == f for f in path):
-                        for w in range(n):
-                            old, new = orbit[w], orbit[a[w]]
-                            if old != new:
-                                orbit = [new if o == old else o for o in orbit]
+                        if parent is None:
+                            parent = list(range(n))
+                        for w in moved:
+                            parent[_find(parent, w)] = _find(parent, a[w])
                 merged = len(autos)
-                if any(orbit[v] == orbit[d] for d in done):
-                    continue
+                if parent is not None:
+                    root = _find(parent, v)
+                    if any(_find(parent, d) == root for d in done):
+                        continue
             child_col, child_cells = col[:], dict(cells)
             pieces = [[v], [u for u in cell if u != v]]
-            refine(child_col, child_cells, _split(child_col, child_cells, start, pieces))
+            marked = _split(child_col, child_cells, start, pieces)
+            refine(child_col, child_cells, marked)
             resume = dfs(child_col, child_cells, path + [v])
             if resume < depth:
                 return resume
@@ -205,12 +259,41 @@ def _search(g: ColoredDigraph, target: Optional[tuple]) -> tuple[list[int], tupl
         by_color.setdefault(g.colors[v], []).append(v)
     col, cells = [0] * n, {}
     _split(col, cells, 0, [by_color[c] for c in sorted(by_color)])
-    # the colour classes are no split of an equitable partition: mark them all
-    refine(col, cells, list(cells))
+    # The colour classes are no split of an equitable partition, so the first
+    # round splits every class by the full (sorted in-colours, sorted
+    # out-colours) signature, after which every cell is degree-homogeneous.
+    sigs = [(tuple(sorted([col[u] for u in in_adj[v]])),
+             tuple(sorted([col[u] for u in out_adj[v]]))) for v in range(n)]
+    marked = []
+    for c, vs in list(cells.items()):
+        pieces = _grouped(vs, [sigs[v] for v in vs])
+        if len(pieces) > 1:
+            marked += _split(col, cells, c, pieces)
+    refine(col, cells, marked)
     dfs(col, cells, [])
     if best_perm is None:
         raise errors.LockedMatroidError("canonical search reached no leaf")
-    return best_perm, best_key
+    return best_perm, (colors, _pairs(best_key, n))
+
+
+def _grouped(vs: list[int], keys: list) -> list[list[int]]:
+    """The vertices vs, ascending, grouped by their keys, in key order."""
+    groups: dict = {}
+    for k, v in zip(keys, vs):
+        groups.setdefault(k, []).append(v)
+    return [groups[k] for k in sorted(groups)]
+
+
+def _find(parent: list[int], w: int) -> int:
+    """w's root in a union-find, halving the path on the way."""
+    while parent[w] != w:
+        parent[w] = w = parent[parent[w]]
+    return w
+
+
+def _pairs(key: list[int], n: int) -> tuple[tuple[int, int], ...]:
+    """The arcs p * n + q of a leaf key as sorted (p, q) pairs."""
+    return tuple(divmod(x, n) for x in key)
 
 
 def _digest(n: int, colors, arcs) -> str:

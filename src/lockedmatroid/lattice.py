@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import errors
-from ._bits import mask_of
+from ._bits import bits_of
 from .locked import LockedStructure
 from .dagiso import ColoredDigraph
 
@@ -46,60 +46,59 @@ class CapacitatedDag:
     capacities: tuple[Optional[int], ...]  # aligned with dag.arcs; None = unbounded
 
 
-def _shape(s: LockedStructure):
-    """Vertices and arcs shared by the augmented and reduced lattices."""
-    full = tuple(range(s.ground_size))
-    provenance: list[tuple[int, ...]] = [()]
-    levels: list[str] = ["root"]
-    for x in s.coparallel:
-        provenance.append(x)
-        levels.append("coparallel")
-    for x in s.parallel:
-        provenance.append(x)
-        levels.append("parallel")
-    for x in s.locked:
-        provenance.append(x)
-        levels.append("locked")
-    provenance.append(full)
-    levels.append("sink")
+def _holders(n: int, family) -> list[int]:
+    """For each element e < n, the members of family that hold e, as a
+    bitmask over their indices."""
+    out = [0] * n
+    for k, x in enumerate(family):
+        for e in x:
+            out[e] |= 1 << k
+    return out
 
-    root = 0
+
+def _shape(s: LockedStructure):
+    """Vertices and arcs shared by the augmented and reduced lattices.
+
+    Arcs are read from per-element bitmasks: a coparallel class meets a
+    parallel class when one of the parallel class's elements lies in it, a
+    set lies inside the locked sets that hold all of its elements, and a
+    locked set a is covered by b when b lies above a and no locked set lies
+    both above a and below b."""
+    n = s.ground_size
+    provenance = [(), *s.coparallel, *s.parallel, *s.locked, tuple(range(n))]
+    levels = (["root"] + ["coparallel"] * len(s.coparallel) + ["parallel"] * len(s.parallel)
+              + ["locked"] * len(s.locked) + ["sink"])
     co0 = 1
     pa0 = co0 + len(s.coparallel)
     lo0 = pa0 + len(s.parallel)
     sink = lo0 + len(s.locked)
 
-    co_masks = [mask_of(x) for x in s.coparallel]
-    pa_masks = [mask_of(x) for x in s.parallel]
-    lo_masks = [mask_of(x) for x in s.locked]
+    co_of = _holders(n, s.coparallel)
+    lo_of = _holders(n, s.locked)
+    everything = (1 << len(s.locked)) - 1
 
-    arcs: list[tuple[int, int]] = []
-    for i in range(len(co_masks)):
-        arcs.append((root, co0 + i))
-    for i, cm in enumerate(co_masks):
-        for j, pm in enumerate(pa_masks):
-            if cm & pm:
-                arcs.append((co0 + i, pa0 + j))
-    for j, pm in enumerate(pa_masks):
-        inside_some = False
-        for k, lm in enumerate(lo_masks):
-            if pm & ~lm == 0:
-                arcs.append((pa0 + j, lo0 + k))
-                inside_some = True
-        if not inside_some:
-            arcs.append((pa0 + j, sink))
-    for a, la in enumerate(lo_masks):
-        for b, lb in enumerate(lo_masks):
-            if a == b or la & ~lb:
-                continue
-            # la strictly inside lb: keep only cover pairs
-            if any(c not in (a, b) and la & ~lo_masks[c] == 0 and lo_masks[c] & ~lb == 0
-                   for c in range(len(lo_masks))):
-                continue
-            arcs.append((lo0 + a, lo0 + b))
-    for a, la in enumerate(lo_masks):
-        if not any(a != b and la & ~lb == 0 for b, lb in enumerate(lo_masks)):
+    def inside(x) -> int:  # the locked sets that hold every element of x
+        out = everything
+        for e in x:
+            out &= lo_of[e]
+        return out
+
+    arcs = [(0, co0 + i) for i in range(len(s.coparallel))]
+    for j, x in enumerate(s.parallel):
+        meets = 0
+        for e in x:
+            meets |= co_of[e]
+        arcs += [(co0 + i, pa0 + j) for i in bits_of(meets)]
+        arcs += [(pa0 + j, lo0 + k) for k in bits_of(inside(x))] or [(pa0 + j, sink)]
+    above = [inside(x) & ~(1 << a) for a, x in enumerate(s.locked)]
+    below = [0] * len(s.locked)
+    for a, up in enumerate(above):
+        for b in bits_of(up):
+            below[b] |= 1 << a
+    for a, up in enumerate(above):
+        if not up:
             arcs.append((lo0 + a, sink))
+        arcs += [(lo0 + a, lo0 + b) for b in bits_of(up) if not up & below[b]]
     arcs.sort()
     return tuple(provenance), tuple(levels), tuple(arcs)
 

@@ -292,12 +292,13 @@ class Matroid:
         # Byte lane x of each integer below holds a value for the subset x.
         # Values stay below 0x80, so a lane never carries into the next.
         ind = int.from_bytes(ind, "little")
+        lanes = list(lane_bits(n))  # read by both passes, then dropped
         count = 0
-        for i, has in enumerate(lane_bits(n)):
+        for i, has in enumerate(lanes):
             ind |= (ind & has) >> (8 << i)  # subsets of independent sets
             count += has
         r = (ind * 0xFF) & count  # |X| on the independent sets, 0 elsewhere
-        for i, has in enumerate(lane_bits(n)):
+        for i, has in enumerate(lanes):
             # on the lanes X that hold i: r(X) = max(r(X), r(X - i)); b + 0x80 - a
             # keeps bit 7 exactly where b >= a, and borrows from no lane
             shift = 8 << i
@@ -495,14 +496,13 @@ def closures(m: Matroid) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, 
     n = m.n
     full = m.full_mask
     r_e = ranks[full]
-
-    def classes(same) -> tuple[tuple[int, ...], ...]:
-        found = {tuple(f for f in range(n) if f == e or same(e, f)) for e in range(n)}
-        return tuple(sorted(found, key=subset_key))
-
-    parallel = classes(lambda e, f: ranks[(1 << e) | (1 << f)] == 1)
-    coparallel = classes(lambda e, f: ranks[full ^ (1 << e) ^ (1 << f)] == r_e - 1)
-    return parallel, coparallel
+    bit = [1 << f for f in range(n)]
+    # with no loops, f is parallel to e exactly when r({e,f}) <= 1; with no
+    # coloops, coparallel exactly when f = e or r(E-e-f) < r(E)
+    parallel = {tuple(f for f in range(n) if ranks[bit[e] | bit[f]] <= 1) for e in range(n)}
+    coparallel = {tuple(f for f in range(n) if f == e or ranks[full ^ bit[e] ^ bit[f]] < r_e)
+                  for e in range(n)}
+    return tuple(sorted(parallel, key=subset_key)), tuple(sorted(coparallel, key=subset_key))
 
 
 def two_sum(m1: Matroid, m2: Matroid, e1: int, e2: int) -> Matroid:

@@ -13,7 +13,11 @@ loops before the byte lanes and the packed lanes), and
 `separator`, `is_cyclic_flat` and `components` (the rank-table submask
 walks before the separator lanes and the cyclic-flat pair test), and
 `reference_sample_rational_points` (the Fraction sampler before the
-integer one).
+integer one), and `reference_bits_of`, `reference_closures` and
+`reference_shape_arcs` (the bit walk, the per-pair lambdas and the
+pairwise lattice scans before the byte tables, the per-element
+comprehensions and the per-element bitmasks).  `pg32_blocks` and `pasch_trade` build Steiner triple
+systems on 15 points, and `steiner_matroid` their sparse paving matroids.
 """
 
 from __future__ import annotations
@@ -161,6 +165,19 @@ def random_colored_digraph(rng: Random, n: int, colors: int = 2):
     """Random digraph on vertices 0..n-1: each ordered pair, loops included,
     is an arc with probability 0.35, so cycles and 2-cycles occur."""
     arcs = [(u, v) for u in range(n) for v in range(n) if rng.random() < 0.35]
+    cols = tuple(rng.randrange(colors) for _ in range(n))
+    return arcs, cols
+
+
+def random_multi_digraph(rng: Random, n: int, colors: int = 2):
+    """Random digraph on vertices 0..n-1 whose arcs may repeat: about a
+    third of the vertices get no arc, and up to 1.5 arcs per other vertex
+    are drawn with replacement, loops included.  Colour classes so mix
+    isolated vertices, sources, sinks, in- and out-degree one and higher
+    degrees."""
+    active = [v for v in range(n) if rng.random() < 0.7]
+    arcs = [(rng.choice(active), rng.choice(active))
+            for _ in range(rng.randint(0, 3 * len(active) // 2))] if active else []
     cols = tuple(rng.randrange(colors) for _ in range(n))
     return arcs, cols
 
@@ -471,3 +488,112 @@ def reference_locally_submodular(ranks, n: int) -> bool:
             if rest & ~spanned[x | low]:
                 return False
     return True
+
+
+def reference_bits_of(mask: int) -> tuple[int, ...]:
+    """_bits.bits_of as it was before the byte tables: one bit at a time,
+    lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
+def pg32_blocks() -> list[tuple[int, int, int]]:
+    """The Steiner triple system PG(3,2) on 15 points: point p stands for
+    the nonzero vector p + 1 of F_2^4, and {a, b, a xor b} is a block."""
+    return sorted({tuple(sorted((a - 1, b - 1, (a ^ b) - 1)))
+                   for a in range(1, 16) for b in range(a + 1, 16)})
+
+
+def pasch_configurations(blocks) -> list[tuple[int, ...]]:
+    """Every Pasch configuration of a triple system, as one labelling
+    (a, b, c, d, e, f) of its blocks abc, ade, bdf, cef, in a fixed order:
+    four blocks on six points, each point on two of them."""
+    third = {}
+    for blk in blocks:
+        for x, y in itertools.permutations(blk, 2):
+            third[x, y] = next(z for z in blk if z not in (x, y))
+    found = {}
+    for blk1, blk2 in itertools.combinations(blocks, 2):
+        common = set(blk1) & set(blk2)
+        if len(common) != 1:
+            continue
+        a = common.pop()
+        b, c = (x for x in blk1 if x != a)
+        for d, e in itertools.permutations([x for x in blk2 if x != a]):
+            f = third[b, d]
+            if third.get((c, e)) == f:
+                quad = frozenset(map(frozenset, ((a, b, c), (a, d, e), (b, d, f), (c, e, f))))
+                found.setdefault(quad, (a, b, c, d, e, f))
+    return sorted(found.values())
+
+
+def pasch_trade(blocks, rng: Random) -> list[tuple[int, int, int]]:
+    """Another triple system on the same points: one seeded Pasch
+    configuration {abc, ade, bdf, cef} replaced by {abd, ace, bcf, def},
+    which covers the same twelve pairs."""
+    a, b, c, d, e, f = rng.choice(pasch_configurations(blocks))
+    old = {tuple(sorted(t)) for t in ((a, b, c), (a, d, e), (b, d, f), (c, e, f))}
+    new = {tuple(sorted(t)) for t in ((a, b, d), (a, c, e), (b, c, f), (d, e, f))}
+    return sorted((set(blocks) - old) | new)
+
+
+def steiner_matroid(blocks, points: int = 15):
+    """The rank-3 sparse paving matroid whose circuit-hyperplanes are the
+    blocks of a Steiner triple system: every other 3-set is a basis."""
+    from lockedmatroid import from_bases
+    nonbases = set(blocks)
+    return from_bases(points, [t for t in itertools.combinations(range(points), 3)
+                               if t not in nonbases])
+
+
+def reference_closures(m):
+    """matroid.closures as it was before the per-element comprehensions:
+    one rank-table test per pair (e, f), through a lambda."""
+    ranks = m._rank_table()
+    n, full = m.n, m.full_mask
+    r_e = ranks[full]
+
+    def classes(same):
+        found = {tuple(f for f in range(n) if f == e or same(e, f)) for e in range(n)}
+        return tuple(sorted(found, key=lambda t: (len(t), t)))
+
+    return (classes(lambda e, f: ranks[(1 << e) | (1 << f)] == 1),
+            classes(lambda e, f: ranks[full ^ (1 << e) ^ (1 << f)] == r_e - 1))
+
+
+def reference_shape_arcs(s) -> list[tuple[int, int]]:
+    """The arcs of lattice._shape as it drew them before the per-element
+    bitmasks, with the root 0, then the coparallel, parallel and locked
+    sets in order, then the sink: every coparallel class to each parallel
+    class it meets, a parallel class to each locked set that contains it
+    (to the sink when none does), and a locked set a to b when a lies
+    strictly inside b and no third set lies between them (to the sink when
+    no set contains a)."""
+    def masks(family):
+        return [sum(1 << e for e in x) for x in family]
+
+    co, pa, lo = masks(s.coparallel), masks(s.parallel), masks(s.locked)
+    co0, pa0 = 1, 1 + len(co)
+    lo0 = pa0 + len(pa)
+    sink = lo0 + len(lo)
+    arcs = [(0, co0 + i) for i in range(len(co))]
+    arcs += [(co0 + i, pa0 + j) for i, cm in enumerate(co) for j, pm in enumerate(pa) if cm & pm]
+    for j, pm in enumerate(pa):
+        above = [lo0 + k for k, lm in enumerate(lo) if pm & ~lm == 0]
+        arcs += [(pa0 + j, v) for v in above or [sink]]
+    for a, la in enumerate(lo):
+        for b, lb in enumerate(lo):
+            if a == b or la & ~lb:
+                continue
+            if any(c not in (a, b) and la & ~lo[c] == 0 and lo[c] & ~lb == 0
+                   for c in range(len(lo))):
+                continue
+            arcs.append((lo0 + a, lo0 + b))
+    for a, la in enumerate(lo):
+        if not any(a != b and la & ~lb == 0 for b, lb in enumerate(lo)):
+            arcs.append((lo0 + a, sink))
+    return sorted(arcs)

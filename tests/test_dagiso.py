@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import itertools
 from random import Random
@@ -8,7 +9,7 @@ import lockedmatroid as lm
 from lockedmatroid import dagiso, errors
 from lockedmatroid.dagiso import ColoredDigraph, canonical_form
 from helpers import (permute_digraph, random_colored_dag, random_colored_digraph,
-                     reference_are_isomorphic, reference_canonical_form)
+                     random_multi_digraph, reference_are_isomorphic, reference_canonical_form)
 from test_stress_tier import STRESS_TIER
 
 
@@ -44,6 +45,30 @@ def test_empty_graph():
 def test_colored_digraph_refusals(args, error, message):
     with pytest.raises(error, match="^%s$" % message):
         ColoredDigraph(*args)
+
+
+@pytest.mark.parametrize("arcs, error, message", [
+    (((0, 1), (0, 2), (5,)), errors.OutOfRange, r"arc endpoint out of range: \(0, 2\)"),
+    (((1, 0), [0, 1], (0, 9)), errors.InvalidParams, r"arc is not a pair of integers: \[0, 1\]"),
+    (((0, 1.0), (0, 9)), errors.InvalidParams, r"arc is not a pair of integers: \(0, 1\.0\)"),
+    (((3, 0), (0, 1, 1)), errors.OutOfRange, r"arc endpoint out of range: \(3, 0\)"),
+    (((0, 0), (1, -1), ("a", 0)), errors.OutOfRange, r"arc endpoint out of range: \(1, -1\)"),
+    ([(0, 1), (0, 2), 7], errors.OutOfRange, r"arc endpoint out of range: \(0, 2\)"),
+    (((0, 1), 7, (0, 2)), errors.InvalidParams, "arc is not a pair of integers: 7"),
+])
+def test_first_bad_arc_sets_the_error(arcs, error, message):
+    # the bulk check accepts only well-formed arc tuples; otherwise the
+    # per-arc loop reports the first bad arc, whatever follows it
+    with pytest.raises(error, match="^%s$" % message):
+        ColoredDigraph(2, arcs, (0, 0))
+
+
+def test_arcs_the_bulk_check_leaves_to_the_loop():
+    # bools and tuple subclasses are ints and tuples to the per-arc loop,
+    # and a list of arcs is read as before
+    Arc = collections.namedtuple("Arc", "u v")
+    for arcs in (((True, 0),), (Arc(0, 1), (1, 1)), [(0, 1), (1, 0)], ()):
+        assert ColoredDigraph(2, arcs, (0, 0)).arcs == arcs
 
 
 def test_mk4_lattice_digest_relabel_invariant():
@@ -377,3 +402,36 @@ def test_equal_invariants_reach_the_target_search(monkeypatch):
         assert lm.are_isomorphic(first, last) == (False, None)
         assert targets == []
         assert not lm.brute_force_iso(first, last)
+
+
+def _multi_digraph_battery():
+    """Seeded digraphs with repeated arcs, loops and isolated vertices, in
+    one to three colours, so that colour classes mix in- and out-degrees 0,
+    1 and more."""
+    rng = Random(1919)
+    for _ in range(400):
+        n = rng.randint(1, 10)
+        arcs, cols = random_multi_digraph(rng, n, rng.randint(1, 3))
+        yield ColoredDigraph(n, tuple(arcs), cols), rng
+
+
+def test_degree_keys_match_reference_on_multi_digraphs():
+    # the degree-class keys and the integer leaf keys must give the search
+    # tree, the leaf and the pair answers of the full signatures and tuple keys
+    kinds = set()
+    repeated = looped = 0
+    for g, rng in _multi_digraph_battery():
+        repeated += len(set(g.arcs)) < len(g.arcs)
+        looped += any(u == v for u, v in g.arcs)
+        ind, outd = dagiso._profile(g)[1:]
+        kinds |= {(g.colors[v], min(ind[v], 2), min(outd[v], 2)) for v in range(g.vertex_count)}
+        cf, ref = canonical_form(g), reference_canonical_form(g)
+        assert (cf.digest, cf.perm) == (ref.digest, ref.perm), g
+        arcs, cols = random_multi_digraph(rng, g.vertex_count, 2)
+        for h in (_relabelled(rng, g), ColoredDigraph(g.vertex_count, tuple(arcs), cols)):
+            assert lm.are_isomorphic(g, h) == reference_are_isomorphic(g, h), (g, h)
+    assert repeated > 50 and looped > 100
+    # every colour held vertices of each degree class the keys distinguish
+    degrees = {(i, o) for i in range(3) for o in range(3)}
+    assert {(i, o) for c, i, o in kinds if c == 0} == degrees
+    assert {(i, o) for c, i, o in kinds if c == 1} == degrees

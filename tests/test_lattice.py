@@ -1,8 +1,14 @@
+import itertools
+from random import Random
+
 import pytest
 
 import lockedmatroid as lm
 from lockedmatroid import errors
-from lockedmatroid.lattice import LEVELS
+from lockedmatroid.lattice import LEVELS, _shape
+from lockedmatroid.locked import LockedStructure
+from helpers import reference_shape_arcs
+from test_stress_tier import STRESS_TIER
 
 # (vertices, arcs) of the reduced/augmented lattice per corpus matroid,
 # frozen from a first construction and checked against hand counts where
@@ -195,6 +201,27 @@ def test_nested_locked_sets_get_cover_arcs():
     d2 = lm.reduced_lattice(lm.locked_structure(lm.relabel(b, [8, 7, 6, 5, 4, 3, 2, 1, 0])))
     assert lm.are_isomorphic(lm.to_colored(d), lm.to_colored(d2))[0]
     assert lm.are_isomorphic(lm.series_encode(d), lm.series_encode(d2))[0]
+
+
+def test_shape_matches_the_pairwise_scans(structures):
+    # the per-element bitmasks draw the arcs of the scans over every pair of
+    # sets (and every third set, for the covers); the random families
+    # overlap, nest deeply and have many sets, unlike any matroid's
+    cases = list(structures.values())
+    cases += [lm.locked_structure(build()) for build in STRESS_TIER.values()]
+    rng = Random(2024)
+    for _ in range(200):
+        n = rng.randint(1, 7)
+        proper = [x for k in range(1, n) for x in itertools.combinations(range(n), k)]
+
+        def family(most):
+            return tuple(sorted(rng.sample(proper, rng.randint(0, min(len(proper), most))),
+                                key=lambda x: (len(x), x)))
+
+        names = tuple("e%d" % i for i in range(n))
+        cases.append(LockedStructure(n, names, family(6), family(6), family(25), {}))
+    for s in cases:
+        assert list(_shape(s)[2]) == reference_shape_arcs(s), s
 
 
 # -- max-flow cardinality recovery ------------------------------------------

@@ -11,9 +11,9 @@ from lockedmatroid._bits import bits_of, mask_of
 from lockedmatroid.matroid import (GroundSet, Matroid, _check_exchange, _locally_submodular,
                                    cyclic_flats)
 from helpers import (components, is_cyclic_flat, naive_connected, naive_dual_bases,
-                     naive_is_cyclic_flat, naive_minor_connected, naive_rank,
-                     reference_locally_submodular, reference_rank_table, separator,
-                     shuffled_direct_sum, spanning_trees)
+                     naive_is_cyclic_flat, naive_minor_connected, naive_rank, reference_bits_of,
+                     reference_closures, reference_locally_submodular, reference_rank_table,
+                     separator, shuffled_direct_sum, spanning_trees)
 from test_stress_tier import STRESS_TIER
 
 K4_EDGES = ((0, 2), (0, 1), (0, 3), (1, 2), (1, 3), (2, 3))
@@ -648,6 +648,13 @@ def test_closures_examples():
     assert s == ((0, 1, 2),)
 
 
+def test_closures_match_the_pairwise_reference(corpus):
+    # one comprehension per element reads the same rank-table entries as the
+    # per-pair lambdas did
+    for m in list(corpus) + [build() for build in STRESS_TIER.values()]:
+        assert lm.closures(m) == reference_closures(m), m.name
+
+
 def test_closures_reject_loops_coloops():
     with pytest.raises(errors.LoopPresent):
         lm.closures(lm.uniform(0, 3))
@@ -851,3 +858,14 @@ def test_save_load_bit_exact(tmp_path, corpus):
         raw = path.read_bytes()
         assert b"\r" not in raw
         assert lm.load(path) == m
+
+
+# -- bit helpers ----------------------------------------------------------------------
+
+def test_bits_of_matches_the_bit_walk():
+    # two byte tables below 2^16, the bit walk above
+    for mask in range(1 << 16):
+        assert bits_of(mask) == reference_bits_of(mask), mask
+    rng = Random(16)
+    for mask in [1 << 16, (1 << 17) - 1, 1 << 40 | 0xFFFF] + [rng.getrandbits(48) for _ in range(50)]:
+        assert bits_of(mask) == reference_bits_of(mask), mask
