@@ -1,4 +1,6 @@
-"""Bitmask helpers for subsets of a small indexed ground set."""
+"""The shared primitives: bitmask helpers for subsets of a small indexed
+ground set, and the one union-find, which the canonical search's orbits and
+the spanning-tree scan of graphic matroids both use."""
 
 from __future__ import annotations
 
@@ -72,6 +74,13 @@ def subset_bits(n: int) -> Iterator[int]:
             block = bytes(1 << (i - 3)) + b"\xff" * (1 << (i - 3))
         reps = max(1, size // (8 * len(block)))
         yield int.from_bytes(block * reps, "little") & ((1 << size) - 1)
+
+
+def find(parent: list[int], w: int) -> int:
+    """w's root in a union-find, halving the path on the way."""
+    while parent[w] != w:
+        parent[w] = w = parent[parent[w]]
+    return w
 
 
 def subset_key(t: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:

@@ -13,6 +13,7 @@ import operator
 from typing import Optional, Sequence
 
 from . import errors
+from ._bits import find
 from .matroid import GroundSet, Matroid, _refuse_large, from_bases, relax
 
 # K4 on vertices 0..3; edge order fixes the element labels a..f so that the
@@ -80,16 +81,9 @@ def graphic(n_vertices: int, edges: Sequence[tuple[int, int]],
     bases = []
     for comb in itertools.combinations(range(m), n_vertices - 1):
         parent = list(range(n_vertices))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
         for ei in comb:
             u, v = edges[ei]
-            ru, rv = find(u), find(v)
+            ru, rv = find(parent, u), find(parent, v)
             if ru == rv:
                 break
             parent[ru] = rv

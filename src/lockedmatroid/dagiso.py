@@ -39,6 +39,7 @@ from operator import itemgetter
 from typing import Optional
 
 from . import errors
+from ._bits import find
 
 
 @dataclass(frozen=True)
@@ -238,11 +239,11 @@ def _search(g: ColoredDigraph, target: Optional[tuple]) -> tuple[list[int], tupl
                         if parent is None:
                             parent = list(range(n))
                         for w in moved:
-                            parent[_find(parent, w)] = _find(parent, a[w])
+                            parent[find(parent, w)] = find(parent, a[w])
                 merged = len(autos)
                 if parent is not None:
-                    root = _find(parent, v)
-                    if any(_find(parent, d) == root for d in done):
+                    root = find(parent, v)
+                    if any(find(parent, d) == root for d in done):
                         continue
             child_col, child_cells = col[:], dict(cells)
             pieces = [[v], [u for u in cell if u != v]]
@@ -282,13 +283,6 @@ def _grouped(vs: list[int], keys: list) -> list[list[int]]:
     for k, v in zip(keys, vs):
         groups.setdefault(k, []).append(v)
     return [groups[k] for k in sorted(groups)]
-
-
-def _find(parent: list[int], w: int) -> int:
-    """w's root in a union-find, halving the path on the way."""
-    while parent[w] != w:
-        parent[w] = w = parent[parent[w]]
-    return w
 
 
 def _pairs(key: list[int], n: int) -> tuple[tuple[int, int], ...]:

@@ -10,8 +10,11 @@ Three routes:
   unlabeled series-arc encodings (the series route); answer-only, no
   element witness.
 * mip_zero_locked: for matroids without locked subsets, compares the
-  sorted coparallel and parallel closure cardinality sequences; the
-  comparison is instrumented with an operation count.
+  sorted coparallel and parallel closure cardinality sequences.  The
+  closures come first, so a loop or a coloop is refused before
+  connectivity, as on the lattice route.  The comparison is counted: the
+  sorts take their keys from functools.cmp_to_key over a comparison that
+  counts its calls, and the scan counts its equality tests.
 
 tsd tests self-duality, building the dual's lattice from the dual locked
 structure rather than re-enumerating locked subsets.
@@ -20,6 +23,7 @@ structure rather than re-enumerating locked subsets.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cmp_to_key
 from typing import Optional
 
 from . import errors
@@ -27,7 +31,7 @@ from ._bits import bits_of, mask_of
 from .dagiso import are_isomorphic
 from .lattice import reduced_lattice, series_encode, to_colored
 from .locked import LockedStructure, _locked_iter, dual_structure, locked_structure
-from .matroid import Matroid, _reject_disconnected, _reject_loops_coloops, closures
+from .matroid import Matroid, _reject_disconnected, closures
 
 # brute force is exponential in n; larger inputs raise TooLarge
 BRUTEFORCE_MAX_N = 10
@@ -131,54 +135,44 @@ def _compare_lattices(s1: LockedStructure, s2: LockedStructure, route: str) -> I
                      locked_counts=(len(s1.locked), len(s2.locked)))
 
 
-class _CountedValue:
-    __slots__ = ("value", "cell")
-
-    def __init__(self, value, cell):
-        self.value = value
-        self.cell = cell
-
-    def __lt__(self, other):
-        self.cell[0] += 1
-        return self.value < other.value
-
-    def __eq__(self, other):
-        self.cell[0] += 1
-        return self.value == other.value
-
-
 def mip_zero_locked(m1: Matroid, m2: Matroid) -> IsoReport:
     """Isomorphism for matroids without locked subsets: compare the sorted
     coparallel (and, symmetrically, parallel) closure cardinality sequences.
-    Like mip_locked, raises LoopPresent or ColoopPresent for either matroid
-    before Disconnected."""
-    for m in (m1, m2):
-        _reject_loops_coloops(m)
-    for m in (m1, m2):
-        _reject_disconnected(m)
-        if next(iter(_locked_iter(m)), None) is not None:
-            raise errors.NotZeroLocked("%s has a locked subset" % m.name)
+    Refuses as mip_locked does: TooLarge, LoopPresent and ColoopPresent
+    from the closures of m1, then of m2, before Disconnected."""
     p1, s1 = closures(m1)
     p2, s2 = closures(m2)
-    cell = [0]
+    for m in (m1, m2):
+        _reject_disconnected(m)
+        if next(_locked_iter(m), None) is not None:
+            raise errors.NotZeroLocked("%s has a locked subset" % m.name)
     # ground size and rank are not carried by the closure sequences (they are
-    # the lattice's sink label) and must match as well
-    cell[0] += 2
+    # the lattice's sink label) and must match as well; the count is of these
+    # two tests, the comparisons of the sorts and the equality tests after
+    ops = 2
+
+    def cmp(x: int, y: int) -> int:
+        nonlocal ops
+        ops += 1
+        return x - y
+
+    key = cmp_to_key(cmp)
     answer = m1.n == m2.n and m1.rank == m2.rank
     for f1, f2 in ((s1, s2), (p1, p2)):
         if not answer:
             break
         if len(f1) != len(f2):
-            cell[0] += 1
+            ops += 1
             answer = False
             continue
-        a = sorted(_CountedValue(len(x), cell) for x in f1)
-        b = sorted(_CountedValue(len(x), cell) for x in f2)
+        a = sorted(map(len, f1), key=key)
+        b = sorted(map(len, f2), key=key)
         for u, v in zip(a, b):
-            if not (u == v):
+            ops += 1
+            if u != v:
                 answer = False
                 break
-    return IsoReport(answer, "zero-locked", locked_counts=(0, 0), opcount=cell[0])
+    return IsoReport(answer, "zero-locked", locked_counts=(0, 0), opcount=ops)
 
 
 def tsd(m: Matroid, method: str = "lattice") -> IsoReport:

@@ -510,7 +510,10 @@ def two_sum(m1: Matroid, m2: Matroid, e1: int, e2: int) -> Matroid:
 
     Ground set is (E1 minus e1) followed by (E2 minus e2); the result has
     |E1|+|E2|-2 elements and rank r1+r2-1.  Raises TooLarge when that is
-    more than MAX_N, before it reads any basis.
+    more than MAX_N, before it reads any basis.  The bases are the unions
+    B1 - e1 + B2 - e2 where exactly one of B1, B2 holds its basepoint,
+    formed on masks: each summand's bases are split by the basepoint bit,
+    which is squeezed out, and M2's move up by |E1| - 1 bits.
     """
     for m in (m1, m2):
         if m.n < 3:
@@ -518,35 +521,27 @@ def two_sum(m1: Matroid, m2: Matroid, e1: int, e2: int) -> Matroid:
     _refuse_large(m1.n + m2.n - 2)
     _check_elements(m1.n, (e1,))
     _check_elements(m2.n, (e2,))
-    for m, e in ((m1, e1), (m2, e2)):
-        if e in m.loops() or e in m.coloops():
+    halves = []
+    for m, e, shift in ((m1, e1, 0), (m2, e2, m1.n - 1)):
+        # the bases without e and those with it, e squeezed out
+        low, half = (1 << e) - 1, ([], [])
+        for b in m._basis_masks:
+            half[b >> e & 1].append((b & low | b >> (e + 1) << e) << shift)
+        if not all(half):  # e is in no basis (a loop) or in every one (a coloop)
             raise errors.BasepointIsLoopOrColoop("basepoint %d" % e)
-        if not is_connected(m):
-            raise errors.Disconnected("%s is not connected" % m.name)
-    left = [i for i in range(m1.n) if i != e1]
-    right = [i for i in range(m2.n) if i != e2]
-    lpos = {old: new for new, old in enumerate(left)}
-    rpos = {old: new + len(left) for new, old in enumerate(right)}
-    b1mask = 1 << e1
-    b2mask = 1 << e2
-    out = set()
-    for b1 in m1._basis_masks:
-        has1 = bool(b1 & b1mask)
-        part1 = mask_of(lpos[e] for e in bits_of(b1 & ~b1mask))
-        for b2 in m2._basis_masks:
-            if has1 == bool(b2 & b2mask):
-                continue
-            out.add(part1 | mask_of(rpos[e] for e in bits_of(b2 & ~b2mask)))
-    names = [m1.names[i] for i in left]
+        _reject_disconnected(m)
+        halves.append(half)
+    (out1, in1), (out2, in2) = halves
+    bases = [a | b for p1, p2 in ((in1, out2), (out1, in2)) for a in p1 for b in p2]
+    names = list(m1.names[:e1] + m1.names[e1 + 1:])
     taken = set(names)
-    for i in right:
-        nm = m2.names[i]
+    for nm in m2.names[:e2] + m2.names[e2 + 1:]:
         while nm in taken:
             nm += "'"
         taken.add(nm)
         names.append(nm)
     ground = GroundSet(len(names), tuple(names))
-    res = Matroid(ground, out, "twosum(%s,%s)" % (m1.name, m2.name))
+    res = Matroid(ground, bases, "twosum(%s,%s)" % (m1.name, m2.name))
     if res.rank != m1.rank + m2.rank - 1:
         raise errors.LockedMatroidError("2-sum has rank %d, expected %d"
                                         % (res.rank, m1.rank + m2.rank - 1))

@@ -16,7 +16,10 @@ walks before the separator lanes and the cyclic-flat pair test), and
 integer one), and `reference_bits_of`, `reference_closures` and
 `reference_shape_arcs` (the bit walk, the per-pair lambdas and the
 pairwise lattice scans before the byte tables, the per-element
-comprehensions and the per-element bitmasks).  `pg32_blocks` and `pasch_trade` build Steiner triple
+comprehensions and the per-element bitmasks), and `reference_two_sum` and
+`reference_zero_locked` (the 2-sum through per-basis index remaps and the
+zero-locked route with its hand-written counted comparisons, before the
+masks and functools.cmp_to_key).  `pg32_blocks` and `pasch_trade` build Steiner triple
 systems on 15 points, and `steiner_matroid` their sparse paving matroids.
 """
 
@@ -29,7 +32,13 @@ from random import Random
 from typing import Optional
 
 from lockedmatroid import errors
+from lockedmatroid._bits import bits_of, mask_of
 from lockedmatroid.dagiso import CanonicalForm, ColoredDigraph, _digest
+from lockedmatroid.isoengine import IsoReport
+from lockedmatroid.locked import _locked_iter
+from lockedmatroid.matroid import (GroundSet, Matroid, _check_elements, _refuse_large,
+                                   _reject_disconnected, _reject_loops_coloops, closures,
+                                   is_connected)
 from lockedmatroid.polytope import MAX_DENOMINATOR
 
 
@@ -597,3 +606,95 @@ def reference_shape_arcs(s) -> list[tuple[int, int]]:
         if not any(a != b and la & ~lb == 0 for b, lb in enumerate(lo)):
             arcs.append((lo0 + a, sink))
     return sorted(arcs)
+
+
+def reference_two_sum(m1: Matroid, m2: Matroid, e1: int, e2: int) -> Matroid:
+    """matroid.two_sum as it was before it worked on masks: every basis
+    through bits_of, two position dicts and mask_of."""
+    for m in (m1, m2):
+        if m.n < 3:
+            raise errors.TooSmall("2-sum needs at least 3 elements on each side")
+    _refuse_large(m1.n + m2.n - 2)
+    _check_elements(m1.n, (e1,))
+    _check_elements(m2.n, (e2,))
+    for m, e in ((m1, e1), (m2, e2)):
+        if e in m.loops() or e in m.coloops():
+            raise errors.BasepointIsLoopOrColoop("basepoint %d" % e)
+        if not is_connected(m):
+            raise errors.Disconnected("%s is not connected" % m.name)
+    left = [i for i in range(m1.n) if i != e1]
+    right = [i for i in range(m2.n) if i != e2]
+    lpos = {old: new for new, old in enumerate(left)}
+    rpos = {old: new + len(left) for new, old in enumerate(right)}
+    b1mask = 1 << e1
+    b2mask = 1 << e2
+    out = set()
+    for b1 in m1._basis_masks:
+        has1 = bool(b1 & b1mask)
+        part1 = mask_of(lpos[e] for e in bits_of(b1 & ~b1mask))
+        for b2 in m2._basis_masks:
+            if has1 == bool(b2 & b2mask):
+                continue
+            out.add(part1 | mask_of(rpos[e] for e in bits_of(b2 & ~b2mask)))
+    names = [m1.names[i] for i in left]
+    taken = set(names)
+    for i in right:
+        nm = m2.names[i]
+        while nm in taken:
+            nm += "'"
+        taken.add(nm)
+        names.append(nm)
+    ground = GroundSet(len(names), tuple(names))
+    res = Matroid(ground, out, "twosum(%s,%s)" % (m1.name, m2.name))
+    if res.rank != m1.rank + m2.rank - 1:
+        raise errors.LockedMatroidError("2-sum has rank %d, expected %d"
+                                        % (res.rank, m1.rank + m2.rank - 1))
+    return res
+
+
+class _CountedValue:
+    __slots__ = ("value", "cell")
+
+    def __init__(self, value, cell):
+        self.value = value
+        self.cell = cell
+
+    def __lt__(self, other):
+        self.cell[0] += 1
+        return self.value < other.value
+
+    def __eq__(self, other):
+        self.cell[0] += 1
+        return self.value == other.value
+
+
+def reference_zero_locked(m1: Matroid, m2: Matroid) -> IsoReport:
+    """isoengine.mip_zero_locked as it was with its own counted-value
+    wrapper and a separate loop and coloop pass before connectivity."""
+    for m in (m1, m2):
+        _reject_loops_coloops(m)
+    for m in (m1, m2):
+        _reject_disconnected(m)
+        if next(iter(_locked_iter(m)), None) is not None:
+            raise errors.NotZeroLocked("%s has a locked subset" % m.name)
+    p1, s1 = closures(m1)
+    p2, s2 = closures(m2)
+    cell = [0]
+    # ground size and rank are not carried by the closure sequences (they are
+    # the lattice's sink label) and must match as well
+    cell[0] += 2
+    answer = m1.n == m2.n and m1.rank == m2.rank
+    for f1, f2 in ((s1, s2), (p1, p2)):
+        if not answer:
+            break
+        if len(f1) != len(f2):
+            cell[0] += 1
+            answer = False
+            continue
+        a = sorted(_CountedValue(len(x), cell) for x in f1)
+        b = sorted(_CountedValue(len(x), cell) for x in f2)
+        for u, v in zip(a, b):
+            if not (u == v):
+                answer = False
+                break
+    return IsoReport(answer, "zero-locked", locked_counts=(0, 0), opcount=cell[0])

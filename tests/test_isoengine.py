@@ -7,7 +7,8 @@ import pytest
 
 import lockedmatroid as lm
 from lockedmatroid import errors
-from helpers import shuffled_direct_sum
+from lockedmatroid.matroid import GroundSet, Matroid
+from helpers import reference_zero_locked, shuffled_direct_sum
 
 
 def uniform_part(r, n):
@@ -117,6 +118,50 @@ def test_zero_locked_reports_loops_and_coloops_before_connectivity():
         for pair in ((bad, bad), (disconnected, bad), (bad, disconnected)):
             with pytest.raises(error):
                 lm.mip_zero_locked(*pair)
+
+
+def test_zero_locked_refuses_large_before_loops():
+    # the closures come first, and they read the rank table before they
+    # look for loops: as on the lattice route, a 17-element matroid from the
+    # internal constructor is refused as too large, loops or not
+    big = Matroid(GroundSet.default(17), [0b11])  # elements 2..16 are loops
+    small = lm.uniform(2, 4)
+    for pair in ((big, small), (small, big), (big, big)):
+        for route in (lm.mip_zero_locked, lm.mip_locked):
+            with pytest.raises(errors.TooLarge, match="got 17$"):
+                route(*pair)
+
+
+def _zero_locked_outcome(route, m1, m2):
+    try:
+        rep = route(m1, m2)
+    except errors.LockedMatroidError as exc:
+        return type(exc)
+    return rep.answer, rep.opcount
+
+
+def partitions(n, most=None):
+    """The partitions of n into parts of at most `most`, largest first."""
+    if n == 0:
+        yield ()
+    for k in range(min(n, most or n), 0, -1):
+        for rest in partitions(n - k, k):
+            yield (k,) + rest
+
+
+def test_zero_locked_count_matches_reference(corpus):
+    # the count through cmp_to_key against the hand-written counted values
+    # it replaced: same answer and opcount, or the same refusal, on every
+    # ordered pair of corpus matroids, of U(r,n) with n <= 11 and of the
+    # rank-2 lines with at least three parallel classes on up to 8 elements
+    uniforms = [lm.uniform(r, n) for n in range(1, 12) for r in range(n + 1)]
+    lines = [rank2_line(sizes) for n in range(3, 9) for sizes in partitions(n)
+             if len(sizes) >= 3]
+    for family in (corpus, uniforms, lines):
+        for m1 in family:
+            for m2 in family:
+                assert (_zero_locked_outcome(lm.mip_zero_locked, m1, m2)
+                        == _zero_locked_outcome(reference_zero_locked, m1, m2)), (m1, m2)
 
 
 def test_lattice_routes_refuse_disconnected():

@@ -13,8 +13,8 @@ from lockedmatroid.matroid import (GroundSet, Matroid, _check_exchange, _locally
 from helpers import (components, is_cyclic_flat, naive_connected, naive_dual_bases,
                      naive_is_cyclic_flat, naive_minor_connected, naive_rank, reference_bits_of,
                      reference_closures, reference_locally_submodular, reference_rank_table,
-                     separator, shuffled_direct_sum, spanning_trees)
-from test_stress_tier import STRESS_TIER
+                     reference_two_sum, separator, shuffled_direct_sum, spanning_trees)
+from test_stress_tier import STRESS_TIER, _mk4_chain
 
 K4_EDGES = ((0, 2), (0, 1), (0, 3), (1, 2), (1, 3), (2, 3))
 
@@ -719,6 +719,44 @@ def test_two_sum_name_collision_resolved():
     a = lm.uniform(2, 4)
     t = lm.two_sum(a, a, 0, 0)
     assert len(set(t.names)) == t.n
+
+
+def _two_sum_outcome(build, a, b, e1, e2):
+    try:
+        t = build(a, b, e1, e2)
+    except errors.LockedMatroidError as exc:
+        return type(exc), str(exc)
+    return t._basis_masks, t.names, t.name
+
+
+def test_two_sum_matches_reference():
+    # the 2-sum on masks against the per-basis remap it replaced: every
+    # ordered corpus pair of at most 12 elements, every e1, a seeded e2;
+    # the stress summands; and every refusal, with its message
+    corpus = lm.standard_corpus(1)
+    rng = Random(22)
+    cases = [(a, b, e1, rng.randrange(b.n)) for a in corpus for b in corpus
+             if a.n + b.n - 2 <= 12 for e1 in range(a.n)]
+    assert len(cases) == 2320
+    u49 = lm.uniform(4, 9)
+    chain = _mk4_chain(2)
+    cases += [(chain, lm.with_names(lm.mk4(), tuple("g%d" % j for j in range(6))), chain.n - 1, 0),
+              (u49, lm.uniform(4, 9, prefix="f"), 0, 0), (u49, u49, 8, 3)]
+    big = lm.uniform(5, 10)
+    loopy = lm.from_bases(3, [(0, 1)])  # 2 is a loop
+    coloopy = lm.from_bases(3, [(0, 2), (1, 2)])  # 2 is a coloop
+    disc = lm.from_bases(4, [(0, 2), (0, 3), (1, 2), (1, 3)])
+    stray = lm.from_bases(5, itertools.combinations(range(4), 2))  # 4 is a loop
+    u24 = lm.uniform(2, 4)
+    cases += [(stray, u24, 0, 0), (u24, stray, 0, 1),(lm.uniform(1, 2), u24, 0, 0), (u24, lm.uniform(1, 2), 0, 0),
+              (big, big, 0, 0), (Matroid(big.ground, big._basis_masks), u49, 0, 0),
+              (u24, u24, 4, 0), (u24, u24, 0, -1), (u24, u24, 0, "a"), (u24, u24, True, 0),
+              (loopy, u24, 2, 0), (u24, loopy, 0, 2), (coloopy, u24, 2, 0),
+              (u24, coloopy, 1, 2), (loopy, u24, 0, 0), (disc, u24, 0, 0), (u24, disc, 0, 3),
+              (disc, loopy, 0, 2), (loopy, disc, 2, 0)]
+    for a, b, e1, e2 in cases:
+        assert (_two_sum_outcome(lm.two_sum, a, b, e1, e2)
+                == _two_sum_outcome(reference_two_sum, a, b, e1, e2)), (a.name, b.name, e1, e2)
 
 
 # -- relabel / validate ---------------------------------------------------------------
