@@ -15,9 +15,13 @@ zero tolerance.  The membership checks run on integers: ``_member`` and
 ``_member_Q`` read a point as numerators over one positive denominator,
 ``_sample_points`` draws points in that form, and ``zero_one_vertices``
 counts each subset's elements in a row by ``bit_count``; ``member`` and
-``member_Q`` are the Fraction-accepting wrappers.  greedy_max_basis
-supplies the independent combinatorial optimum the LP answers are
-compared against.
+``member_Q`` are the Fraction-accepting wrappers.  A system is hashed once
+and compiles its rows for ``_member`` once, so the LP cache lookup and
+each membership test read no ``Row`` object field by field.
+``lp_maximize`` solves on integers too: it checks the simplex's integer
+witness with ``_member`` and the objective identity, and builds its
+Fractions only at the return.  greedy_max_basis supplies the independent
+combinatorial optimum the LP answers are compared against.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from random import Random
 from typing import Optional, Sequence
 
@@ -36,6 +40,7 @@ from .locked import LockedStructure
 from .matroid import Matroid
 
 MAX_DENOMINATOR = 64  # of a sample_rational_points coordinate
+_DEN_BITS = MAX_DENOMINATOR.bit_length()  # of the words randint(1, MAX_DENOMINATOR) draws
 
 
 @dataclass(frozen=True)
@@ -50,6 +55,18 @@ class Row:
 class LinearSystem:
     dimension: int
     rows: tuple[Row, ...]
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.dimension, self.rows))
+
+    @cached_property
+    def _checks(self) -> list[tuple[tuple[int, ...], str, int, Row]]:
+        """(support, relation, bound, row) of each row, in order."""
+        return [(row.support, row.rel, row.bound, row) for row in self.rows]
 
 
 def build_P(s: LockedStructure) -> LinearSystem:
@@ -74,14 +91,12 @@ def _integral(values: Sequence) -> tuple[list[int], int]:
 
 def _member(sys: LinearSystem, x: Sequence[int], d: int) -> tuple[bool, Optional[Row]]:
     """member on the point x / d: integer numerators over one d > 0."""
-    for row in sys.rows:
-        total = sum([x[i] for i in row.support])
-        bound = d * row.bound
-        if row.rel == "==" and total != bound:
-            return False, row
-        if row.rel == "<=" and total > bound:
-            return False, row
-        if row.rel == ">=" and total < bound:
+    coord = x.__getitem__
+    for support, rel, bound, row in sys._checks:
+        total = sum(map(coord, support))
+        bound *= d
+        if (total > bound if rel == "<=" else total < bound if rel == ">="
+                else rel == "==" and total != bound):
             return False, row
     return True, None
 
@@ -124,7 +139,11 @@ def member_Q(m: Matroid, point: Sequence) -> bool:
 
 def zero_one_vertices(sys: LinearSystem, cardinality: int) -> tuple[tuple[int, ...], ...]:
     """All 0/1 points of the given cardinality satisfying the system,
-    as subsets in canonical order."""
+    as subsets in canonical order.  A cardinality that is not a
+    nonnegative int raises InvalidParams."""
+    if not isinstance(cardinality, int) or cardinality < 0:
+        raise errors.InvalidParams("cardinality must be a nonnegative int, got %r"
+                                   % (cardinality,))
     rows = {"==": [], "<=": [], ">=": []}
     for row in sys.rows:
         rows.setdefault(row.rel, []).append((mask_of(row.support), row.bound))
@@ -166,18 +185,19 @@ def lp_maximize(sys: LinearSystem, weights: Sequence, add_box: bool = True
     if len(weights) != sys.dimension:
         raise errors.DimensionMismatch("weight vector dimension mismatch")
     ints, scale = _integral(weights)
-    status, value, point = _program(sys, add_box).maximize(ints)
+    status, value, witness = _program(sys, add_box).maximize_integral(ints)
     if status == simplex.INFEASIBLE:
         raise errors.Infeasible("system has no feasible point")
     if status == simplex.UNBOUNDED:
         raise errors.Unbounded("objective is unbounded over the system")
-    x, d = _integral(point)
+    x, d = witness
     ok, bad_row = _member(sys, x, d)
     if not ok:
         raise errors.LockedMatroidError("LP witness violates %r" % (bad_row,))
-    if sum(w * c for w, c in zip(ints, x)) * value.denominator != value.numerator * d:
+    num, den = value
+    if sum(w * c for w, c in zip(ints, x)) * den != num * d:
         raise errors.LockedMatroidError("LP witness does not attain the optimum")
-    return Fraction(value, scale), point
+    return Fraction(num, den * scale), tuple(Fraction(a, d) for a in x)
 
 
 def greedy_max_basis(m: Matroid, weights: Sequence[int]) -> tuple[int, tuple[int, ...]]:
@@ -202,16 +222,26 @@ def greedy_max_basis(m: Matroid, weights: Sequence[int]) -> tuple[int, tuple[int
 def _sample_points(n: int, target_sum: int, count: int,
                    rng: Random) -> list[tuple[tuple[int, ...], int]]:
     """sample_rational_points as (numerators, denominator) pairs over the
-    denominator lcm(dens) * n, with the same draws from rng."""
+    denominator lcm(dens) * n, with the same draws from rng.  Each draw is
+    rng.randint's: words of k bits from getrandbits, the first one in range
+    kept, with k the bit length of the range's size."""
     if n < 1:
         raise errors.InvalidParams("sample points need at least one coordinate, got n=%r" % n)
+    getrandbits = rng.getrandbits
     points = []
     for _ in range(count):
         dens, nums = [], []
         for _ in range(n):
-            den = rng.randint(1, MAX_DENOMINATOR)
+            den = getrandbits(_DEN_BITS)  # randint(1, MAX_DENOMINATOR)
+            while den >= MAX_DENOMINATOR:
+                den = getrandbits(_DEN_BITS)
+            den += 1
+            k = (den + 1).bit_length()  # randint(0, den)
+            a = getrandbits(k)
+            while a > den:
+                a = getrandbits(k)
             dens.append(den)
-            nums.append(rng.randint(0, den))
+            nums.append(a)
         lcm = math.lcm(*dens)
         nums = [a * (lcm // den) for a, den in zip(nums, dens)]
         shift = target_sum * lcm - sum(nums)

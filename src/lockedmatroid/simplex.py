@@ -1,14 +1,29 @@
 """Exact two-phase simplex with Bland's rule, in integer arithmetic.
 
-Constraint rows are primitive integer vectors: every value is a ratio
-inside one row, so a row needs no denominator.  The objective is one more
-integer row whose last cell is its positive denominator.  ``_eliminate``
-is the one row update: clear the pivot column, then divide by the gcd.
-It reads only the pivot row's nonzero cells, and a pivot skips the rows
-that are already zero in its column.
+Constraint rows are positive integer multiples of the rows a rational
+tableau would hold: every value is a ratio inside one row, so a row needs
+no denominator.  The objective is one more integer row whose last cell is
+its positive denominator.  ``_eliminate`` is the one row update: clear the
+pivot column, and when the pivot entry p is not 1, divide by the gcd.  It
+reads only the pivot row's nonzero cells, and a pivot skips the rows that
+are already zero in its column.
+
+A unit pivot skips the gcd, because skipping it changes no decision.  The
+row it leaves is a positive multiple of the row the gcd would leave, and
+every later row built from it is the same positive multiple or, after a
+pivot entry other than 1, the same primitive row.  Bland's entering test
+reads only signs, the ratio test compares rhs/entry inside one row, and
+the optimum and the witness are such ratios: every pivot and every answer
+is the one the gcd path takes.  Numbers stay small, because a unit pivot
+multiplies no row, and every other pivot still divides by the gcd.
 Rows are not rescaled to unit pivots: a basic variable's value is rhs
 divided by its own column entry, whose positivity is a maintained
-invariant.  Only the returned optimum and witness are Fractions.
+invariant.
+
+``maximize_integral`` is the integer result: the optimum as a (numerator,
+denominator) pair, and the witness as integer numerators over one
+denominator, the lcm of the basic structural columns' entries.
+``maximize`` is its Fraction view, built only at the return.
 
 Variables are nonnegative in ``nonneg`` mode and free (split into a
 difference of nonnegative parts) otherwise.  Phase one minimizes the sum
@@ -16,7 +31,7 @@ of artificial variables.  After it no artificial is basic, so their
 columns are cut off every row, and the resulting feasible tableau is kept
 so many objectives can be maximized over one constraint set without
 repeating phase one.  A pivot replaces rows and never changes one in
-place, so each ``maximize`` starts from a shallow copy of the stored rows.
+place, so each solve starts from a shallow copy of the stored rows.
 """
 
 from __future__ import annotations
@@ -47,14 +62,15 @@ def _cells(prow: list[int]) -> list[tuple[int, int]]:
 
 def _eliminate(row: list[int], c: int, p: int, cells: list[tuple[int, int]]) -> list[int]:
     """A new row: row with its nonzero cell at column c cleared by the pivot
-    row whose nonzero cells are ``cells`` and whose entry at c is p > 0,
-    divided by its gcd.  Every cell of row is multiplied by p, including
-    those past the end of the pivot row (the objective's denominator)."""
+    row whose nonzero cells are ``cells`` and whose entry at c is p > 0.
+    Every cell of row is multiplied by p, including those past the end of
+    the pivot row (the objective's denominator), and the result is divided
+    by its gcd; a unit pivot does neither (see the module docstring)."""
     a = row[c]
     new = [x * p for x in row] if p != 1 else row[:]
     for j, y in cells:
         new[j] -= a * y
-    return _primitive(new)
+    return _primitive(new) if p != 1 else new
 
 
 class SimplexProgram:
@@ -188,11 +204,15 @@ class SimplexProgram:
         self._rows0 = rows
         self._basis0 = basis
 
-    def maximize(self, objective: Sequence[int]) -> tuple[str, Optional[Fraction], Optional[tuple]]:
+    def maximize_integral(self, objective: Sequence[int]) -> tuple[
+            str, Optional[tuple[int, int]], Optional[tuple[tuple[int, ...], int]]]:
         """Maximize an integer objective over the constraint set.
 
-        Returns (status, optimum, witness); the witness is the point in the
-        original variables as exact Fractions.
+        Returns (status, optimum, witness): the optimum as a (numerator,
+        denominator) pair, and the witness as (numerators, denominator),
+        the point in the original variables over one denominator, the lcm
+        of the basic structural columns' entries.  Both denominators are
+        positive; neither pair is reduced.
         """
         if len(objective) != self.n_vars:
             raise errors.DimensionMismatch("objective width mismatch")
@@ -209,13 +229,26 @@ class SimplexProgram:
         status, obj = self._bland(rows, basis, obj)
         if status != OPTIMAL:
             return status, None, None
-        value = Fraction(obj[-2], obj[-1])
-        point = [Fraction(0)] * self.n_vars
-        for i, row in enumerate(rows):
-            col = basis[i]
-            val = Fraction(row[-1], row[col])
-            if col < self.n_vars:
-                point[col] += val
-            elif not self.nonneg and col < 2 * self.n_vars:
-                point[col - self.n_vars] -= val
-        return OPTIMAL, value, tuple(point)
+        n = self.n_vars
+        basic = [(col, row[-1], row[col]) for row, col in zip(rows, basis)
+                 if col < self.n_struct]
+        d = math.lcm(*[a for _, _, a in basic])
+        x = [0] * n
+        for col, b, a in basic:
+            if col < n:
+                x[col] += b * (d // a)
+            else:
+                x[col - n] -= b * (d // a)
+        return OPTIMAL, (obj[-2], obj[-1]), (tuple(x), d)
+
+    def maximize(self, objective: Sequence[int]) -> tuple[str, Optional[Fraction], Optional[tuple]]:
+        """Maximize an integer objective over the constraint set.
+
+        Returns (status, optimum, witness); the witness is the point in the
+        original variables as exact Fractions.
+        """
+        status, value, witness = self.maximize_integral(objective)
+        if value is None:
+            return status, None, None
+        x, d = witness
+        return status, Fraction(*value), tuple(Fraction(a, d) for a in x)

@@ -19,13 +19,19 @@ pairwise lattice scans before the byte tables, the per-element
 comprehensions and the per-element bitmasks), and `reference_two_sum` and
 `reference_zero_locked` (the 2-sum through per-basis index remaps and the
 zero-locked route with its hand-written counted comparisons, before the
-masks and functools.cmp_to_key).  `pg32_blocks` and `pasch_trade` build Steiner triple
-systems on 15 points, and `steiner_matroid` their sparse paving matroids.
+masks and functools.cmp_to_key), and `ReferenceSimplexProgram` and
+`reference_lp_maximize` (the simplex that divided every updated row by its
+gcd and summed a Fraction witness, before unit pivots skipped the gcd and
+the LP answered on integers).  `pg32_blocks` and `pasch_trade` build
+Steiner triple systems on 15 points, and `steiner_matroid` their sparse
+paving matroids.  `sparse_paving` builds seeded sparse paving matroids
+from a greedy packing of circuit-hyperplanes.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from array import array
 from fractions import Fraction
 from random import Random
@@ -38,8 +44,9 @@ from lockedmatroid.isoengine import IsoReport
 from lockedmatroid.locked import _locked_iter
 from lockedmatroid.matroid import (GroundSet, Matroid, _check_elements, _refuse_large,
                                    _reject_disconnected, _reject_loops_coloops, closures,
-                                   is_connected)
-from lockedmatroid.polytope import MAX_DENOMINATOR
+                                   from_bases, is_connected)
+from lockedmatroid.polytope import MAX_DENOMINATOR, _integral
+from lockedmatroid.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, SimplexProgram
 
 
 def naive_rank(bases, subset) -> int:
@@ -698,3 +705,143 @@ def reference_zero_locked(m1: Matroid, m2: Matroid) -> IsoReport:
                 answer = False
                 break
     return IsoReport(answer, "zero-locked", locked_counts=(0, 0), opcount=cell[0])
+
+
+def reference_primitive(nums: list[int]) -> list[int]:
+    """nums divided by their gcd; an all-zero row stays as it is."""
+    g = math.gcd(*nums)
+    return [x // g for x in nums] if g > 1 else nums
+
+
+def reference_eliminate(row: list[int], c: int, p: int, cells: list[tuple[int, int]]) -> list[int]:
+    """simplex._eliminate as it was: every updated row divided by its gcd,
+    after unit pivots too."""
+    a = row[c]
+    new = [x * p for x in row] if p != 1 else row[:]
+    for j, y in cells:
+        new[j] -= a * y
+    return reference_primitive(new)
+
+
+class ReferenceSimplexProgram(SimplexProgram):
+    """SimplexProgram with its pivoting and its maximize as they were before
+    unit pivots skipped the gcd and the result was computed on integers:
+    every row update goes through reference_eliminate, and maximize sums
+    its Fraction witness basic row by basic row.  Construction and phase
+    one are inherited and call these methods.  ``counts`` records the unit
+    pivots, the other pivots and the ratio-test ties of every phase."""
+
+    def __init__(self, *args, **kwargs):
+        self.counts = {"unit pivots": 0, "other pivots": 0, "ratio ties": 0}
+        super().__init__(*args, **kwargs)
+
+    def _pivot(self, rows, basis, obj: list[int], r: int, c: int) -> list[int]:
+        prow = rows[r]
+        if prow[c] < 0:
+            rows[r] = prow = [-x for x in prow]
+        p, cells = prow[c], [(j, y) for j, y in enumerate(prow) if y]
+        self.counts["unit pivots" if p == 1 else "other pivots"] += 1
+        for i, row in enumerate(rows):
+            if row[c] and i != r:
+                rows[i] = reference_eliminate(row, c, p, cells)
+        basis[r] = c
+        return reference_eliminate(obj, c, p, cells) if obj[c] else obj
+
+    def _bland(self, rows, basis, obj: list[int]) -> tuple[str, list[int]]:
+        ncols = self.ncols
+        while True:
+            enter = next((j for j in range(ncols) if obj[j] < 0), -1)
+            if enter < 0:
+                return OPTIMAL, obj
+            leave = -1
+            lb = la = 0
+            for i, row in enumerate(rows):
+                a = row[enter]
+                if a <= 0:
+                    continue
+                b = row[-1]
+                if leave >= 0 and b * la == lb * a:
+                    self.counts["ratio ties"] += 1
+                if leave < 0 or b * la < lb * a or (b * la == lb * a and basis[i] < basis[leave]):
+                    leave, lb, la = i, b, a
+            if leave < 0:
+                return UNBOUNDED, obj
+            obj = self._pivot(rows, basis, obj, leave, enter)
+
+    @staticmethod
+    def _objective_row(rows, basis, c_vec) -> list[int]:
+        obj = [-c for c in c_vec] + [0, 1]
+        for row, col in zip(rows, basis):
+            if obj[col]:
+                cells = [(j, y) for j, y in enumerate(row) if y]
+                obj = reference_eliminate(obj, col, row[col], cells)
+        return obj
+
+    def maximize(self, objective):
+        if len(objective) != self.n_vars:
+            raise errors.DimensionMismatch("objective width mismatch")
+        if not self.feasible:
+            return INFEASIBLE, None, None
+        rows = list(self._rows0)
+        basis = self._basis0[:]
+        c_vec = [0] * self.ncols
+        for j, w in enumerate(objective):
+            c_vec[j] = w
+            if not self.nonneg:
+                c_vec[self.n_vars + j] = -w
+        obj = self._objective_row(rows, basis, c_vec)
+        status, obj = self._bland(rows, basis, obj)
+        if status != OPTIMAL:
+            return status, None, None
+        value = Fraction(obj[-2], obj[-1])
+        point = [Fraction(0)] * self.n_vars
+        for i, row in enumerate(rows):
+            col = basis[i]
+            val = Fraction(row[-1], row[col])
+            if col < self.n_vars:
+                point[col] += val
+            elif not self.nonneg and col < 2 * self.n_vars:
+                point[col - self.n_vars] -= val
+        return OPTIMAL, value, tuple(point)
+
+
+def reference_lp_maximize(sys, weights, add_box: bool = True):
+    """polytope.lp_maximize on a fresh ReferenceSimplexProgram: the same
+    constraints, the same statuses raised as Infeasible and Unbounded, and
+    the optimum scaled back by the weights' common denominator."""
+    constraints = []
+    for row in sys.rows:
+        coeffs = [0] * sys.dimension
+        for i in row.support:
+            coeffs[i] = 1
+        constraints.append((coeffs, row.rel, row.bound))
+    if add_box:
+        for i in range(sys.dimension):
+            coeffs = [0] * sys.dimension
+            coeffs[i] = 1
+            constraints.append((coeffs, "<=", 1))
+    ints, scale = _integral(weights)
+    prog = ReferenceSimplexProgram(sys.dimension, constraints, nonneg=add_box)
+    status, value, point = prog.maximize(ints)
+    if status == INFEASIBLE:
+        raise errors.Infeasible("system has no feasible point")
+    if status == UNBOUNDED:
+        raise errors.Unbounded("objective is unbounded over the system")
+    return Fraction(value, scale), point
+
+
+def sparse_paving(n: int, r: int, seed: int) -> Matroid:
+    """A seeded sparse paving matroid of rank r on n elements: the r-sets,
+    taken in a seeded order, are packed greedily so that any two kept ones
+    meet in at most r - 2 elements, and the kept ones (its
+    circuit-hyperplanes) are dropped from U(r,n)'s bases."""
+    rng = Random(seed)
+    sets = [mask_of(c) for c in itertools.combinations(range(n), r)]
+    rng.shuffle(sets)
+    kept: list[int] = []
+    for a in sets:
+        if all((a & b).bit_count() <= r - 2 for b in kept):
+            kept.append(a)
+    dropped = set(kept)
+    bases = [bits_of(a) for a in sorted(sets) if a not in dropped]
+    return from_bases(n, bases, name="sparse_paving_%d_%d_%d" % (n, r, seed))

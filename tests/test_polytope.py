@@ -8,10 +8,12 @@ import pytest
 
 import lockedmatroid as lm
 from lockedmatroid import errors
-from lockedmatroid.polytope import (LinearSystem, _member, _member_Q, _sample_points, build_P,
-                                    lp_maximize, member, member_Q, sample_rational_points)
+from lockedmatroid.polytope import (LinearSystem, Row, _member, _member_Q, _program,
+                                    _sample_points, build_P, lp_maximize, member, member_Q,
+                                    sample_rational_points)
 from helpers import (exhaustive_max_basis, fraction_member, fraction_member_Q,
-                     reference_sample_rational_points)
+                     reference_lp_maximize, reference_sample_rational_points, sparse_paving)
+from test_stress_tier import STRESS_TIER
 
 
 def system_for(m):
@@ -176,6 +178,14 @@ def test_vertex_masks_match_the_member_scan(corpus):
                 if k == m.rank:
                     sizes.add("empty" if not got else "all" if got == m.bases else "part")
     assert sizes == {"empty", "part", "all"}
+
+
+def test_vertices_refuse_a_bad_cardinality():
+    sys = system_for(lm.mk4())
+    for k in (-1, -7, 1.0, 2.5, "3", None):
+        with pytest.raises(errors.InvalidParams, match="^cardinality must be a nonnegative int"):
+            lm.zero_one_vertices(sys, k)
+    assert lm.zero_one_vertices(sys, 0) == lm.zero_one_vertices(sys, 7) == ()
 
 
 # -- greedy ------------------------------------------------------------------------
@@ -386,3 +396,49 @@ def test_integer_cores_match_the_fraction_oracles(corpus):
             seen["in Q"] += in_q
             seen["in P"] += in_p[0]
     assert min(seen.values()) > 50, seen
+
+
+def test_lp_maximize_matches_the_reference(corpus):
+    # the same optimum and witness, or the same exception, as lp_maximize on
+    # the simplex that divided every row by its gcd, on every corpus and
+    # stress-tier system and a sparse paving one, with and without the box
+    systems = [system_for(m) for m in corpus]
+    systems += [system_for(build()) for build in STRESS_TIER.values()]
+    systems.append(system_for(sparse_paving(12, 6, 1)))
+    # U(1,3)'s x(E) = 1 with x(0) >= 0 is unbounded without the box, and
+    # with x(0) >= 2 it is infeasible inside the box
+    eq1 = systems[0].rows[:1]
+    systems += [LinearSystem(3, eq1 + (Row((0,), ">=", b, "box"),)) for b in (0, 2)]
+    rng = Random(23)
+    outcomes = set()
+    for sys in systems:
+        for _ in range(3):
+            w = [rng.randint(-10, 10) for _ in range(sys.dimension)]
+            w[rng.randrange(sys.dimension)] = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+            for add_box in (True, False):
+                try:
+                    got = lp_maximize(sys, w, add_box=add_box)
+                except errors.LockedMatroidError as exc:
+                    with pytest.raises(type(exc)):
+                        reference_lp_maximize(sys, w, add_box=add_box)
+                    outcomes.add(type(exc).__name__)
+                    continue
+                assert got == reference_lp_maximize(sys, w, add_box=add_box), (sys.dimension, w)
+                assert all(type(v) is Fraction for v in (got[0],) + got[1])
+                outcomes.add("optimal")
+    assert outcomes == {"optimal", "Unbounded", "Infeasible"}
+
+
+def test_a_system_is_hashed_and_compiled_from_its_rows():
+    # the cached hash and the compiled rows belong to the system object, so
+    # an equal system shares the LP cache and an edited copy reads its rows
+    sys = system_for(lm.mk4())
+    twin = LinearSystem(sys.dimension, tuple(sys.rows))
+    assert twin == sys and hash(twin) == hash(sys) == hash((sys.dimension, sys.rows))
+    assert _program(sys, True) is _program(twin, True)
+    basis = [1, 1, 1, 0, 0, 0]
+    assert _member(sys, basis, 1) == (True, None)
+    row = sys.rows[0]
+    low = dataclasses.replace(sys, rows=(dataclasses.replace(row, bound=2),) + sys.rows[1:])
+    assert low != sys and _member(low, basis, 1) == (False, low.rows[0])
+    assert _member(sys, basis, 1) == (True, None)

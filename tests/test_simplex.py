@@ -1,11 +1,13 @@
 import copy
 import hashlib
+from fractions import Fraction
 from random import Random
 
 import pytest
 
 from lockedmatroid import errors
 from lockedmatroid.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, SimplexProgram
+from helpers import ReferenceSimplexProgram, reference_primitive
 
 _FLIP = {"==": "==", "<=": ">=", ">=": "<="}
 
@@ -92,3 +94,37 @@ def test_maximize_leaves_the_stored_tableau_alone():
             statuses.add(prog.maximize(w)[0])
             assert vars(prog) == before
     assert statuses == {OPTIMAL, INFEASIBLE, UNBOUNDED}
+
+
+def test_lp_core_matches_the_reference():
+    # the same (status, value, witness) as the simplex that divided every
+    # row by its gcd and summed a Fraction witness, and an integer result
+    # that is the same answer over positive denominators; after phase one
+    # the basis is the same and each row a positive multiple of its row
+    seen = {OPTIMAL: 0, INFEASIBLE: 0, UNBOUNDED: 0, "free": 0, "nonneg": 0,
+            "unit pivots": 0, "other pivots": 0, "ratio ties": 0}
+    dropped = 0
+    for n, cons, nonneg, objs in random_programs(4242, 1500):
+        prog = SimplexProgram(n, cons, nonneg=nonneg)
+        ref = ReferenceSimplexProgram(n, cons, nonneg=nonneg)
+        seen["nonneg" if nonneg else "free"] += 1
+        assert prog.feasible == ref.feasible
+        if prog.feasible:
+            assert prog._basis0 == ref._basis0
+            assert list(map(reference_primitive, prog._rows0)) == \
+                list(map(reference_primitive, ref._rows0))
+        for w in objs + [[0] * n]:
+            out = prog.maximize(w)
+            assert out == ref.maximize(w), (n, cons, nonneg, w)
+            status, value, witness = prog.maximize_integral(w)
+            seen[status] += 1
+            if status == OPTIMAL:
+                (num, den), (x, d) = value, witness
+                assert den > 0 and d > 0
+                assert (Fraction(num, den), tuple(Fraction(a, d) for a in x)) == out[1:]
+            else:
+                assert value is None and witness is None
+        for key, count in ref.counts.items():
+            seen[key] += count
+        dropped += ref.feasible and len(ref._rows0) < len(cons)  # a redundant row
+    assert min(seen.values()) > 200 and dropped > 10, (seen, dropped)
