@@ -53,9 +53,11 @@ def lane_bits(n: int) -> Iterator[int]:
     little-endian integer: HAS_i holds 1 in each lane whose index has bit i
     and 0 in the others.  Each pattern is built by repeating a block of
     2^(i+1) lanes, afresh on every call: a cache of them for each n would
-    cost more memory than the tables they build.  A caller that makes two
-    passes, as Matroid._build_tables does, lists them once and drops the
-    list when it returns."""
+    cost more memory than the tables they build.  A caller that makes
+    several passes lists them once and drops the list when it returns:
+    Matroid._build_tables lists them for its two passes and hands the list
+    back, and locked_structure reads it again for the cyclic flats of the
+    same call."""
     size = 1 << n
     for i in range(n):
         half = 1 << i

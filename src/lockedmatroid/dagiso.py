@@ -25,8 +25,12 @@ moves, and a node merges it once into one union-find of orbits.
 A pair is tested as McKay & Piperno do: unequal vertex counts, arc counts
 or (colour, in-degree, out-degree) profiles answer at once, and otherwise
 the second digraph is searched against the first one's canonical key, which
-ends at the first leaf that reaches or beats that key.  A pair costs one
-full search, and the witness is the one two canonical forms would give.
+ends at the first leaf that reaches or beats that key.  For are_isomorphic a
+pair costs one full search, and the witness is the one two canonical forms
+would give.  isomorphic, which wants the answer alone, first searches each
+digraph only down to its first leaf: two leaves with equal keys give an
+isomorphism between their numberings, and only unequal ones, which prove
+nothing, cost are_isomorphic's full search.
 
 Digests are the hex encoding of the canonical byte string itself, not a
 hash: equal digests are equivalent to isomorphism by construction.
@@ -137,10 +141,15 @@ def _degree_key(ins: list[int], outs: list[int]):
     return lambda col: (*sorted(get_in(col)), *sorted(get_out(col)))
 
 
-def _search(g: ColoredDigraph, target: Optional[tuple]) -> tuple[list[int], tuple]:
+# the target of a search that stops at its first leaf
+_FIRST_LEAF = object()
+
+
+def _search(g: ColoredDigraph, target) -> tuple[list[int], tuple]:
     """(perm, key) of the first leaf in search order with the least key
     (colors, arcs); with a target key, the search stops at the first leaf
-    whose key is at most the target and returns that leaf."""
+    whose key is at most the target and returns that leaf, and with
+    _FIRST_LEAF it returns the first leaf of all."""
     n = g.vertex_count
     if n == 0:
         return [], ((), ())
@@ -209,7 +218,8 @@ def _search(g: ColoredDigraph, target: Optional[tuple]) -> tuple[list[int], tupl
             for v in range(n):
                 inv[col[v]] = v
             best_key, best_perm, best_inv, best_path = key, list(col), inv, path
-            if target is not None and (colors, _pairs(key, n)) <= target:
+            if target is _FIRST_LEAF or (target is not None
+                                        and (colors, _pairs(key, n)) <= target):
                 return -1
         elif key == best_key:
             a = list(map(best_inv.__getitem__, col))
@@ -311,6 +321,21 @@ def _profile(g: ColoredDigraph) -> tuple[tuple, list[int], list[int]]:
     return (g.vertex_count, len(g.arcs), sorted(zip(g.colors, ind, outd))), ind, outd
 
 
+def _verified_map(g1: ColoredDigraph, g2: ColoredDigraph, perm1: list[int],
+                  perm2: list[int]) -> tuple[int, ...]:
+    """The vertex map that sends g1's vertex at each leaf position to g2's
+    vertex at the same position, checked colour by colour and arc by arc."""
+    inv2 = [0] * g2.vertex_count
+    for v, p in enumerate(perm2):
+        inv2[p] = v
+    mapping = tuple(inv2[perm1[v]] for v in range(g1.vertex_count))
+    if any(g1.colors[v] != g2.colors[mapping[v]] for v in range(g1.vertex_count)):
+        raise errors.LockedMatroidError("iso witness does not preserve colors")
+    if sorted((mapping[u], mapping[v]) for (u, v) in g1.arcs) != sorted(g2.arcs):
+        raise errors.LockedMatroidError("iso witness does not carry arcs onto arcs")
+    return mapping
+
+
 def are_isomorphic(g1: ColoredDigraph, g2: ColoredDigraph):
     """(answer, witness): witness maps vertices of g1 to vertices of g2 and is
     verified arc-by-arc and color-by-color before being returned.
@@ -327,15 +352,25 @@ def are_isomorphic(g1: ColoredDigraph, g2: ColoredDigraph):
     perm2, key2 = _search(g2, target)
     if key2 != target:
         return False, None
-    inv2 = [0] * g2.vertex_count
-    for v, p in enumerate(perm2):
-        inv2[p] = v
-    mapping = tuple(inv2[cf1.perm[v]] for v in range(g1.vertex_count))
-    if any(g1.colors[v] != g2.colors[mapping[v]] for v in range(g1.vertex_count)):
-        raise errors.LockedMatroidError("iso witness does not preserve colors")
-    if sorted((mapping[u], mapping[v]) for (u, v) in g1.arcs) != sorted(g2.arcs):
-        raise errors.LockedMatroidError("iso witness does not carry arcs onto arcs")
-    return True, mapping
+    return True, _verified_map(g1, g2, cf1.perm, perm2)
+
+
+def isomorphic(g1: ColoredDigraph, g2: ColoredDigraph) -> bool:
+    """are_isomorphic's answer, without its witness.
+
+    Unequal invariants answer False, as there.  Otherwise each digraph is
+    searched down to its first leaf only.  Equal leaf keys make the map
+    between the two leaves' numberings an isomorphism, which is checked as
+    are_isomorphic checks its witness; unequal ones prove nothing, and
+    are_isomorphic decides."""
+    if _profile(g1)[0] != _profile(g2)[0]:
+        return False
+    perm1, key1 = _search(g1, _FIRST_LEAF)
+    perm2, key2 = _search(g2, _FIRST_LEAF)
+    if key1 != key2:
+        return are_isomorphic(g1, g2)[0]
+    _verified_map(g1, g2, perm1, perm2)
+    return True
 
 
 def brute_force_iso(g1: ColoredDigraph, g2: ColoredDigraph, max_n: int = 12) -> bool:

@@ -8,7 +8,9 @@ Three routes:
 * mip_locked: builds the reduced locked lattices and compares them on one
   encoding: as colored DAGs (the labels route, the default) or as their
   unlabeled series-arc encodings (the series route); answer-only, no
-  element witness.
+  element witness, so the comparison is dagiso.isomorphic, which answers
+  from the two lattices' first search leaves when their keys agree and
+  runs one full canonical search only when they do not.
 * mip_zero_locked: for matroids without locked subsets, compares the
   sorted coparallel and parallel closure cardinality sequences.  The
   closures come first, so a loop or a coloop is refused before
@@ -28,7 +30,7 @@ from typing import Optional
 
 from . import errors
 from ._bits import bits_of, mask_of
-from .dagiso import are_isomorphic
+from .dagiso import isomorphic
 from .lattice import reduced_lattice, series_encode, to_colored
 from .locked import LockedStructure, _locked_iter, dual_structure, locked_structure
 from .matroid import Matroid, _reject_disconnected, closures
@@ -131,7 +133,7 @@ def _compare_lattices(s1: LockedStructure, s2: LockedStructure, route: str) -> I
     d1 = reduced_lattice(s1)
     d2 = reduced_lattice(s2)
     encode = to_colored if route == "labels" else series_encode
-    return IsoReport(are_isomorphic(encode(d1), encode(d2))[0], "lattice",
+    return IsoReport(isomorphic(encode(d1), encode(d2)), "lattice",
                      locked_counts=(len(s1.locked), len(s2.locked)))
 
 

@@ -115,16 +115,17 @@ def _check_exchange(masks: Sequence[int], mask_set: set[int]) -> None:
                     )
 
 
-def _rank_steps(ranks: bytes, n: int) -> Iterator[tuple[int, int]]:
+def _rank_steps(ranks: bytes, n: int, lanes: Optional[list[int]] = None
+                ) -> Iterator[tuple[int, int]]:
     """(HAS_e, D_e) for e = 0, ..., n-1, over the byte lanes of a rank
     table, one lane per subset X: lane X of D_e holds r(X+e) - r(X) on the
     lanes X without e and 0 on the others.  It is one subtraction, and
     every lane of it is 0 or 1, with no borrow, because r is monotone and
-    grows by at most one."""
+    grows by at most one.  lanes, when given, lists lane_bits(n)."""
     size = 1 << n
     r = int.from_bytes(ranks, "little")
     ones = int.from_bytes(b"\1" * size, "little")
-    for e, has in enumerate(lane_bits(n)):
+    for e, has in enumerate(lanes or lane_bits(n)):
         rest = (ones ^ has) * 0xFF  # the lanes without e
         yield has, ((r >> (8 << e)) & rest) - (r & rest)
 
@@ -282,7 +283,9 @@ class Matroid:
             self._comps = comps
         return self._comps
 
-    def _build_tables(self) -> None:
+    def _build_tables(self) -> list[int]:
+        """Builds the rank table and returns the list of lane_bits(n) that it
+        read, for a caller that reads the patterns too."""
         n = self.n
         _refuse_large(n)
         size = 1 << n
@@ -292,7 +295,7 @@ class Matroid:
         # Byte lane x of each integer below holds a value for the subset x.
         # Values stay below 0x80, so a lane never carries into the next.
         ind = int.from_bytes(ind, "little")
-        lanes = list(lane_bits(n))  # read by both passes, then dropped
+        lanes = list(lane_bits(n))  # read by both passes
         count = 0
         for i, has in enumerate(lanes):
             ind |= (ind & has) >> (8 << i)  # subsets of independent sets
@@ -308,6 +311,7 @@ class Matroid:
             ge = (((b | (has << 7)) - a) >> 7) & has
             r ^= (a ^ b) & ((has ^ ge) * 0xFF)
         self._ranks = r.to_bytes(size, "little")
+        return lanes
 
     def is_independent(self, elements: Iterable[int]) -> bool:
         m = _check_elements(self.n, elements)
@@ -430,16 +434,18 @@ def restriction(m: Matroid, elements: Iterable[int]) -> Matroid:
     return minor(m, delete=bits_of(m.full_mask & ~keep))
 
 
-def cyclic_flats(ranks: bytes, n: int, comp: int) -> Iterator[int]:
+def cyclic_flats(ranks: bytes, n: int, comp: int,
+                 lanes: Optional[list[int]] = None) -> Iterator[int]:
     """The cyclic flats of M|comp, as masks in increasing order, read from
     M's rank table in byte lanes, one lane per subset X, with the lanes
     D_e(X) = r(X+e) - r(X) of _rank_steps for each e in comp (on the lanes
     X without e; lanes with e are 0).  X is a cyclic flat when
     D_e(X) = 1 for every e in comp\\X (X is closed in comp) and
-    D_e(X-e) = 0 for every e in X (X is a union of circuits)."""
+    D_e(X-e) = 0 for every e in X (X is a union of circuits).  lanes, when
+    given, lists lane_bits(n)."""
     size = 1 << n
     flats = int.from_bytes(b"\1" * size, "little")
-    for e, (has, d) in enumerate(_rank_steps(ranks, n)):
+    for e, (has, d) in enumerate(_rank_steps(ranks, n, lanes)):
         if not comp >> e & 1:
             flats &= ~has  # X inside comp
             continue
@@ -470,12 +476,18 @@ def is_connected(m: Matroid) -> bool:
 
 
 def _reject_loops_coloops(m: Matroid) -> None:
-    lo = m.loops()
-    if lo:
-        raise errors.LoopPresent(lo[0])
-    co = m.coloops()
-    if co:
-        raise errors.ColoopPresent(co[0])
+    """The least loop, then the least coloop, read from the rank table: e is
+    a loop when r({e}) = 0 and a coloop when r(E-e) < r(E).  The table comes
+    first, so a ground set over MAX_N is refused as such."""
+    ranks = m._rank_table()
+    full = m.full_mask
+    for e in range(m.n):
+        if not ranks[1 << e]:
+            raise errors.LoopPresent(e)
+    r_e = ranks[full]
+    for e in range(m.n):
+        if ranks[full ^ 1 << e] < r_e:
+            raise errors.ColoopPresent(e)
 
 
 def _reject_disconnected(m: Matroid) -> None:

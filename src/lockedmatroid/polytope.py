@@ -50,6 +50,10 @@ class Row:
     bound: int
     tag: str  # eq1 | parallel | coparallel | locked | box
 
+    def __post_init__(self):
+        if self.rel not in simplex.RELATIONS:
+            raise errors.InvalidParams("unknown constraint relation %r" % (self.rel,))
+
 
 @dataclass(frozen=True)
 class LinearSystem:
@@ -95,8 +99,7 @@ def _member(sys: LinearSystem, x: Sequence[int], d: int) -> tuple[bool, Optional
     for support, rel, bound, row in sys._checks:
         total = sum(map(coord, support))
         bound *= d
-        if (total > bound if rel == "<=" else total < bound if rel == ">="
-                else rel == "==" and total != bound):
+        if total > bound if rel == "<=" else total < bound if rel == ">=" else total != bound:
             return False, row
     return True, None
 
@@ -146,7 +149,7 @@ def zero_one_vertices(sys: LinearSystem, cardinality: int) -> tuple[tuple[int, .
                                    % (cardinality,))
     rows = {"==": [], "<=": [], ">=": []}
     for row in sys.rows:
-        rows.setdefault(row.rel, []).append((mask_of(row.support), row.bound))
+        rows[row.rel].append((mask_of(row.support), row.bound))
     eq, le, ge = rows["=="], rows["<="], rows[">="]
     bits = [1 << i for i in range(sys.dimension)]
     return tuple(comb for comb, c in zip(itertools.combinations(range(sys.dimension), cardinality),

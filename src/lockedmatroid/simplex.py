@@ -43,6 +43,7 @@ from typing import Optional, Sequence
 from . import errors
 
 Constraint = tuple[Sequence[int], str, int]  # (coefficients, relation, bound)
+RELATIONS = ("<=", ">=", "==")
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -89,6 +90,8 @@ class SimplexProgram:
             coeffs = list(coeffs)
             if len(coeffs) != n_vars:
                 raise errors.DimensionMismatch("constraint width mismatch")
+            if rel not in RELATIONS:
+                raise errors.InvalidParams("unknown constraint relation %r" % (rel,))
             if bound < 0:
                 coeffs = [-c for c in coeffs]
                 bound = -bound

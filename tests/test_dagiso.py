@@ -127,19 +127,23 @@ def test_brute_force_too_large():
     assert lm.brute_force_iso(g, g, max_n=13)
 
 
-def test_agreement_battery_random_pairs():
-    # seeded random digraphs with up to 8 vertices: the canonical engine and
-    # the exhaustive search must agree on 1000 pairs
+def _agreement_battery_pairs():
+    """Seeded random DAGs with up to 8 vertices: 1000 pairs, every other one
+    a relabelling."""
     rng = Random(20240915)
     for trial in range(1000):
         n = rng.randint(1, 8)
         arcs1, cols1 = random_colored_dag(rng, n)
-        g1 = ColoredDigraph(n, tuple(arcs1), cols1)
         if trial % 2 == 0:
             arcs2, cols2 = permute_digraph(rng, n, arcs1, cols1)
         else:
             arcs2, cols2 = random_colored_dag(rng, n)
-        g2 = ColoredDigraph(n, tuple(arcs2), cols2)
+        yield ColoredDigraph(n, tuple(arcs1), cols1), ColoredDigraph(n, tuple(arcs2), cols2)
+
+
+def test_agreement_battery_random_pairs():
+    # the canonical engine and the exhaustive search must agree on 1000 pairs
+    for trial, (g1, g2) in enumerate(_agreement_battery_pairs()):
         fast = lm.are_isomorphic(g1, g2)[0]
         slow = lm.brute_force_iso(g1, g2)
         assert fast == slow, (trial, g1, g2)
@@ -194,16 +198,8 @@ def _pinned_canonical_inputs(corpus, structures):
         yield lm.series_encode(d)
         yield lm.to_colored(lm.augmented_lattice(s))
         yield lm.to_colored(lm.reduced_lattice(lm.dual_structure(s)))
-    rng = Random(20240915)
-    for trial in range(1000):
-        n = rng.randint(1, 8)
-        arcs1, cols1 = random_colored_dag(rng, n)
-        yield ColoredDigraph(n, tuple(arcs1), cols1)
-        if trial % 2 == 0:
-            arcs2, cols2 = permute_digraph(rng, n, arcs1, cols1)
-        else:
-            arcs2, cols2 = random_colored_dag(rng, n)
-        yield ColoredDigraph(n, tuple(arcs2), cols2)
+    for pair in _agreement_battery_pairs():
+        yield from pair
 
 
 def test_canonical_forms_pinned(corpus, structures):
@@ -435,3 +431,42 @@ def test_degree_keys_match_reference_on_multi_digraphs():
     degrees = {(i, o) for i in range(3) for o in range(3)}
     assert {(i, o) for c, i, o in kinds if c == 0} == degrees
     assert {(i, o) for c, i, o in kinds if c == 1} == degrees
+
+
+def test_isomorphic_is_are_isomorphics_answer(corpus, structures):
+    # the answer-only test answers from two first leaves when their keys
+    # agree and from are_isomorphic otherwise: every answer must be
+    # are_isomorphic's, on the seeded batteries above, the corpus and
+    # stress-tier lattices on both encodings against relabellings and their
+    # duals' lattices, the multi-digraphs against relabellings and
+    # independent partners, and the empty digraph, whose one leaf is the root
+    empty = ColoredDigraph(0, (), ())
+    pairs = itertools.chain(_agreement_battery_pairs(),
+                            _two_search_oracle_pairs(corpus, structures),
+                            _rewired_pairs(Random(77), 200), [(empty, empty)])
+    counts = collections.Counter()
+    for g1, g2 in pairs:
+        answer = dagiso.isomorphic(g1, g2)
+        assert answer == lm.are_isomorphic(g1, g2)[0], (g1, g2)
+        counts[answer] += 1
+    for g, rng in _multi_digraph_battery():
+        arcs, cols = random_multi_digraph(rng, g.vertex_count, 2)
+        for h in (_relabelled(rng, g), ColoredDigraph(g.vertex_count, tuple(arcs), cols)):
+            answer = dagiso.isomorphic(g, h)
+            assert answer == lm.are_isomorphic(g, h)[0], (g, h)
+            counts[answer] += 1
+    assert sum(counts.values()) == 1000 + 600 + 63 + 2 * 226 + 200 + 1 + 800 + 4 * (
+        len(corpus) + len(STRESS_TIER))
+    assert min(counts.values()) > 500
+
+
+def test_isomorphic_raises_when_the_leaf_map_fails(monkeypatch):
+    # equal first-leaf keys whose map does not carry arcs onto arcs would be
+    # a fault of the search; it raises rather than answering
+    path = ColoredDigraph(3, ((0, 1), (1, 2)), (0, 0, 0))
+    other = ColoredDigraph(3, ((0, 1), (2, 1)), (0, 0, 0))
+    search = dagiso._search
+    monkeypatch.setattr(dagiso, "_search", lambda g, target: search(path, target))
+    monkeypatch.setattr(dagiso, "_profile", lambda g: ((), [], []))
+    with pytest.raises(errors.LockedMatroidError, match="carry arcs onto arcs"):
+        dagiso.isomorphic(path, other)

@@ -6,9 +6,10 @@ from random import Random
 import pytest
 
 import lockedmatroid as lm
-from lockedmatroid import errors
+from lockedmatroid import dagiso, errors
 from lockedmatroid.matroid import GroundSet, Matroid
 from helpers import reference_zero_locked, shuffled_direct_sum
+from test_stress_tier import _mk4_chain
 
 
 def uniform_part(r, n):
@@ -277,3 +278,22 @@ def test_tsd_bruteforce_is_mip_bruteforce_against_the_dual(corpus):
         b = lm.mip_bruteforce(m, m.dual())
         assert a == b, m.name
 
+
+
+def test_lattice_verdicts_take_the_first_leaf_path(monkeypatch):
+    # relabelled inputs answer from the two lattices' first leaves: with the
+    # full search refused, mip_locked on both routes and tsd still say yes
+    def refuse(*_):
+        raise AssertionError("full search")
+
+    monkeypatch.setattr(dagiso, "are_isomorphic", refuse)
+    monkeypatch.setattr(dagiso, "canonical_form", refuse)
+    mk5 = lm.graphic(5, tuple(itertools.combinations(range(5), 2)))
+    rng = Random(24)
+    for m in (lm.vamos(), mk5, _mk4_chain(3), lm.uniform(7, 14)):
+        perm = list(range(m.n))
+        rng.shuffle(perm)
+        for route in ("labels", "series"):
+            assert lm.mip_locked(m, lm.relabel(m, perm), route=route).answer, (m.name, route)
+    for m in (lm.vamos(), lm.uniform(8, 16)):
+        assert lm.tsd(m).answer, m.name

@@ -4,8 +4,9 @@ from random import Random
 import pytest
 
 import lockedmatroid as lm
-from lockedmatroid import errors, locked
+from lockedmatroid import errors, locked, matroid
 from lockedmatroid._bits import bits_of
+from lockedmatroid.matroid import GroundSet, Matroid
 from lockedmatroid.cli import parse_gen_spec
 from helpers import (components, naive_is_cyclic_flat, naive_is_locked, naive_locked_sets,
                      reference_locked_iter, shuffled_direct_sum)
@@ -349,3 +350,28 @@ def test_k_locked_decision_aborts_past_the_threshold(monkeypatch):
     assert not verdict.yes and verdict.threshold == 1
     assert verdict.locked_count is None and verdict.structure is None
     assert 2 <= calls[0] < full
+
+
+def test_locked_structure_lists_the_lane_patterns_once(corpus, monkeypatch):
+    # a matroid without a rank table gets one built from the list of lane
+    # patterns that its cyclic flats read too; the structure is the one
+    # built on a table that was already there
+    calls = []
+    lane_bits = matroid.lane_bits
+
+    def counted(n):
+        calls.append(n)
+        return lane_bits(n)
+
+    monkeypatch.setattr(matroid, "lane_bits", counted)
+    for m in list(corpus) + [build() for build in STRESS_TIER.values()]:
+        fresh = Matroid(m.ground, m._basis_masks)
+        calls.clear()
+        s = lm.locked_structure(fresh)
+        assert calls == [m.n], m.name
+        assert s == lm.locked_structure(m), m.name
+    # seventeen elements are refused before any pattern is listed
+    calls.clear()
+    with pytest.raises(errors.TooLarge, match="got 17$"):
+        lm.locked_structure(Matroid(GroundSet.default(17), [0b11]))
+    assert calls == []

@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 from math import comb
 from random import Random
 
@@ -660,6 +661,41 @@ def test_closures_reject_loops_coloops():
         lm.closures(lm.uniform(0, 3))
     with pytest.raises(errors.ColoopPresent):
         lm.closures(lm.uniform(3, 3))
+
+
+def _refusal(check, m):
+    try:
+        check(m)
+    except (errors.LoopPresent, errors.ColoopPresent) as exc:
+        return type(exc), exc.element
+    return None
+
+
+def _scan_refusal(m):
+    # the least loop, then the least coloop, from the scans over the bases
+    if m.loops():
+        return errors.LoopPresent, m.loops()[0]
+    if m.coloops():
+        return errors.ColoopPresent, m.coloops()[0]
+    return None
+
+
+def test_closures_refuse_loops_and_coloops_as_the_basis_scan_does():
+    # closures reads loops and coloops from the rank table; the error type
+    # and the element, the least, are those of the scans over the bases
+    rng = Random(24)
+    parts = [(1, [()]), (1, [(0,)]), (3, list(itertools.combinations(range(3), 2))),
+             (4, list(itertools.combinations(range(4), 2)))]
+    refused = Counter()
+    for _ in range(200):
+        chosen = [rng.choice(parts) for _ in range(rng.randint(1, 4))]
+        m = lm.from_bases(*shuffled_direct_sum(chosen, rng))
+        fresh = Matroid(m.ground, m._basis_masks)
+        want = _scan_refusal(fresh)
+        assert fresh._ranks is None  # the scans build no table
+        assert _refusal(lm.closures, fresh) == want, m
+        refused[want and want[0]] += 1
+    assert min(refused.values()) > 20 and len(refused) == 3
 
 
 def test_closures_partition_and_l3(corpus):

@@ -442,3 +442,14 @@ def test_a_system_is_hashed_and_compiled_from_its_rows():
     low = dataclasses.replace(sys, rows=(dataclasses.replace(row, bound=2),) + sys.rows[1:])
     assert low != sys and _member(low, basis, 1) == (False, low.rows[0])
     assert _member(sys, basis, 1) == (True, None)
+
+
+def test_row_refuses_an_unknown_relation():
+    # a system holding such a row used to be built, and lp_maximize and
+    # member read past the row as if it were not there
+    with pytest.raises(errors.InvalidParams, match="^unknown constraint relation '<'$"):
+        LinearSystem(2, (Row((0, 1), "<", 1, "x"),))
+    for rel, top in (("<=", 1), (">=", 2), ("==", 1)):
+        sys = LinearSystem(2, (Row((0, 1), rel, 1, "x"),))
+        assert lm.member(sys, (1, 0))[0]
+        assert lm.lp_maximize(sys, (1, 1))[0] == top

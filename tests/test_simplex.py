@@ -128,3 +128,16 @@ def test_lp_core_matches_the_reference():
             seen[key] += count
         dropped += ref.feasible and len(ref._rows0) < len(cons)  # a redundant row
     assert min(seen.values()) > 200 and dropped > 10, (seen, dropped)
+
+
+@pytest.mark.parametrize("rel", ["<", "=", "=>", ""])
+def test_unknown_relation_is_refused(rel):
+    # it used to build a tableau without a slack, and maximize answered from it
+    with pytest.raises(errors.InvalidParams, match="^unknown constraint relation"):
+        SimplexProgram(1, [([1], rel, 1)])
+
+
+def test_unknown_relation_with_a_negative_bound_is_refused():
+    # flipping the row's sign used to look the relation up and raise KeyError
+    with pytest.raises(errors.InvalidParams, match="^unknown constraint relation '<'$"):
+        SimplexProgram(1, [([1], "<", -1)])

@@ -84,3 +84,42 @@ def test_traded_series_digest_is_relabelling_invariant(lattices):
     g = lm.series_encode(lattices["traded"])
     h = _relabelled(Random(15), g)
     assert canonical_form(g).digest == canonical_form(h).digest
+
+
+@pytest.mark.parametrize("route", ["labels", "series"])
+def test_isomorphic_is_are_isomorphics_answer_on_the_systems(lattices, route):
+    gs = [ENCODINGS[route](d) for d in lattices.values()]
+    rng = Random(15)
+    pairs = [(g, _relabelled(rng, g)) for g in gs] + [tuple(gs), tuple(gs[::-1])]
+    for g, h in pairs:
+        assert dagiso.isomorphic(g, h) == lm.are_isomorphic(g, h)[0]
+
+
+def _first_leaf_key(g):
+    return dagiso._search(g, dagiso._FIRST_LEAF)[1]
+
+
+def test_isomorphic_falls_back_to_the_full_search(lattices, monkeypatch):
+    # unequal first leaves prove nothing either way: PG(3,2) against the
+    # traded system agree on every invariant, and the traded system against
+    # a relabelling of it is an isomorphic pair; are_isomorphic answers both
+    calls = []
+    full = dagiso.are_isomorphic
+
+    def spy(g1, g2):
+        calls.append((g1, g2))
+        return full(g1, g2)
+
+    monkeypatch.setattr(dagiso, "are_isomorphic", spy)
+    pg, traded = (lm.to_colored(d) for d in lattices.values())
+    relabelled = _relabelled(Random(15), traded)
+    for g, h, answer in ((pg, traded, False), (traded, relabelled, True)):
+        assert dagiso._profile(g)[0] == dagiso._profile(h)[0]
+        assert _first_leaf_key(g) != _first_leaf_key(h)
+        calls.clear()
+        assert dagiso.isomorphic(g, h) is answer
+        assert calls == [(g, h)]
+    # PG(3,2)'s relabelling answers from the first leaves alone
+    calls.clear()
+    assert dagiso.isomorphic(pg, _relabelled(Random(15), pg))
+    assert calls == []
