@@ -4,6 +4,7 @@ the spanning-tree scan of graphic matroids both use."""
 
 from __future__ import annotations
 
+import functools
 from typing import Iterable, Iterator
 
 
@@ -48,20 +49,15 @@ def splits(mask: int) -> Iterator[int]:
         yield low | b
 
 
-def lane_bits(n: int) -> Iterator[int]:
+@functools.lru_cache(maxsize=1)
+def lane_bits(n: int) -> tuple[int, ...]:
     """HAS_0, ..., HAS_{n-1} over 2^n byte lanes, lane x being byte x of a
     little-endian integer: HAS_i holds 1 in each lane whose index has bit i
-    and 0 in the others.  Each pattern is built by repeating a block of
-    2^(i+1) lanes, afresh on every call: a cache of them for each n would
-    cost more memory than the tables they build.  A caller that makes
-    several passes lists them once and drops the list when it returns:
-    Matroid._build_tables lists them for its two passes and hands the list
-    back, and locked_structure reads it again for the cyclic flats of the
-    same call."""
-    size = 1 << n
-    for i in range(n):
-        half = 1 << i
-        yield int.from_bytes((bytes(half) + b"\1" * half) * (size >> (i + 1)), "little")
+    and 0 in the others, a block of 2^(i+1) lanes repeated.  Every lane pass
+    reads them, so they are memoized for the most recent n only: n * 2^n
+    bytes at most, 1 MiB at n = 16."""
+    return tuple(int.from_bytes((bytes(1 << i) + b"\1" * (1 << i)) * (1 << (n - 1 - i)), "little")
+                 for i in range(n))
 
 
 def subset_bits(n: int) -> Iterator[int]:

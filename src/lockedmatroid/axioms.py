@@ -117,8 +117,6 @@ class RankExtender:
 
     def __init__(self, s: LockedStructure):
         n = self.n = s.ground_size
-        if not isinstance(n, int):
-            raise errors.InvalidParams("ground_size %r is not an int" % (n,))
         _refuse_large(n)
         self.locked_masks = [_checked_mask(n, t) for t in s.locked]
         self.parallel_masks = [_checked_mask(n, t) for t in s.parallel]

@@ -123,25 +123,22 @@ def _is_locked_in_component(ranks, comp: int, flats: list[int], lm: int) -> bool
     return True
 
 
-def _locked_iter(m: Matroid, lanes: Optional[list[int]] = None) -> Iterator[int]:
+def _locked_iter(m: Matroid) -> Iterator[int]:
     """Masks of the locked subsets, component by component, in increasing
     integer order within each; callers that need an order sort.  Each
-    component's cyclic flats are listed once and are the only candidates.
-    lanes, when given, lists lane_bits(m.n)."""
+    component's cyclic flats are listed once and are the only candidates."""
     ranks = m._rank_table()
     for comp in m._components():
-        flats = list(cyclic_flats(ranks, m.n, comp, lanes))
+        flats = list(cyclic_flats(ranks, m.n, comp))
         for x in flats:
             if _is_locked_in_component(ranks, comp, flats, x):
                 yield x
 
 
 def locked_structure(m: Matroid) -> LockedStructure:
-    """Enumerate the locked subsets and assemble the full quadruple.  A
-    matroid without a rank table gets one here, from a list of the lane
-    patterns that the cyclic flats read too; the list lives for this call."""
-    lanes = m._build_tables() if m._ranks is None else None
-    return _assemble(m, _locked_iter(m, lanes))
+    """Enumerate the locked subsets and assemble the full quadruple.  The rank
+    table and the cyclic flats read one memo of lane patterns, lane_bits(n)."""
+    return _assemble(m, _locked_iter(m))
 
 
 def _assemble(m: Matroid, locked_masks) -> LockedStructure:

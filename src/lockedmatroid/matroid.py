@@ -44,6 +44,8 @@ class GroundSet:
     names: tuple[str, ...]
 
     def __post_init__(self):
+        if not isinstance(self.n, int):
+            raise errors.InvalidParams("ground set size %r is not an int" % (self.n,))
         if self.n < 1:
             raise errors.InvalidParams("ground set needs at least one element")
         if len(self.names) != self.n:
@@ -68,6 +70,10 @@ class GroundSet:
 
 
 def _check_elements(n: int, elements: Iterable[int]) -> int:
+    try:
+        elements = iter(elements)
+    except TypeError:
+        raise errors.InvalidParams("%r is not a collection of indices" % (elements,)) from None
     m = 0
     for e in elements:
         if not isinstance(e, int) or e < 0 or e >= n:
@@ -86,6 +92,8 @@ _ZERO_TO_ONE = b"\1" + bytes(255)
 
 
 def _refuse_large(n: int) -> None:
+    if not isinstance(n, int):
+        raise errors.InvalidParams("ground set size %r is not an int" % (n,))
     if n > MAX_N:
         raise errors.TooLarge("validation builds a 2^n rank table; |E| capped at %d, got %d"
                               % (MAX_N, n))
@@ -115,17 +123,16 @@ def _check_exchange(masks: Sequence[int], mask_set: set[int]) -> None:
                     )
 
 
-def _rank_steps(ranks: bytes, n: int, lanes: Optional[list[int]] = None
-                ) -> Iterator[tuple[int, int]]:
+def _rank_steps(ranks: bytes, n: int) -> Iterator[tuple[int, int]]:
     """(HAS_e, D_e) for e = 0, ..., n-1, over the byte lanes of a rank
     table, one lane per subset X: lane X of D_e holds r(X+e) - r(X) on the
     lanes X without e and 0 on the others.  It is one subtraction, and
     every lane of it is 0 or 1, with no borrow, because r is monotone and
-    grows by at most one.  lanes, when given, lists lane_bits(n)."""
+    grows by at most one."""
     size = 1 << n
     r = int.from_bytes(ranks, "little")
     ones = int.from_bytes(b"\1" * size, "little")
-    for e, has in enumerate(lanes or lane_bits(n)):
+    for e, has in enumerate(lane_bits(n)):
         rest = (ones ^ has) * 0xFF  # the lanes without e
         yield has, ((r >> (8 << e)) & rest) - (r & rest)
 
@@ -272,20 +279,18 @@ class Matroid:
             lanes = excess.to_bytes(size, "little").translate(_ZERO_TO_ONE)
             comps = [lanes.find(1, 1)]  # lane 0, the empty set, is a separator
             if comps[0] != full:
-                has = list(lane_bits(n))
                 seps = int.from_bytes(lanes, "little")
                 covered = comps[0]
                 while covered != full:
                     for e in bits_of(comps[-1]):
-                        seps &= ~has[e]
+                        seps &= ~lane_bits(n)[e]
                     comps.append(seps.to_bytes(size, "little").find(1, 1))
                     covered |= comps[-1]
             self._comps = comps
         return self._comps
 
-    def _build_tables(self) -> list[int]:
-        """Builds the rank table and returns the list of lane_bits(n) that it
-        read, for a caller that reads the patterns too."""
+    def _build_tables(self) -> None:
+        """Builds the rank table in two passes over the patterns of lane_bits(n)."""
         n = self.n
         _refuse_large(n)
         size = 1 << n
@@ -295,13 +300,10 @@ class Matroid:
         # Byte lane x of each integer below holds a value for the subset x.
         # Values stay below 0x80, so a lane never carries into the next.
         ind = int.from_bytes(ind, "little")
-        lanes = list(lane_bits(n))  # read by both passes
-        count = 0
-        for i, has in enumerate(lanes):
+        for i, has in enumerate(lane_bits(n)):
             ind |= (ind & has) >> (8 << i)  # subsets of independent sets
-            count += has
-        r = (ind * 0xFF) & count  # |X| on the independent sets, 0 elsewhere
-        for i, has in enumerate(lanes):
+        r = (ind * 0xFF) & sum(lane_bits(n))  # |X| on the independent sets, 0 elsewhere
+        for i, has in enumerate(lane_bits(n)):
             # on the lanes X that hold i: r(X) = max(r(X), r(X - i)); b + 0x80 - a
             # keeps bit 7 exactly where b >= a, and borrows from no lane
             shift = 8 << i
@@ -311,7 +313,6 @@ class Matroid:
             ge = (((b | (has << 7)) - a) >> 7) & has
             r ^= (a ^ b) & ((has ^ ge) * 0xFF)
         self._ranks = r.to_bytes(size, "little")
-        return lanes
 
     def is_independent(self, elements: Iterable[int]) -> bool:
         m = _check_elements(self.n, elements)
@@ -386,8 +387,9 @@ def from_bases(n: int, bases: Iterable[Iterable[int]], names: Optional[Sequence[
 
     Raises EmptyBases, UnequalCardinality or ExchangeViolation (with a
     concrete failing triple) when the input is not a matroid, TooLarge
-    when n > MAX_N, before it reads any basis, and InvalidParams when a
-    basis lists an element twice, before it builds anything.
+    when n > MAX_N, before it reads any basis, and InvalidParams when n is
+    not an int (before TooLarge) or a basis lists an element twice, before
+    it builds anything.
     """
     _refuse_large(n)
     ground = GroundSet(n, tuple(names)) if names is not None else GroundSet.default(n)
@@ -434,18 +436,16 @@ def restriction(m: Matroid, elements: Iterable[int]) -> Matroid:
     return minor(m, delete=bits_of(m.full_mask & ~keep))
 
 
-def cyclic_flats(ranks: bytes, n: int, comp: int,
-                 lanes: Optional[list[int]] = None) -> Iterator[int]:
+def cyclic_flats(ranks: bytes, n: int, comp: int) -> Iterator[int]:
     """The cyclic flats of M|comp, as masks in increasing order, read from
     M's rank table in byte lanes, one lane per subset X, with the lanes
-    D_e(X) = r(X+e) - r(X) of _rank_steps for each e in comp (on the lanes
-    X without e; lanes with e are 0).  X is a cyclic flat when
+    D_e(X) = r(X+e) - r(X) of _rank_steps on the patterns of lane_bits(n)
+    for each e in comp (0 on the lanes X with e).  X is a cyclic flat when
     D_e(X) = 1 for every e in comp\\X (X is closed in comp) and
-    D_e(X-e) = 0 for every e in X (X is a union of circuits).  lanes, when
-    given, lists lane_bits(n)."""
+    D_e(X-e) = 0 for every e in X (X is a union of circuits)."""
     size = 1 << n
     flats = int.from_bytes(b"\1" * size, "little")
-    for e, (has, d) in enumerate(_rank_steps(ranks, n, lanes)):
+    for e, (has, d) in enumerate(_rank_steps(ranks, n)):
         if not comp >> e & 1:
             flats &= ~has  # X inside comp
             continue

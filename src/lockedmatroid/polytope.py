@@ -87,8 +87,12 @@ def build_P(s: LockedStructure) -> LinearSystem:
 
 def _integral(values: Sequence) -> tuple[list[int], int]:
     """Exact rationals over one common denominator d: values[i] == ints[i] / d,
-    with d the lcm of the reduced denominators."""
-    fracs = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
+    with d the lcm of the reduced denominators; InvalidParams on a value
+    that Fraction cannot read, such as NaN, an infinity, None or "x"."""
+    try:
+        fracs = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+        raise errors.InvalidParams("%r is not a list of rational numbers" % (values,)) from None
     d = math.lcm(*(f.denominator for f in fracs))
     return [f.numerator * (d // f.denominator) for f in fracs], d
 

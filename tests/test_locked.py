@@ -4,12 +4,12 @@ from random import Random
 import pytest
 
 import lockedmatroid as lm
-from lockedmatroid import errors, locked, matroid
-from lockedmatroid._bits import bits_of
+from lockedmatroid import errors, locked
+from lockedmatroid._bits import bits_of, lane_bits, subset_key
 from lockedmatroid.matroid import GroundSet, Matroid
 from lockedmatroid.cli import parse_gen_spec
 from helpers import (components, naive_is_cyclic_flat, naive_is_locked, naive_locked_sets,
-                     reference_locked_iter, shuffled_direct_sum)
+                     reference_locked_iter, reference_rank_table, shuffled_direct_sum)
 from test_matroid import lane_battery
 from test_stress_tier import STRESS_TIER
 
@@ -71,6 +71,12 @@ def test_is_locked_matches_naive_definition(corpus):
                for comb in itertools.combinations(range(m.n), k)
                if lm.is_locked(m, comb)}
         assert got == expected, m.name
+
+
+def test_is_locked_refuses_a_subset_that_is_not_a_collection():
+    with pytest.raises(errors.InvalidParams, match="is not a collection of indices$"):
+        lm.is_locked(lm.mk4(), 5)
+    assert lm.is_locked(lm.mk4(), [0, 1, 2]) == lm.is_locked(lm.mk4(), (0, 1, 2))
 
 
 def test_is_locked_per_component_on_direct_sums():
@@ -352,26 +358,41 @@ def test_k_locked_decision_aborts_past_the_threshold(monkeypatch):
     assert 2 <= calls[0] < full
 
 
-def test_locked_structure_lists_the_lane_patterns_once(corpus, monkeypatch):
-    # a matroid without a rank table gets one built from the list of lane
-    # patterns that its cyclic flats read too; the structure is the one
-    # built on a table that was already there
-    calls = []
-    lane_bits = matroid.lane_bits
+def alternating_sizes(corpus):
+    """The corpus, each matroid followed by one of the stress tier, U(8,16)
+    included: no two consecutive matroids have the same size."""
+    big = [build() for build in STRESS_TIER.values()]
+    return [x for i, m in enumerate(corpus) for x in (m, big[i % len(big)])]
 
-    def counted(n):
-        calls.append(n)
-        return lane_bits(n)
 
-    monkeypatch.setattr(matroid, "lane_bits", counted)
-    for m in list(corpus) + [build() for build in STRESS_TIER.values()]:
-        fresh = Matroid(m.ground, m._basis_masks)
-        calls.clear()
-        s = lm.locked_structure(fresh)
-        assert calls == [m.n], m.name
-        assert s == lm.locked_structure(m), m.name
-    # seventeen elements are refused before any pattern is listed
-    calls.clear()
+def test_locked_structure_lists_the_lane_patterns_once(corpus):
+    # the rank table, the components and the cyclic flats of one call all
+    # read the memoized patterns: built once for a new size, not at all for
+    # the size already held; the structure is the one built on a table that
+    # was already there
+    def misses(m):
+        before = lane_bits.cache_info().misses
+        s = lm.locked_structure(m)
+        return lane_bits.cache_info().misses - before, s
+
+    lane_bits.cache_clear()
+    for m in alternating_sizes(corpus):
+        assert misses(Matroid(m.ground, m._basis_masks)) == (1, lm.locked_structure(m)), m.name
+        assert misses(Matroid(m.ground, m._basis_masks))[0] == 0, m.name
+    # seventeen elements are refused before any pattern is built
+    lane_bits.cache_clear()
     with pytest.raises(errors.TooLarge, match="got 17$"):
         lm.locked_structure(Matroid(GroundSet.default(17), [0b11]))
-    assert calls == []
+    assert lane_bits.cache_info().misses == 0
+
+
+def test_locked_structure_on_alternating_sizes_matches_the_references(corpus):
+    # sizes alternate in one process, so every call follows a memo of
+    # another size's patterns: the table and the locked family still agree
+    # with the per-subset oracles
+    for m in alternating_sizes(corpus):
+        fresh = Matroid(m.ground, m._basis_masks)
+        s = lm.locked_structure(fresh)
+        assert fresh._rank_table() == bytes(reference_rank_table(fresh)), fresh.name
+        want = sorted((bits_of(x) for x in reference_locked_iter(fresh)), key=subset_key)
+        assert list(s.locked) == want, fresh.name

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import lockedmatroid as lm
 from lockedmatroid import errors
-from lockedmatroid._bits import bits_of, mask_of
+from lockedmatroid._bits import bits_of, lane_bits, mask_of
 from lockedmatroid.matroid import (GroundSet, Matroid, _check_exchange, _locally_submodular,
                                    cyclic_flats)
 from helpers import (components, is_cyclic_flat, naive_connected, naive_dual_bases,
@@ -49,6 +49,13 @@ def test_from_bases_exchange_violation():
     with pytest.raises(errors.ExchangeViolation) as exc:
         lm.from_bases(4, [(0, 1), (2, 3)])
     assert exc.value.element in (0, 1, 2, 3)
+
+
+@pytest.mark.parametrize("n", [3.0, "3", None, 17.0])
+def test_from_bases_refuses_a_count_that_is_not_an_int(n):
+    # refused before the size cap, so 17.0 is InvalidParams, not TooLarge
+    with pytest.raises(errors.InvalidParams, match="^ground set size .* is not an int$"):
+        lm.from_bases(n, [(0, 1)])
 
 
 def test_from_bases_out_of_range():
@@ -394,6 +401,9 @@ def test_catalog_refuses_bad_parameters(name, params, message):
     (2, ("a",), "expected 2 names, got 1"),
     (2, ("a", "a"), "element names must be distinct"),
     (1, ("a b",), "bad element name 'a b'"),
+    ("3", ("a", "b", "c"), "ground set size '3' is not an int"),
+    (3.0, ("a", "b", "c"), r"ground set size 3\.0 is not an int"),
+    (None, ("a", "b", "c"), "ground set size None is not an int"),
 ])
 def test_ground_set_refusals(n, names, message):
     with pytest.raises(errors.InvalidParams, match="^%s$" % message):
@@ -518,6 +528,17 @@ def test_minor_errors():
         lm.minor(u, delete=(0,), contract=(0,))
     with pytest.raises(errors.EmptyResult):
         lm.minor(u, delete=(0, 1), contract=(2, 3))
+
+
+def test_element_readers_refuse_a_set_that_is_not_a_collection():
+    # the shared entry check refuses an int where a subset is expected,
+    # with InvalidParams rather than the TypeError of iterating it
+    u = lm.uniform(2, 4)
+    for query in (lambda: lm.minor(u, delete=3), lambda: lm.minor(u, contract=3),
+                  lambda: lm.restriction(u, 3), lambda: u.rank_of(None)):
+        with pytest.raises(errors.InvalidParams, match="is not a collection of indices$"):
+            query()
+    assert lm.minor(u, delete=[3]) == lm.minor(u, delete=(3,))
 
 
 def test_minor_contraction_against_naive():
@@ -935,6 +956,30 @@ def test_save_load_bit_exact(tmp_path, corpus):
 
 
 # -- bit helpers ----------------------------------------------------------------------
+
+def naive_lane_bits(n):
+    # lane x of HAS_i is bit i of x
+    return tuple(int.from_bytes(bytes(x >> i & 1 for x in range(1 << n)), "little")
+                 for i in range(n))
+
+
+def test_lane_bits_match_the_naive_patterns():
+    for n in range(1, 17):
+        assert lane_bits(n) == naive_lane_bits(n), n
+
+
+def test_lane_bits_memo_holds_the_most_recent_size_only():
+    # alternating sizes rebuild the patterns and never hand back another
+    # size's; a repeated size is a hit on the same tuple
+    want = {n: naive_lane_bits(n) for n in (8, 12, 16)}
+    lane_bits.cache_clear()
+    for n in (16, 8, 16, 12):
+        got = lane_bits(n)
+        assert type(got) is tuple and got == want[n], n
+    assert lane_bits(12) is got
+    info = lane_bits.cache_info()
+    assert (info.hits, info.misses, info.maxsize, info.currsize) == (1, 4, 1, 1)
+
 
 def test_bits_of_matches_the_bit_walk():
     # two byte tables below 2^16, the bit walk above

@@ -70,6 +70,17 @@ def test_member_dimension_mismatch():
         member(sys, [0, 0])
 
 
+NOT_RATIONAL = [float("nan"), float("inf"), float("-inf"), None, "x", "1/0"]
+
+
+@pytest.mark.parametrize("bad", NOT_RATIONAL)
+def test_member_refuses_a_value_that_is_not_rational(bad):
+    sys = system_for(lm.uniform(2, 4))
+    with pytest.raises(errors.InvalidParams, match="is not a list of rational numbers$"):
+        member(sys, [bad, 0, 0, 0])
+    assert member(sys, ["1/2"] * 4) == (True, None)
+
+
 # -- member_Q -------------------------------------------------------------------
 
 def test_member_q_basics():
@@ -81,6 +92,14 @@ def test_member_q_basics():
     bad = [Fraction(3, 2)] + [Fraction(3, 10)] * 5  # violates a box bound
     assert sum(bad) == 3
     assert not member_Q(m, bad)
+
+
+@pytest.mark.parametrize("bad", NOT_RATIONAL)
+def test_member_q_refuses_a_value_that_is_not_rational(bad):
+    m = lm.uniform(2, 4)
+    with pytest.raises(errors.InvalidParams, match="is not a list of rational numbers$"):
+        member_Q(m, [bad, 0, 0, 0])
+    assert member_Q(m, ["1/2"] * 4)
 
 
 def test_member_q_too_large():
@@ -267,6 +286,14 @@ def test_lp_subset_sums_bounded_by_rank():
                     w[e] = 1
                 opt, _ = lm.lp_maximize(sys, w)
                 assert opt == m.rank_of(comb), (m.name, comb)
+
+
+@pytest.mark.parametrize("bad", NOT_RATIONAL)
+def test_lp_maximize_refuses_a_weight_that_is_not_rational(bad):
+    sys = system_for(lm.uniform(2, 4))
+    with pytest.raises(errors.InvalidParams, match="is not a list of rational numbers$"):
+        lp_maximize(sys, [bad, 0, 0, 0])
+    assert lp_maximize(sys, ["1/2", 0, 0, 0])[0] == Fraction(1, 2)
 
 
 def test_lp_infeasible_and_unbounded():
