@@ -30,17 +30,15 @@ from .locked import (
     structure_text,
 )
 from .lattice import (
-    CapacitatedDag,
     LabeledDag,
     augmented_lattice,
     dot_text,
     recover_cardinality,
     reduced_lattice,
     series_encode,
-    to_capacitated,
     to_colored,
 )
-from .dagiso import CanonicalForm, ColoredDigraph, are_isomorphic, brute_force_iso, canonical_form
+from .dagiso import CanonicalForm, ColoredDigraph, are_isomorphic, canonical_form
 from .axioms import (
     AxiomReport,
     RankExtender,

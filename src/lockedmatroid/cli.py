@@ -149,7 +149,7 @@ def _cmd_iso(args) -> int:
 
 def _cmd_selfdual(args) -> int:
     m = load(args.matroid)
-    answer = _verdict(args.method, lambda: tsd(m, method="bruteforce"), lambda: tsd(m))
+    answer = _verdict(args.method, lambda: mip_bruteforce(m, m.dual()), lambda: tsd(m))
     print("self-dual" if answer else "not self-dual")
     return 0 if answer else 1
 

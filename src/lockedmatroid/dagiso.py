@@ -372,56 +372,3 @@ def isomorphic(g1: ColoredDigraph, g2: ColoredDigraph) -> bool:
     _verified_map(g1, g2, perm1, perm2)
     return True
 
-
-def brute_force_iso(g1: ColoredDigraph, g2: ColoredDigraph, max_n: int = 12) -> bool:
-    """Exhaustive backtracking over color-respecting bijections.  Cheap
-    invariant mismatches (sizes, color multisets, degree profiles) answer
-    False before the size cap applies; larger equal-profile inputs raise
-    TooLarge."""
-    n = g1.vertex_count
-    p1, in1, out1 = _profile(g1)
-    p2, in2, out2 = _profile(g2)
-    if p1 != p2:
-        return False
-    if n > max_n:
-        raise errors.TooLarge("brute force capped at %d vertices" % max_n)
-    if n == 0:
-        return True
-
-    adj1 = set(g1.arcs)
-    adj2 = set(g2.arcs)
-    if len(adj1) != len(g1.arcs) or len(adj2) != len(g2.arcs):
-        raise errors.InvalidParams("brute force expects simple digraphs")
-    used = [False] * n
-    mapping = [-1] * n
-
-    def extend(v: int) -> bool:
-        if v == n:
-            return True
-        for w in range(n):
-            if used[w] or g1.colors[v] != g2.colors[w]:
-                continue
-            if in1[v] != in2[w] or out1[v] != out2[w]:
-                continue
-            ok = True
-            for u in range(v):
-                mu = mapping[u]
-                if ((u, v) in adj1) != ((mu, w) in adj2):
-                    ok = False
-                    break
-                if ((v, u) in adj1) != ((w, mu) in adj2):
-                    ok = False
-                    break
-            if ok and ((v, v) in adj1) != ((w, w) in adj2):
-                ok = False
-            if not ok:
-                continue
-            mapping[v] = w
-            used[w] = True
-            if extend(v + 1):
-                return True
-            used[w] = False
-            mapping[v] = -1
-        return False
-
-    return extend(0)

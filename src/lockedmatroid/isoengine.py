@@ -18,8 +18,8 @@ Three routes:
   sorts take their keys from functools.cmp_to_key over a comparison that
   counts its calls, and the scan counts its equality tests.
 
-tsd tests self-duality, building the dual's lattice from the dual locked
-structure rather than re-enumerating locked subsets.
+tsd tests self-duality on the lattice route, building the dual's lattice
+from the dual locked structure rather than re-enumerating locked subsets.
 """
 
 from __future__ import annotations
@@ -177,16 +177,12 @@ def mip_zero_locked(m1: Matroid, m2: Matroid) -> IsoReport:
     return IsoReport(answer, "zero-locked", locked_counts=(0, 0), opcount=ops)
 
 
-def tsd(m: Matroid, method: str = "lattice") -> IsoReport:
-    """Self-duality test.  The lattice method derives the dual's locked
+def tsd(m: Matroid) -> IsoReport:
+    """Self-duality test on the locked lattices: derives the dual's locked
     structure by complementation (no second enumeration) and compares the
     two reduced lattices, and refuses a disconnected matroid as mip_locked
-    does; the bruteforce method searches for an explicit bijection between
-    M and its dual."""
-    if method == "bruteforce":
-        return mip_bruteforce(m, m.dual())
-    if method != "lattice":
-        raise errors.InvalidParams("unknown tsd method %r" % method)
+    does.  mip_bruteforce(m, m.dual()) searches for an explicit bijection
+    between M and its dual instead."""
     s = locked_structure(m)
     _reject_disconnected(m)
     return _compare_lattices(s, dual_structure(s), "labels")

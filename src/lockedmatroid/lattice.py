@@ -40,12 +40,6 @@ class LabeledDag:
     provenance: tuple[Optional[tuple[int, ...]], ...]
 
 
-@dataclass(frozen=True)
-class CapacitatedDag:
-    dag: LabeledDag
-    capacities: tuple[Optional[int], ...]  # aligned with dag.arcs; None = unbounded
-
-
 def _holders(n: int, family) -> list[int]:
     """For each element e < n, the members of family that hold e, as a
     bitmask over their indices."""
@@ -123,25 +117,18 @@ def reduced_lattice(s: LockedStructure) -> LabeledDag:
     return LabeledDag(len(provenance), arcs, tuple(labels), levels, provenance)
 
 
-def to_capacitated(d: LabeledDag) -> CapacitatedDag:
-    caps = tuple(
-        1 if d.levels[u] == "coparallel" and d.levels[v] == "parallel" else None
-        for (u, v) in d.arcs
-    )
-    return CapacitatedDag(d, caps)
-
-
 def recover_cardinality(d: LabeledDag, locked_vertex: int) -> int:
-    """Maximum root-to-vertex flow in the unit/unbounded capacitated lattice;
-    equals the cardinality of the represented locked subset."""
+    """Maximum root-to-vertex flow, with capacity 1 on the coparallel-to-
+    parallel arcs and no bound elsewhere; equals the cardinality of the
+    represented locked subset."""
     if not (0 <= locked_vertex < d.vertex_count) or d.levels[locked_vertex] != "locked":
         raise errors.NotLockedVertex("vertex %r is not a locked-level vertex" % locked_vertex)
     if any(len(lab) != 1 for lab in d.labels):
         raise errors.LabelArityMismatch("cardinality recovery expects a reduced lattice")
-    cap = to_capacitated(d)
     residual: dict[int, dict[int, int]] = {v: {} for v in range(d.vertex_count)}
-    for (u, v), c in zip(d.arcs, cap.capacities):
-        residual[u][v] = residual[u].get(v, 0) + (_INF if c is None else c)
+    for u, v in d.arcs:
+        c = 1 if (d.levels[u], d.levels[v]) == ("coparallel", "parallel") else _INF
+        residual[u][v] = residual[u].get(v, 0) + c
         residual[v].setdefault(u, 0)
     source, target = 0, locked_vertex
     flow = 0

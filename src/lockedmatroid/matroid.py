@@ -55,7 +55,7 @@ class GroundSet:
         if len(set(self.names)) != self.n:
             raise errors.InvalidParams("element names must be distinct")
         for nm in self.names:
-            if not nm or any(c.isspace() for c in nm) or "," in nm:
+            if not isinstance(nm, str) or not nm or any(c.isspace() for c in nm) or "," in nm:
                 raise errors.InvalidParams("bad element name %r" % (nm,))
 
     @staticmethod
@@ -80,6 +80,15 @@ def _check_elements(n: int, elements: Iterable[int]) -> int:
             raise errors.OutOfRange("element index %r not in 0..%d" % (e, n - 1))
         m |= 1 << e
     return m
+
+
+def _tuple_of(items: Iterable, what: str) -> tuple:
+    """tuple(items), with InvalidParams when items is not a collection."""
+    try:
+        it = iter(items)
+    except TypeError:
+        raise errors.InvalidParams("%s %r is not a collection" % (what, items)) from None
+    return tuple(it)
 
 
 # The rank table has 2^n entries; its one writer, Matroid._build_tables,
@@ -321,16 +330,15 @@ class Matroid:
     # -- basic invariants -----------------------------------------------------
 
     def loops(self) -> tuple[int, ...]:
-        union = 0
-        for b in self._basis_masks:
-            union |= b
-        return bits_of(self.full_mask ^ union)
+        """The elements e with r({e}) = 0, read from the rank table."""
+        ranks = self._rank_table()
+        return tuple(e for e in range(self.n) if not ranks[1 << e])
 
     def coloops(self) -> tuple[int, ...]:
-        inter = self.full_mask
-        for b in self._basis_masks:
-            inter &= b
-        return bits_of(inter)
+        """The elements e with r(E-e) < r(E), read from the rank table."""
+        ranks = self._rank_table()
+        full = self.full_mask
+        return tuple(e for e in range(self.n) if ranks[full ^ 1 << e] < ranks[full])
 
     # -- duality / minors ------------------------------------------------------
 
@@ -388,14 +396,16 @@ def from_bases(n: int, bases: Iterable[Iterable[int]], names: Optional[Sequence[
     Raises EmptyBases, UnequalCardinality or ExchangeViolation (with a
     concrete failing triple) when the input is not a matroid, TooLarge
     when n > MAX_N, before it reads any basis, and InvalidParams when n is
-    not an int (before TooLarge) or a basis lists an element twice, before
-    it builds anything.
+    not an int (before TooLarge), when names, bases or a basis is not a
+    collection, or when a basis lists an element twice, before it builds
+    anything.
     """
     _refuse_large(n)
-    ground = GroundSet(n, tuple(names)) if names is not None else GroundSet.default(n)
+    ground = (GroundSet(n, _tuple_of(names, "names")) if names is not None
+              else GroundSet.default(n))
     masks = set()
-    for b in bases:
-        b = tuple(b)
+    for b in _tuple_of(bases, "basis list"):
+        b = _tuple_of(b, "basis")
         mask = _check_elements(n, b)
         if mask.bit_count() != len(b):
             again = next(e for i, e in enumerate(b) if e in b[:i])
@@ -476,18 +486,14 @@ def is_connected(m: Matroid) -> bool:
 
 
 def _reject_loops_coloops(m: Matroid) -> None:
-    """The least loop, then the least coloop, read from the rank table: e is
-    a loop when r({e}) = 0 and a coloop when r(E-e) < r(E).  The table comes
-    first, so a ground set over MAX_N is refused as such."""
-    ranks = m._rank_table()
-    full = m.full_mask
-    for e in range(m.n):
-        if not ranks[1 << e]:
-            raise errors.LoopPresent(e)
-    r_e = ranks[full]
-    for e in range(m.n):
-        if ranks[full ^ 1 << e] < r_e:
-            raise errors.ColoopPresent(e)
+    """Raises on the least loop, then on the least coloop.  Both read the
+    rank table, so a ground set over MAX_N is refused as such first."""
+    loops = m.loops()
+    if loops:
+        raise errors.LoopPresent(loops[0])
+    coloops = m.coloops()
+    if coloops:
+        raise errors.ColoopPresent(coloops[0])
 
 
 def _reject_disconnected(m: Matroid) -> None:
@@ -573,7 +579,7 @@ def relax(m: Matroid, subset: Iterable[int], name: Optional[str] = None) -> Matr
 
 def with_names(m: Matroid, names: Sequence[str], name: Optional[str] = None) -> Matroid:
     """Same matroid structure over freshly named elements."""
-    ground = GroundSet(m.n, tuple(names))
+    ground = GroundSet(m.n, _tuple_of(names, "names"))
     return Matroid(ground, m._basis_masks, name or m.name)
 
 
@@ -584,6 +590,7 @@ def relabel(m: Matroid, perm: Sequence[int], name: Optional[str] = None) -> Matr
     relabeled matroid is genuinely a different labeled object.  InvalidParams
     unless perm lists the integers 0..n-1 in some order.
     """
+    perm = _tuple_of(perm, "permutation")
     if not all(isinstance(e, int) for e in perm) or sorted(perm) != list(range(m.n)):
         raise errors.InvalidParams("not a permutation of 0..%d" % (m.n - 1))
     image = [1 << e for e in perm]

@@ -189,9 +189,9 @@ def lp_maximize(sys: LinearSystem, weights: Sequence, add_box: bool = True
     bounded a priori; without it the variables are free and boundedness
     must come from the rows themselves (Unbounded is raised otherwise).
     """
-    if len(weights) != sys.dimension:
-        raise errors.DimensionMismatch("weight vector dimension mismatch")
     ints, scale = _integral(weights)
+    if len(ints) != sys.dimension:
+        raise errors.DimensionMismatch("weight vector dimension mismatch")
     status, value, witness = _program(sys, add_box).maximize_integral(ints)
     if status == simplex.INFEASIBLE:
         raise errors.Infeasible("system has no feasible point")
@@ -210,7 +210,7 @@ def lp_maximize(sys: LinearSystem, weights: Sequence, add_box: bool = True
 def greedy_max_basis(m: Matroid, weights: Sequence[int]) -> tuple[int, tuple[int, ...]]:
     """Max-weight basis by the classic greedy scan (decreasing weight, ties by
     index), extending whenever the element keeps the set independent."""
-    if len(weights) != m.n:
+    if len(_integral(weights)[0]) != m.n:
         raise errors.DimensionMismatch("weight vector dimension mismatch")
     ranks = m._rank_table()
     current = 0

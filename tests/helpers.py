@@ -2,8 +2,10 @@
 
 Everything here is deliberately written from the definitions, without the
 bitmask tables or shortcuts of the package under test: ranks by scanning
-the basis list, connectivity by trying every partition, locked sets by the
-bare definition, spanning trees by brute-force edge subsets.  The
+the basis list, loops and coloops by scanning the basis masks,
+connectivity by trying every partition, locked sets by the bare
+definition, spanning trees by brute-force edge subsets, digraph
+isomorphism by backtracking over every colour-respecting bijection.  The
 exceptions are frozen copies of earlier code paths that the package's
 faster ones must reproduce: `reference_canonical_form` (the search before
 its worklist refinement), `reference_are_isomorphic` (two such searches and
@@ -39,7 +41,7 @@ from typing import Optional
 
 from lockedmatroid import errors
 from lockedmatroid._bits import bits_of, mask_of
-from lockedmatroid.dagiso import CanonicalForm, ColoredDigraph, _digest
+from lockedmatroid.dagiso import CanonicalForm, ColoredDigraph, _digest, _profile
 from lockedmatroid.isoengine import IsoReport
 from lockedmatroid.locked import _locked_iter
 from lockedmatroid.matroid import (GroundSet, Matroid, _check_elements, _refuse_large,
@@ -56,6 +58,22 @@ def naive_rank(bases, subset) -> int:
 
 def naive_connected(n, bases) -> bool:
     return naive_minor_connected(bases, list(range(n)))
+
+
+def basis_scan_loops(m: Matroid) -> tuple[int, ...]:
+    """The elements in no basis, from the union of the basis masks."""
+    union = 0
+    for b in m._basis_masks:
+        union |= b
+    return bits_of(m.full_mask ^ union)
+
+
+def basis_scan_coloops(m: Matroid) -> tuple[int, ...]:
+    """The elements in every basis, from the intersection of the basis masks."""
+    inter = m.full_mask
+    for b in m._basis_masks:
+        inter &= b
+    return bits_of(inter)
 
 
 def naive_dual_bases(n, bases):
@@ -249,6 +267,60 @@ def reference_sample_rational_points(n: int, target_sum: int, count: int,
 def _dense(values) -> list[int]:
     ranking = {v: i for i, v in enumerate(sorted(set(values)))}
     return [ranking[v] for v in values]
+
+
+def brute_force_iso(g1: ColoredDigraph, g2: ColoredDigraph, max_n: int = 12) -> bool:
+    """Exhaustive backtracking over color-respecting bijections.  Cheap
+    invariant mismatches (sizes, color multisets, degree profiles) answer
+    False before the size cap applies; larger equal-profile inputs raise
+    TooLarge."""
+    n = g1.vertex_count
+    p1, in1, out1 = _profile(g1)
+    p2, in2, out2 = _profile(g2)
+    if p1 != p2:
+        return False
+    if n > max_n:
+        raise errors.TooLarge("brute force capped at %d vertices" % max_n)
+    if n == 0:
+        return True
+
+    adj1 = set(g1.arcs)
+    adj2 = set(g2.arcs)
+    if len(adj1) != len(g1.arcs) or len(adj2) != len(g2.arcs):
+        raise errors.InvalidParams("brute force expects simple digraphs")
+    used = [False] * n
+    mapping = [-1] * n
+
+    def extend(v: int) -> bool:
+        if v == n:
+            return True
+        for w in range(n):
+            if used[w] or g1.colors[v] != g2.colors[w]:
+                continue
+            if in1[v] != in2[w] or out1[v] != out2[w]:
+                continue
+            ok = True
+            for u in range(v):
+                mu = mapping[u]
+                if ((u, v) in adj1) != ((mu, w) in adj2):
+                    ok = False
+                    break
+                if ((v, u) in adj1) != ((w, mu) in adj2):
+                    ok = False
+                    break
+            if ok and ((v, v) in adj1) != ((w, w) in adj2):
+                ok = False
+            if not ok:
+                continue
+            mapping[v] = w
+            used[w] = True
+            if extend(v + 1):
+                return True
+            used[w] = False
+            mapping[v] = -1
+        return False
+
+    return extend(0)
 
 
 def reference_canonical_form(g: ColoredDigraph) -> CanonicalForm:

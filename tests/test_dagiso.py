@@ -8,8 +8,9 @@ import pytest
 import lockedmatroid as lm
 from lockedmatroid import dagiso, errors
 from lockedmatroid.dagiso import ColoredDigraph, canonical_form
-from helpers import (permute_digraph, random_colored_dag, random_colored_digraph,
-                     random_multi_digraph, reference_are_isomorphic, reference_canonical_form)
+from helpers import (brute_force_iso, permute_digraph, random_colored_dag,
+                     random_colored_digraph, random_multi_digraph, reference_are_isomorphic,
+                     reference_canonical_form)
 from test_stress_tier import STRESS_TIER
 
 
@@ -22,7 +23,7 @@ def test_single_vertex_digest_stable():
 
 
 def test_empty_graph():
-    assert lm.brute_force_iso(ColoredDigraph(0, (), ()), ColoredDigraph(0, (), ()))
+    assert brute_force_iso(ColoredDigraph(0, (), ()), ColoredDigraph(0, (), ()))
     assert lm.are_isomorphic(ColoredDigraph(0, (), ()), ColoredDigraph(0, (), ()))[0]
 
 
@@ -90,7 +91,7 @@ def test_mk4_vs_whirl3_digests_differ():
     g1 = lm.to_colored(lm.reduced_lattice(lm.locked_structure(lm.mk4())))
     g2 = lm.to_colored(lm.reduced_lattice(lm.locked_structure(lm.whirl3())))
     assert canonical_form(g1).digest != canonical_form(g2).digest
-    assert not lm.brute_force_iso(g1, g2)  # count mismatch answers without search
+    assert not brute_force_iso(g1, g2)  # count mismatch answers without search
 
 
 def test_digest_is_hex_of_canonical_bytes():
@@ -110,21 +111,21 @@ def test_color_multiset_mismatch():
     g1 = ColoredDigraph(2, (), (0, 0))
     g2 = ColoredDigraph(2, (), (0, 1))
     assert not lm.are_isomorphic(g1, g2)[0]
-    assert not lm.brute_force_iso(g1, g2)
+    assert not brute_force_iso(g1, g2)
 
 
 def test_path_vs_star():
     path = ColoredDigraph(3, ((0, 1), (1, 2)), (0, 0, 0))
     star = ColoredDigraph(3, ((0, 1), (0, 2)), (0, 0, 0))
-    assert not lm.brute_force_iso(path, star)
+    assert not brute_force_iso(path, star)
     assert not lm.are_isomorphic(path, star)[0]
 
 
 def test_brute_force_too_large():
     g = ColoredDigraph(13, tuple((i, i + 1) for i in range(12)), (0,) * 13)
     with pytest.raises(errors.TooLarge):
-        lm.brute_force_iso(g, g)
-    assert lm.brute_force_iso(g, g, max_n=13)
+        brute_force_iso(g, g)
+    assert brute_force_iso(g, g, max_n=13)
 
 
 def _agreement_battery_pairs():
@@ -145,7 +146,7 @@ def test_agreement_battery_random_pairs():
     # the canonical engine and the exhaustive search must agree on 1000 pairs
     for trial, (g1, g2) in enumerate(_agreement_battery_pairs()):
         fast = lm.are_isomorphic(g1, g2)[0]
-        slow = lm.brute_force_iso(g1, g2)
+        slow = brute_force_iso(g1, g2)
         assert fast == slow, (trial, g1, g2)
 
 
@@ -171,7 +172,7 @@ def test_agreement_on_all_corpus_lattice_pairs(corpus, structures):
                 continue
             g1, g2 = lats[m1.name], lats[m2.name]
             fast = lm.are_isomorphic(g1, g2)[0]
-            slow = lm.brute_force_iso(g1, g2, max_n=25)
+            slow = brute_force_iso(g1, g2, max_n=25)
             assert fast == slow, (m1.name, m2.name)
 
 
@@ -184,7 +185,7 @@ def test_canonical_form_separates_small_nonisomorphic():
             graphs.append(ColoredDigraph(3, tuple(sub), (0, 0, 0)))
     for g1 in graphs:
         for g2 in graphs:
-            assert lm.are_isomorphic(g1, g2)[0] == lm.brute_force_iso(g1, g2)
+            assert lm.are_isomorphic(g1, g2)[0] == brute_force_iso(g1, g2)
 
 
 def _pinned_canonical_inputs(corpus, structures):
@@ -362,7 +363,7 @@ def _rewired_pairs(rng: Random, count: int):
         swapped = [arc for arc in arcs if arc not in ((a, b), (c, d))] + [(a, d), (c, b)]
         g1 = ColoredDigraph(n, tuple(arcs), cols)
         g2 = ColoredDigraph(n, tuple(sorted(swapped)), cols)
-        if not lm.brute_force_iso(g1, g2):
+        if not brute_force_iso(g1, g2):
             count -= 1
             yield g1, g2
 
@@ -386,7 +387,7 @@ def test_equal_invariants_reach_the_target_search(monkeypatch):
         targets.clear()
         assert lm.are_isomorphic(a, b) == (False, None), (a, b)
         assert targets == [None, (cf.colors, cf.arcs)]
-        assert not lm.brute_force_iso(a, b)
+        assert not brute_force_iso(a, b)
     # equal colour and degree multisets, but a colour on a vertex of another
     # degree: the profile answers before any search, and before brute
     # force's size cap
@@ -397,7 +398,7 @@ def test_equal_invariants_reach_the_target_search(monkeypatch):
         targets.clear()
         assert lm.are_isomorphic(first, last) == (False, None)
         assert targets == []
-        assert not lm.brute_force_iso(first, last)
+        assert not brute_force_iso(first, last)
 
 
 def _multi_digraph_battery():

@@ -5,6 +5,7 @@ import itertools
 import os
 import subprocess
 import sys
+import types
 from collections import Counter
 from pathlib import Path
 
@@ -13,7 +14,7 @@ import pytest
 import lockedmatroid as lm
 from lockedmatroid import errors
 from lockedmatroid.dagiso import ColoredDigraph
-from helpers import naive_rank
+from helpers import brute_force_iso, naive_rank
 
 
 def test_minor_contracting_one_of_a_parallel_pair_leaves_a_loop():
@@ -69,7 +70,7 @@ def test_reader_tolerates_crlf():
 def test_brute_force_rejects_duplicate_arcs():
     g = ColoredDigraph(2, ((0, 1), (0, 1)), (0, 0))
     with pytest.raises(errors.InvalidParams):
-        lm.brute_force_iso(g, g)
+        brute_force_iso(g, g)
 
 
 def test_canonical_form_handles_duplicate_arcs_as_multiset():
@@ -143,6 +144,29 @@ def _names_used(node):
             yield sub.attr
         elif isinstance(sub, ast.alias):
             yield sub.name
+
+
+PUBLIC_NAMES = [
+    "AxiomReport", "CanonicalForm", "ColoredDigraph", "GroundSet", "IsoReport", "KLockedVerdict",
+    "LabeledDag", "LinearSystem", "LockedStructure", "MAX_N", "Matroid", "RankExtender", "Row",
+    "Violation", "are_isomorphic", "augmented_lattice", "build_P", "canonical_form", "catalog",
+    "closures", "dot_text", "dual_structure", "extract_system", "find_separator", "from_bases",
+    "from_text", "graphic", "greedy_max_basis", "is_connected", "is_locked", "k_locked_decision",
+    "load", "locked_structure", "lp_maximize", "member", "member_Q", "minor", "mip_bruteforce",
+    "mip_locked", "mip_zero_locked", "mk4", "mk4_doubled", "p6", "q6", "recover_cardinality",
+    "reduced_lattice", "relabel", "relax", "restriction", "sample_rational_points", "save",
+    "seeded_two_sums", "series_encode", "standard_corpus", "structure_text", "to_colored",
+    "to_text", "tsd", "two_sum", "uniform", "validate", "vamos", "whirl3", "with_names",
+    "zero_one_vertices",
+]
+
+
+def test_public_names_are_pinned():
+    # the package's public surface, submodules aside (which of them are
+    # attributes depends on what has been imported)
+    names = sorted(n for n, v in vars(lm).items()
+                   if not n.startswith("_") and not isinstance(v, types.ModuleType))
+    assert names == PUBLIC_NAMES
 
 
 def test_every_module_level_definition_is_used_in_package():

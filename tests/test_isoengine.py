@@ -6,7 +6,7 @@ from random import Random
 import pytest
 
 import lockedmatroid as lm
-from lockedmatroid import dagiso, errors
+from lockedmatroid import cli, dagiso, errors
 from lockedmatroid.matroid import GroundSet, Matroid
 from helpers import reference_zero_locked, shuffled_direct_sum
 from test_stress_tier import _mk4_chain
@@ -183,7 +183,7 @@ def test_tsd_lattice_refuses_disconnected():
     # because the dual structure complements a locked set in E, not in its
     # component
     m = direct_sum((6, list(lm.mk4().bases)), uniform_part(1, 2))
-    assert lm.tsd(m, "bruteforce").answer
+    assert lm.mip_bruteforce(m, m.dual()).answer
     with pytest.raises(errors.Disconnected, match="^M is not connected$"):
         lm.tsd(m)
 
@@ -228,7 +228,7 @@ def test_tsd_examples():
     assert not lm.tsd(lm.uniform(1, 3)).answer
     for m in (lm.mk4(), lm.vamos(), lm.q6(), lm.p6()):
         lat = lm.tsd(m)
-        brute = lm.tsd(m, method="bruteforce")
+        brute = lm.mip_bruteforce(m, m.dual())
         assert lat.answer == brute.answer, m.name
         assert lat.locked_counts[0] == lat.locked_counts[1]
 
@@ -241,10 +241,10 @@ def test_tsd_stable_under_dual(corpus):
 
 
 def test_tsd_witness_from_bruteforce():
-    rep = lm.tsd(lm.vamos(), method="bruteforce")
-    assert rep.answer and rep.witness is not None
     v = lm.vamos()
     d = v.dual()
+    rep = lm.mip_bruteforce(v, d)
+    assert rep.answer and rep.witness is not None
     mapped = {tuple(sorted(rep.witness[e] for e in b)) for b in v.bases}
     assert mapped == set(d.bases)
 
@@ -253,11 +253,6 @@ def test_mip_locked_unknown_route():
     for route in ("bogus", "both"):
         with pytest.raises(errors.InvalidParams):
             lm.mip_locked(lm.mk4(), lm.mk4(), route=route)
-
-
-def test_tsd_unknown_method():
-    with pytest.raises(errors.InvalidParams, match="^unknown tsd method 'bogus'$"):
-        lm.tsd(lm.mk4(), "bogus")
 
 
 def test_bruteforce_exhaustive_negative(sparse_paving_pair):
@@ -272,12 +267,14 @@ def test_bruteforce_exhaustive_negative(sparse_paving_pair):
         assert not lm.mip_locked(a, b, route=route).answer, route
 
 
-def test_tsd_bruteforce_is_mip_bruteforce_against_the_dual(corpus):
+def test_tsd_bruteforce_is_mip_bruteforce_against_the_dual(corpus, tmp_path, capsys):
+    # selfdual --method bruteforce answers with mip_bruteforce(m, m.dual())
+    path = tmp_path / "m.matroid"
     for m in corpus:
-        a = lm.tsd(m, method="bruteforce")
-        b = lm.mip_bruteforce(m, m.dual())
-        assert a == b, m.name
-
+        lm.save(m, path)
+        want = lm.mip_bruteforce(m, m.dual()).answer
+        assert cli.main(["selfdual", str(path), "--method", "bruteforce"]) == (0 if want else 1)
+        assert capsys.readouterr().out == ("self-dual\n" if want else "not self-dual\n"), m.name
 
 
 def test_lattice_verdicts_take_the_first_leaf_path(monkeypatch):

@@ -7,7 +7,7 @@ import lockedmatroid as lm
 from lockedmatroid import errors
 from lockedmatroid.lattice import LEVELS, _shape
 from lockedmatroid.locked import LockedStructure
-from helpers import reference_shape_arcs
+from helpers import brute_force_iso, reference_shape_arcs
 from test_stress_tier import STRESS_TIER
 
 # (vertices, arcs) of the reduced/augmented lattice per corpus matroid,
@@ -241,6 +241,20 @@ def test_recover_cardinality_corpus(structures):
                 assert lm.recover_cardinality(d, v) == len(d.provenance[v])
 
 
+def test_recover_cardinality_stress_tier():
+    # the chain and M(K6) have locked sets (the uniform ones none), and so
+    # do their duals' structures
+    locked = 0
+    for build in STRESS_TIER.values():
+        s = lm.locked_structure(build())
+        for d in (lm.reduced_lattice(s), lm.reduced_lattice(lm.dual_structure(s))):
+            for v in range(d.vertex_count):
+                if d.levels[v] == "locked":
+                    locked += 1
+                    assert lm.recover_cardinality(d, v) == len(d.provenance[v])
+    assert locked == 2 * (16 + 41)
+
+
 def test_recover_cardinality_multielement_parallel_class():
     # locked set containing a 2-element parallel class: the two unit arcs
     # into that class's vertex both carry flow
@@ -262,17 +276,6 @@ def test_recover_cardinality_errors():
     locked_v = next(v for v in range(a.vertex_count) if a.levels[v] == "locked")
     with pytest.raises(errors.LabelArityMismatch):
         lm.recover_cardinality(a, locked_v)
-
-
-def test_capacities():
-    s = lm.locked_structure(lm.mk4())
-    d = lm.reduced_lattice(s)
-    cap = lm.to_capacitated(d)
-    for (u, v), c in zip(d.arcs, cap.capacities):
-        if d.levels[u] == "coparallel" and d.levels[v] == "parallel":
-            assert c == 1
-        else:
-            assert c is None
 
 
 # -- series encoding -------------------------------------------------------------
@@ -320,9 +323,9 @@ def test_series_encodings_reflect_label_iso():
     # tiny instances: confirm with exhaustive search on the encodings
     a = lm.series_encode(lm.reduced_lattice(lm.locked_structure(lm.uniform(1, 2))))
     b = lm.series_encode(lm.reduced_lattice(lm.locked_structure(lm.uniform(1, 2))))
-    assert lm.brute_force_iso(a, b)
+    assert brute_force_iso(a, b)
     c = lm.series_encode(lm.reduced_lattice(lm.locked_structure(lm.uniform(1, 3))))
-    assert not lm.brute_force_iso(a, c)
+    assert not brute_force_iso(a, c)
 
 
 # -- DOT export ---------------------------------------------------------------------

@@ -11,10 +11,11 @@ from lockedmatroid import errors
 from lockedmatroid._bits import bits_of, lane_bits, mask_of
 from lockedmatroid.matroid import (GroundSet, Matroid, _check_exchange, _locally_submodular,
                                    cyclic_flats)
-from helpers import (components, is_cyclic_flat, naive_connected, naive_dual_bases,
-                     naive_is_cyclic_flat, naive_minor_connected, naive_rank, reference_bits_of,
-                     reference_closures, reference_locally_submodular, reference_rank_table,
-                     reference_two_sum, separator, shuffled_direct_sum, spanning_trees)
+from helpers import (basis_scan_coloops, basis_scan_loops, components, is_cyclic_flat,
+                     naive_connected, naive_dual_bases, naive_is_cyclic_flat,
+                     naive_minor_connected, naive_rank, reference_bits_of, reference_closures,
+                     reference_locally_submodular, reference_rank_table, reference_two_sum,
+                     separator, shuffled_direct_sum, spanning_trees)
 from test_stress_tier import STRESS_TIER, _mk4_chain
 
 K4_EDGES = ((0, 2), (0, 1), (0, 3), (1, 2), (1, 3), (2, 3))
@@ -56,6 +57,29 @@ def test_from_bases_refuses_a_count_that_is_not_an_int(n):
     # refused before the size cap, so 17.0 is InvalidParams, not TooLarge
     with pytest.raises(errors.InvalidParams, match="^ground set size .* is not an int$"):
         lm.from_bases(n, [(0, 1)])
+
+
+def test_from_bases_refuses_a_basis_that_is_not_a_collection():
+    with pytest.raises(errors.InvalidParams, match="^basis 1 is not a collection$"):
+        lm.from_bases(3, [1, 2])
+    with pytest.raises(errors.InvalidParams, match="^basis list 3 is not a collection$"):
+        lm.from_bases(3, 3)
+    with pytest.raises(errors.TooLarge):  # the size cap still comes first
+        lm.from_bases(17, [1, 2])
+
+
+def test_from_bases_refuses_names_that_are_not_a_collection():
+    with pytest.raises(errors.InvalidParams, match="^names 5 is not a collection$"):
+        lm.from_bases(3, [(0, 1)], names=5)
+    with pytest.raises(errors.InvalidParams, match="^bad element name 1$"):
+        lm.from_bases(2, [(0,)], names=[1, 2])
+    with pytest.raises(errors.TooLarge):
+        lm.from_bases(17, [(0,)], names=5)
+
+
+def test_with_names_refuses_names_that_are_not_a_collection():
+    with pytest.raises(errors.InvalidParams, match="^names 5 is not a collection$"):
+        lm.with_names(lm.mk4(), 5)
 
 
 def test_from_bases_out_of_range():
@@ -234,7 +258,8 @@ def test_rank_table_refuses_a_ground_set_over_max_n():
     # refuses before it allocates, whichever query asks first
     m = Matroid(GroundSet.default(17), [1, 2])
     for query in (lambda: m.rank_of((0,)), lambda: lm.locked_structure(m),
-                  lambda: lm.is_connected(m), lambda: lm.member_Q(m, [0] * 17)):
+                  lambda: lm.is_connected(m), lambda: lm.member_Q(m, [0] * 17),
+                  m.loops, m.coloops):
         with pytest.raises(errors.TooLarge, match="capped at 16, got 17"):
             query()
         assert m._ranks is None
@@ -694,10 +719,10 @@ def _refusal(check, m):
 
 def _scan_refusal(m):
     # the least loop, then the least coloop, from the scans over the bases
-    if m.loops():
-        return errors.LoopPresent, m.loops()[0]
-    if m.coloops():
-        return errors.ColoopPresent, m.coloops()[0]
+    if basis_scan_loops(m):
+        return errors.LoopPresent, basis_scan_loops(m)[0]
+    if basis_scan_coloops(m):
+        return errors.ColoopPresent, basis_scan_coloops(m)[0]
     return None
 
 
@@ -713,10 +738,24 @@ def test_closures_refuse_loops_and_coloops_as_the_basis_scan_does():
         m = lm.from_bases(*shuffled_direct_sum(chosen, rng))
         fresh = Matroid(m.ground, m._basis_masks)
         want = _scan_refusal(fresh)
-        assert fresh._ranks is None  # the scans build no table
         assert _refusal(lm.closures, fresh) == want, m
         refused[want and want[0]] += 1
     assert min(refused.values()) > 20 and len(refused) == 3
+
+
+def test_loops_and_coloops_match_the_basis_scan(corpus):
+    # loops and coloops read the rank table; the scans over the bases agree,
+    # on the corpus, the stress tier and direct sums with loops and coloops
+    rng = Random(27)
+    parts = [(1, [()]), (1, [(0,)]), (3, list(itertools.combinations(range(3), 2)))]
+    sums = [lm.from_bases(*shuffled_direct_sum([rng.choice(parts) for _ in range(5)], rng))
+            for _ in range(50)]
+    ms = list(corpus) + [build() for build in STRESS_TIER.values()] + sums
+    for m in ms:
+        for x in (m, m.dual()):
+            assert x.loops() == basis_scan_loops(x), x.name
+            assert x.coloops() == basis_scan_coloops(x), x.name
+    assert any(m.loops() for m in sums) and any(m.coloops() for m in sums)
 
 
 def test_closures_partition_and_l3(corpus):
@@ -834,6 +873,11 @@ def test_relabel_refuses_a_non_permutation():
                  [0, 1, 2, 3, 4], ["0", 1, 2, 3, 4, 5]):
         with pytest.raises(errors.InvalidParams):
             lm.relabel(m, perm)
+
+
+def test_relabel_refuses_a_permutation_that_is_not_a_collection():
+    with pytest.raises(errors.InvalidParams, match="^permutation 5 is not a collection$"):
+        lm.relabel(lm.mk4(), 5)
 
 
 def test_corpus_validates(corpus):

@@ -309,11 +309,29 @@ def test_lp_infeasible_and_unbounded():
 def test_dimension_mismatches():
     m = lm.mk4()
     sys = system_for(m)
-    five = [1] * 5
-    for call in (lambda: member_Q(m, five), lambda: lp_maximize(sys, five),
-                 lambda: lm.greedy_max_basis(m, five)):
-        with pytest.raises(errors.DimensionMismatch, match="dimension mismatch"):
-            call()
+    for five in ([1] * 5, [Fraction(1, 2)] * 5, ["1/2"] * 5):
+        for call in (lambda: member_Q(m, five), lambda: lp_maximize(sys, five),
+                     lambda: lm.greedy_max_basis(m, five)):
+            with pytest.raises(errors.DimensionMismatch, match="dimension mismatch"):
+                call()
+
+
+def test_lp_maximize_refuses_weights_that_are_not_a_collection():
+    with pytest.raises(errors.InvalidParams, match="^5 is not a list of rational numbers$"):
+        lp_maximize(system_for(lm.mk4()), 5)
+
+
+def test_greedy_max_basis_refuses_weights_that_are_not_a_collection():
+    with pytest.raises(errors.InvalidParams, match="^5 is not a list of rational numbers$"):
+        lm.greedy_max_basis(lm.mk4(), 5)
+
+
+def test_greedy_max_basis_refuses_weights_that_are_not_rational():
+    with pytest.raises(errors.InvalidParams, match="is not a list of rational numbers$"):
+        lm.greedy_max_basis(lm.mk4(), ["x"] * 6)
+    # accepted weights are summed as the caller gave them
+    assert lm.greedy_max_basis(lm.mk4(), [0.5] * 6) == (1.5, (0, 1, 2))
+    assert lm.greedy_max_basis(lm.mk4(), [Fraction(1, 3)] * 6) == (1, (0, 1, 2))
 
 
 def test_lp_against_sympy_reference():
