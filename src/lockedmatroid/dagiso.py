@@ -22,15 +22,14 @@ leaf carries the sorted colours, so leaves compare on their arcs alone, as
 sorted integers p * n + q.  Each automorphism is kept with the points it
 moves, and a node merges it once into one union-find of orbits.
 
-A pair is tested as McKay & Piperno do: unequal vertex counts, arc counts
-or (colour, in-degree, out-degree) profiles answer at once, and otherwise
-the second digraph is searched against the first one's canonical key, which
-ends at the first leaf that reaches or beats that key.  For are_isomorphic a
-pair costs one full search, and the witness is the one two canonical forms
-would give.  isomorphic, which wants the answer alone, first searches each
-digraph only down to its first leaf: two leaves with equal keys give an
-isomorphism between their numberings, and only unequal ones, which prove
-nothing, cost are_isomorphic's full search.
+A pair is tested in two ways.  Unequal vertex counts, arc counts or
+(colour, in-degree, out-degree) profiles answer at once in both.
+Otherwise are_isomorphic compares the two canonical forms, at the cost of
+two full searches, and its witness maps the canonical numberings onto
+each other.  isomorphic, which wants the answer alone, first searches
+each digraph only down to its first leaf: two leaves with equal keys give
+an isomorphism between their numberings, and only unequal ones, which
+prove nothing, cost are_isomorphic's two full searches.
 
 Digests are the hex encoding of the canonical byte string itself, not a
 hash: equal digests are equivalent to isomorphism by construction.
@@ -38,6 +37,7 @@ hash: equal digests are equivalent to isomorphism by construction.
 
 from __future__ import annotations
 
+from collections.abc import Collection
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Optional
@@ -58,6 +58,8 @@ class ColoredDigraph:
             raise errors.InvalidParams("vertex count must be an integer: %r" % (n,))
         if n < 0:
             raise errors.InvalidParams("negative vertex count")
+        if not (isinstance(self.colors, Collection) and isinstance(self.arcs, Collection)):
+            raise errors.InvalidParams("colors and arcs must be collections")
         if len(self.colors) != n:
             raise errors.InvalidParams("need one color per vertex")
         if not all(isinstance(c, int) for c in self.colors):
@@ -116,7 +118,7 @@ def _split(col: list[int], cells: dict[int, list[int]], c: int,
 
 
 def canonical_form(g: ColoredDigraph) -> CanonicalForm:
-    perm, (colors_canon, arcs_canon) = _search(g, None)
+    perm, (colors_canon, arcs_canon) = _search(g)
     return CanonicalForm(tuple(perm), colors_canon, arcs_canon,
                          _digest(g.vertex_count, colors_canon, arcs_canon))
 
@@ -141,15 +143,9 @@ def _degree_key(ins: list[int], outs: list[int]):
     return lambda col: (*sorted(get_in(col)), *sorted(get_out(col)))
 
 
-# the target of a search that stops at its first leaf
-_FIRST_LEAF = object()
-
-
-def _search(g: ColoredDigraph, target) -> tuple[list[int], tuple]:
+def _search(g: ColoredDigraph, first_leaf: bool = False) -> tuple[list[int], tuple]:
     """(perm, key) of the first leaf in search order with the least key
-    (colors, arcs); with a target key, the search stops at the first leaf
-    whose key is at most the target and returns that leaf, and with
-    _FIRST_LEAF it returns the first leaf of all."""
+    (colors, arcs); with first_leaf, of the first leaf of all."""
     n = g.vertex_count
     if n == 0:
         return [], ((), ())
@@ -208,9 +204,7 @@ def _search(g: ColoredDigraph, target) -> tuple[list[int], tuple]:
         # the best gives an automorphism that fixes the common prefix of the
         # two paths (a vertex alone in its cell keeps its position) and maps
         # the next vertex of this path onto the best path's: the rest of that
-        # subtree is an image of one already searched.  Until a leaf reaches
-        # the target every key seen lies above it, so the search up to that
-        # leaf is the one without a target.
+        # subtree is an image of one already searched.
         nonlocal best_key, best_perm, best_inv, best_path
         key = sorted([col[u] * n + col[v] for (u, v) in g.arcs])
         if best_key is None or key < best_key:
@@ -218,8 +212,7 @@ def _search(g: ColoredDigraph, target) -> tuple[list[int], tuple]:
             for v in range(n):
                 inv[col[v]] = v
             best_key, best_perm, best_inv, best_path = key, list(col), inv, path
-            if target is _FIRST_LEAF or (target is not None
-                                        and (colors, _pairs(key, n)) <= target):
+            if first_leaf:
                 return -1
         elif key == best_key:
             a = list(map(best_inv.__getitem__, col))
@@ -284,7 +277,7 @@ def _search(g: ColoredDigraph, target) -> tuple[list[int], tuple]:
     dfs(col, cells, [])
     if best_perm is None:
         raise errors.LockedMatroidError("canonical search reached no leaf")
-    return best_perm, (colors, _pairs(best_key, n))
+    return best_perm, (colors, tuple(divmod(x, n) for x in best_key))
 
 
 def _grouped(vs: list[int], keys: list) -> list[list[int]]:
@@ -293,11 +286,6 @@ def _grouped(vs: list[int], keys: list) -> list[list[int]]:
     for k, v in zip(keys, vs):
         groups.setdefault(k, []).append(v)
     return [groups[k] for k in sorted(groups)]
-
-
-def _pairs(key: list[int], n: int) -> tuple[tuple[int, int], ...]:
-    """The arcs p * n + q of a leaf key as sorted (p, q) pairs."""
-    return tuple(divmod(x, n) for x in key)
 
 
 def _digest(n: int, colors, arcs) -> str:
@@ -340,19 +328,17 @@ def are_isomorphic(g1: ColoredDigraph, g2: ColoredDigraph):
     """(answer, witness): witness maps vertices of g1 to vertices of g2 and is
     verified arc-by-arc and color-by-color before being returned.
 
-    Unequal invariants answer without a search.  Otherwise g1's canonical key
-    is the target of g2's search: g2 is isomorphic to g1 exactly when its
-    least key is that target, and the first leaf reaching it is g2's
-    canonical leaf, so one full search decides the pair and the witness is
-    the one two canonical forms give."""
+    Unequal invariants answer without a search.  Otherwise the pair is
+    isomorphic exactly when the two canonical keys are equal, and the
+    witness sends each vertex of g1 to the vertex of g2 at its canonical
+    position."""
     if _profile(g1)[0] != _profile(g2)[0]:
         return False, None
-    cf1 = canonical_form(g1)
-    target = (cf1.colors, cf1.arcs)
-    perm2, key2 = _search(g2, target)
-    if key2 != target:
+    perm1, key1 = _search(g1)
+    perm2, key2 = _search(g2)
+    if key1 != key2:
         return False, None
-    return True, _verified_map(g1, g2, cf1.perm, perm2)
+    return True, _verified_map(g1, g2, perm1, perm2)
 
 
 def isomorphic(g1: ColoredDigraph, g2: ColoredDigraph) -> bool:
@@ -365,8 +351,8 @@ def isomorphic(g1: ColoredDigraph, g2: ColoredDigraph) -> bool:
     are_isomorphic decides."""
     if _profile(g1)[0] != _profile(g2)[0]:
         return False
-    perm1, key1 = _search(g1, _FIRST_LEAF)
-    perm2, key2 = _search(g2, _FIRST_LEAF)
+    perm1, key1 = _search(g1, first_leaf=True)
+    perm2, key2 = _search(g2, first_leaf=True)
     if key1 != key2:
         return are_isomorphic(g1, g2)[0]
     _verified_map(g1, g2, perm1, perm2)

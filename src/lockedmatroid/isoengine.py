@@ -10,7 +10,7 @@ Three routes:
   unlabeled series-arc encodings (the series route); answer-only, no
   element witness, so the comparison is dagiso.isomorphic, which answers
   from the two lattices' first search leaves when their keys agree and
-  runs one full canonical search only when they do not.
+  runs two full canonical searches only when they do not.
 * mip_zero_locked: for matroids without locked subsets, compares the
   sorted coparallel and parallel closure cardinality sequences.  The
   closures come first, so a loop or a coloop is refused before

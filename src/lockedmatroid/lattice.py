@@ -121,8 +121,9 @@ def recover_cardinality(d: LabeledDag, locked_vertex: int) -> int:
     """Maximum root-to-vertex flow, with capacity 1 on the coparallel-to-
     parallel arcs and no bound elsewhere; equals the cardinality of the
     represented locked subset."""
-    if not (0 <= locked_vertex < d.vertex_count) or d.levels[locked_vertex] != "locked":
-        raise errors.NotLockedVertex("vertex %r is not a locked-level vertex" % locked_vertex)
+    if (not isinstance(locked_vertex, int) or not 0 <= locked_vertex < d.vertex_count
+            or d.levels[locked_vertex] != "locked"):
+        raise errors.NotLockedVertex("vertex %r is not a locked-level vertex" % (locked_vertex,))
     if any(len(lab) != 1 for lab in d.labels):
         raise errors.LabelArityMismatch("cardinality recovery expects a reduced lattice")
     residual: dict[int, dict[int, int]] = {v: {} for v in range(d.vertex_count)}

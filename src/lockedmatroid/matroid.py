@@ -197,6 +197,8 @@ class Matroid:
                  index_map: Optional[dict] = None):
         # Internal constructor: trusts that the masks form a matroid.
         # Use from_bases() for validated construction from raw input.
+        if not isinstance(name, str):
+            raise errors.InvalidParams("matroid name %r is not a string" % (name,))
         masks = tuple(sorted(set(basis_masks)))
         if not masks:
             raise errors.EmptyBases("a matroid needs at least one basis")
@@ -398,7 +400,7 @@ def from_bases(n: int, bases: Iterable[Iterable[int]], names: Optional[Sequence[
     when n > MAX_N, before it reads any basis, and InvalidParams when n is
     not an int (before TooLarge), when names, bases or a basis is not a
     collection, or when a basis lists an element twice, before it builds
-    anything.
+    anything, and when name is not a string.
     """
     _refuse_large(n)
     ground = (GroundSet(n, _tuple_of(names, "names")) if names is not None

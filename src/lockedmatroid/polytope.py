@@ -207,15 +207,18 @@ def lp_maximize(sys: LinearSystem, weights: Sequence, add_box: bool = True
     return Fraction(num, den * scale), tuple(Fraction(a, d) for a in x)
 
 
-def greedy_max_basis(m: Matroid, weights: Sequence[int]) -> tuple[int, tuple[int, ...]]:
+def greedy_max_basis(m: Matroid, weights: Sequence) -> tuple[int | Fraction, tuple[int, ...]]:
     """Max-weight basis by the classic greedy scan (decreasing weight, ties by
-    index), extending whenever the element keeps the set independent."""
-    if len(_integral(weights)[0]) != m.n:
+    index), extending whenever the element keeps the set independent.  Weights
+    are exact rationals, as for lp_maximize; the total is an int if they are
+    integers."""
+    ints, d = _integral(weights)
+    if len(ints) != m.n:
         raise errors.DimensionMismatch("weight vector dimension mismatch")
     ranks = m._rank_table()
     current = 0
     chosen = []
-    for e in sorted(range(m.n), key=lambda i: (-weights[i], i)):
+    for e in sorted(range(m.n), key=lambda i: (-ints[i], i)):
         cand = current | (1 << e)
         if ranks[cand] == cand.bit_count():
             current = cand
@@ -223,7 +226,8 @@ def greedy_max_basis(m: Matroid, weights: Sequence[int]) -> tuple[int, tuple[int
     if len(chosen) != m.rank:
         raise errors.LockedMatroidError("greedy scan found %d elements, rank is %d"
                                         % (len(chosen), m.rank))
-    return sum(weights[e] for e in chosen), tuple(sorted(chosen))
+    total = sum(ints[e] for e in chosen)
+    return total if d == 1 else Fraction(total, d), tuple(sorted(chosen))
 
 
 def _sample_points(n: int, target_sum: int, count: int,
@@ -232,8 +236,8 @@ def _sample_points(n: int, target_sum: int, count: int,
     denominator lcm(dens) * n, with the same draws from rng.  Each draw is
     rng.randint's: words of k bits from getrandbits, the first one in range
     kept, with k the bit length of the range's size."""
-    if n < 1:
-        raise errors.InvalidParams("sample points need at least one coordinate, got n=%r" % n)
+    if not isinstance(n, int) or n < 1:
+        raise errors.InvalidParams("sample points need at least one coordinate, got n=%r" % (n,))
     getrandbits = rng.getrandbits
     points = []
     for _ in range(count):

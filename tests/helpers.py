@@ -420,9 +420,9 @@ def reference_canonical_form(g: ColoredDigraph) -> CanonicalForm:
 
 
 def reference_are_isomorphic(g1: ColoredDigraph, g2: ColoredDigraph):
-    """dagiso.are_isomorphic as it was before the target search: two full
-    canonical searches and a digest compare.  The (answer, witness) it
-    returns is the one the package must reproduce."""
+    """dagiso.are_isomorphic on the reference search: two full canonical
+    searches and a digest compare.  The (answer, witness) it returns is the
+    one the package must reproduce."""
     cf1, cf2 = reference_canonical_form(g1), reference_canonical_form(g2)
     if cf1.digest != cf2.digest:
         return False, None

@@ -42,6 +42,9 @@ def test_empty_graph():
     ((2.0, (), (0, 0)), errors.InvalidParams, r"vertex count must be an integer: 2\.0"),
     ((1, (), ("a",)), errors.InvalidParams, "colors must be integers"),
     ((1, (), (1.5,)), errors.InvalidParams, "colors must be integers"),
+    ((2, (), 5), errors.InvalidParams, "colors and arcs must be collections"),
+    ((2, 5, (0, 0)), errors.InvalidParams, "colors and arcs must be collections"),
+    ((2, iter([(0, 1)]), (0, 0)), errors.InvalidParams, "colors and arcs must be collections"),
 ])
 def test_colored_digraph_refusals(args, error, message):
     with pytest.raises(error, match="^%s$" % message):
@@ -338,8 +341,7 @@ def _two_search_oracle_pairs(corpus, structures):
 
 
 def test_are_isomorphic_matches_two_full_searches(corpus, structures):
-    # g2 searched against g1's key stops at g2's canonical leaf when the two
-    # are isomorphic, so the answer and the witness are those of two full
+    # the answer and the witness must be those of two full reference
     # canonical searches and a digest compare
     count = 0
     for g1, g2 in _two_search_oracle_pairs(corpus, structures):
@@ -368,25 +370,24 @@ def _rewired_pairs(rng: Random, count: int):
             yield g1, g2
 
 
-def test_equal_invariants_reach_the_target_search(monkeypatch):
+def test_equal_invariants_reach_two_full_searches(monkeypatch):
     # pairs that agree on vertex count, arc count and the (colour, in-degree,
-    # out-degree) profile: g1's canonical search, then g2's search against
-    # g1's key, must tell them apart, in either order
-    targets = []
+    # out-degree) profile: the two full canonical searches must tell them
+    # apart, in either order
+    searches = []
     search = dagiso._search
 
-    def spy(g, target):
-        targets.append(target)
-        return search(g, target)
+    def spy(g, first_leaf=False):
+        searches.append((g, first_leaf))
+        return search(g, first_leaf)
 
     monkeypatch.setattr(dagiso, "_search", spy)
     rewired = [pair for g1, g2 in _rewired_pairs(Random(77), 200) for pair in ((g1, g2), (g2, g1))]
     for a, b in list(_equal_cycle_cover_pairs()) + rewired:
         assert dagiso._profile(a)[0] == dagiso._profile(b)[0]
-        cf = canonical_form(a)
-        targets.clear()
+        searches.clear()
         assert lm.are_isomorphic(a, b) == (False, None), (a, b)
-        assert targets == [None, (cf.colors, cf.arcs)]
+        assert searches == [(a, False), (b, False)]
         assert not brute_force_iso(a, b)
     # equal colour and degree multisets, but a colour on a vertex of another
     # degree: the profile answers before any search, and before brute
@@ -395,9 +396,9 @@ def test_equal_invariants_reach_the_target_search(monkeypatch):
         path = tuple((i, i + 1) for i in range(n - 1))
         first = ColoredDigraph(n, path, (1,) + (0,) * (n - 1))
         last = ColoredDigraph(n, path, (0,) * (n - 1) + (1,))
-        targets.clear()
+        searches.clear()
         assert lm.are_isomorphic(first, last) == (False, None)
-        assert targets == []
+        assert searches == []
         assert not brute_force_iso(first, last)
 
 
@@ -467,7 +468,7 @@ def test_isomorphic_raises_when_the_leaf_map_fails(monkeypatch):
     path = ColoredDigraph(3, ((0, 1), (1, 2)), (0, 0, 0))
     other = ColoredDigraph(3, ((0, 1), (2, 1)), (0, 0, 0))
     search = dagiso._search
-    monkeypatch.setattr(dagiso, "_search", lambda g, target: search(path, target))
+    monkeypatch.setattr(dagiso, "_search", lambda g, first_leaf=False: search(path, first_leaf))
     monkeypatch.setattr(dagiso, "_profile", lambda g: ((), [], []))
     with pytest.raises(errors.LockedMatroidError, match="carry arcs onto arcs"):
         dagiso.isomorphic(path, other)

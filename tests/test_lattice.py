@@ -233,6 +233,13 @@ def test_recover_cardinality_mk4():
     assert [lm.recover_cardinality(d, v) for v in locked_vs] == [3, 3, 3, 3]
 
 
+def test_recover_cardinality_refuses_a_vertex_that_is_not_an_int():
+    d = lm.reduced_lattice(lm.locked_structure(lm.mk4()))
+    for v in ("x", None, 1.0, (1, 2)):
+        with pytest.raises(errors.NotLockedVertex, match="is not a locked-level vertex$"):
+            lm.recover_cardinality(d, v)
+
+
 def test_recover_cardinality_corpus(structures):
     for s in structures.values():
         d = lm.reduced_lattice(s)

@@ -82,6 +82,30 @@ def test_with_names_refuses_names_that_are_not_a_collection():
         lm.with_names(lm.mk4(), 5)
 
 
+def test_from_bases_refuses_a_name_that_is_not_a_string():
+    for name in (5, None):
+        with pytest.raises(errors.InvalidParams, match="^matroid name %r is not a string$" % name):
+            lm.from_bases(2, [(0,)], name=name)
+
+
+def test_with_names_refuses_a_name_that_is_not_a_string():
+    with pytest.raises(errors.InvalidParams, match="^matroid name 5 is not a string$"):
+        lm.with_names(lm.mk4(), "uvwxyz", name=5)
+    assert lm.with_names(lm.mk4(), "uvwxyz", name=None).dual().name == "dual(mk4)"
+
+
+def test_relax_refuses_a_name_that_is_not_a_string():
+    with pytest.raises(errors.InvalidParams, match="^matroid name 5 is not a string$"):
+        lm.relax(lm.mk4(), (3, 4, 5), name=5)
+    assert lm.relax(lm.mk4(), (3, 4, 5), name=None).dual().name == "dual(relax(mk4))"
+
+
+def test_relabel_refuses_a_name_that_is_not_a_string():
+    with pytest.raises(errors.InvalidParams, match="^matroid name 5 is not a string$"):
+        lm.relabel(lm.mk4(), range(6), name=5)
+    assert lm.relabel(lm.mk4(), range(6), name=None).name == "relabel(mk4)"
+
+
 def test_from_bases_out_of_range():
     with pytest.raises(errors.OutOfRange):
         lm.from_bases(3, [(0, 3)])

@@ -329,9 +329,26 @@ def test_greedy_max_basis_refuses_weights_that_are_not_a_collection():
 def test_greedy_max_basis_refuses_weights_that_are_not_rational():
     with pytest.raises(errors.InvalidParams, match="is not a list of rational numbers$"):
         lm.greedy_max_basis(lm.mk4(), ["x"] * 6)
-    # accepted weights are summed as the caller gave them
+    # accepted weights are summed by their exact values
     assert lm.greedy_max_basis(lm.mk4(), [0.5] * 6) == (1.5, (0, 1, 2))
     assert lm.greedy_max_basis(lm.mk4(), [Fraction(1, 3)] * 6) == (1, (0, 1, 2))
+
+
+def test_greedy_max_basis_reads_weights_as_exact_rationals(corpus):
+    # int, Fraction and rational-string weights of one value give one scan:
+    # the same basis, and the same total, an int for int weights only
+    m = lm.mk4()
+    assert lm.greedy_max_basis(m, ["1/2"] * 6) == (Fraction(3, 2), (0, 1, 2))
+    assert lm.greedy_max_basis(m, ["1/3", "-2", "5/6", "0", "1/2", "1"]) == \
+        (Fraction(7, 3), (2, 4, 5))
+    rng = Random(2801)
+    for m in corpus:
+        for _ in range(10):
+            w = [rng.randint(-8, 8) for _ in range(m.n)]
+            value, basis = lm.greedy_max_basis(m, w)
+            assert type(value) is int
+            for scaled in ([Fraction(x, 6) for x in w], ["%d/6" % x for x in w]):
+                assert lm.greedy_max_basis(m, scaled) == (Fraction(value, 6), basis), (m.name, w)
 
 
 def test_lp_against_sympy_reference():
@@ -420,6 +437,12 @@ def test_sampler_refuses_an_empty_ground_set():
     for n in (0, -1):
         with pytest.raises(errors.InvalidParams, match="at least one coordinate"):
             sample_rational_points(n, 0, 1, Random(1))
+
+
+def test_sampler_refuses_a_size_that_is_not_an_int():
+    for n in ("x", 2.0, None, (1, 2)):
+        with pytest.raises(errors.InvalidParams, match="^sample points need at least one coordinate"):
+            sample_rational_points(n, 1, 1, Random(1))
 
 
 def test_integer_cores_match_the_fraction_oracles(corpus):

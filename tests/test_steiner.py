@@ -64,7 +64,7 @@ def test_relabellings_are_isomorphic(systems, route):
 
 @pytest.mark.parametrize("route", ["labels", "series"])
 def test_pg32_is_not_the_traded_system(systems, lattices, route):
-    # the invariants agree, so the second system's target search says no
+    # the invariants agree, so the two canonical searches say no
     g1, g2 = (ENCODINGS[route](d) for d in lattices.values())
     assert dagiso._profile(g1)[0] == dagiso._profile(g2)[0]
     pg, traded = (steiner_matroid(blocks) for blocks in systems.values())
@@ -96,7 +96,7 @@ def test_isomorphic_is_are_isomorphics_answer_on_the_systems(lattices, route):
 
 
 def _first_leaf_key(g):
-    return dagiso._search(g, dagiso._FIRST_LEAF)[1]
+    return dagiso._search(g, first_leaf=True)[1]
 
 
 def test_isomorphic_falls_back_to_the_full_search(lattices, monkeypatch):
