@@ -199,6 +199,8 @@ class Matroid:
         # Use from_bases() for validated construction from raw input.
         if not isinstance(name, str):
             raise errors.InvalidParams("matroid name %r is not a string" % (name,))
+        if "\n" in name or "\r" in name:  # save writes the name on the header line
+            raise errors.InvalidParams("matroid name %r holds a line break" % (name,))
         masks = tuple(sorted(set(basis_masks)))
         if not masks:
             raise errors.EmptyBases("a matroid needs at least one basis")

@@ -15,9 +15,7 @@ zero tolerance.  The membership checks run on integers: ``_member`` and
 ``_member_Q`` read a point as numerators over one positive denominator,
 ``_sample_points`` draws points in that form, and ``zero_one_vertices``
 counts each subset's elements in a row by ``bit_count``; ``member`` and
-``member_Q`` are the Fraction-accepting wrappers.  A system is hashed once
-and compiles its rows for ``_member`` once, so the LP cache lookup and
-each membership test read no ``Row`` object field by field.
+``member_Q`` are the Fraction-accepting wrappers.
 ``lp_maximize`` solves on integers too: it checks the simplex's integer
 witness with ``_member`` and the objective identity, and builds its
 Fractions only at the return.  greedy_max_basis supplies the independent
@@ -30,7 +28,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from random import Random
 from typing import Optional, Sequence
 
@@ -60,18 +58,6 @@ class LinearSystem:
     dimension: int
     rows: tuple[Row, ...]
 
-    def __hash__(self) -> int:
-        return self._hash
-
-    @cached_property
-    def _hash(self) -> int:
-        return hash((self.dimension, self.rows))
-
-    @cached_property
-    def _checks(self) -> list[tuple[tuple[int, ...], str, int, Row]]:
-        """(support, relation, bound, row) of each row, in order."""
-        return [(row.support, row.rel, row.bound, row) for row in self.rows]
-
 
 def build_P(s: LockedStructure) -> LinearSystem:
     full = tuple(range(s.ground_size))
@@ -100,9 +86,9 @@ def _integral(values: Sequence) -> tuple[list[int], int]:
 def _member(sys: LinearSystem, x: Sequence[int], d: int) -> tuple[bool, Optional[Row]]:
     """member on the point x / d: integer numerators over one d > 0."""
     coord = x.__getitem__
-    for support, rel, bound, row in sys._checks:
-        total = sum(map(coord, support))
-        bound *= d
+    for row in sys.rows:
+        total = sum(map(coord, row.support))
+        rel, bound = row.rel, row.bound * d
         if total > bound if rel == "<=" else total < bound if rel == ">=" else total != bound:
             return False, row
     return True, None
@@ -233,11 +219,19 @@ def greedy_max_basis(m: Matroid, weights: Sequence) -> tuple[int | Fraction, tup
 def _sample_points(n: int, target_sum: int, count: int,
                    rng: Random) -> list[tuple[tuple[int, ...], int]]:
     """sample_rational_points as (numerators, denominator) pairs over the
-    denominator lcm(dens) * n, with the same draws from rng.  Each draw is
-    rng.randint's: words of k bits from getrandbits, the first one in range
-    kept, with k the bit length of the range's size."""
+    denominator lcm(dens) * n * q, with q the denominator of target_sum, and
+    the same draws from rng.  Each draw is rng.randint's: words of k bits
+    from getrandbits, the first one in range kept, with k the bit length of
+    the range's size."""
     if not isinstance(n, int) or n < 1:
         raise errors.InvalidParams("sample points need at least one coordinate, got n=%r" % (n,))
+    if not isinstance(count, int) or count < 0:
+        raise errors.InvalidParams("count must be a nonnegative int, got %r" % (count,))
+    try:
+        (target,), q = _integral((target_sum,))
+    except errors.InvalidParams:
+        raise errors.InvalidParams("target_sum %r is not a rational number" % (target_sum,)) from None
+    scale = n * q
     getrandbits = rng.getrandbits
     points = []
     for _ in range(count):
@@ -255,8 +249,8 @@ def _sample_points(n: int, target_sum: int, count: int,
             nums.append(a)
         lcm = math.lcm(*dens)
         nums = [a * (lcm // den) for a, den in zip(nums, dens)]
-        shift = target_sum * lcm - sum(nums)
-        points.append((tuple(a * n + shift for a in nums), lcm * n))
+        shift = target * lcm - q * sum(nums)
+        points.append((tuple(a * scale + shift for a in nums), lcm * scale))
     return points
 
 
@@ -264,5 +258,6 @@ def sample_rational_points(n: int, target_sum: int, count: int,
                            rng: Random) -> list[tuple[Fraction, ...]]:
     """Seeded rational sample points: coordinates with denominators up to
     MAX_DENOMINATOR drawn in [0,1], then shifted onto the hyperplane
-    x(E) = target_sum.  Points may leave the unit box; they are kept."""
+    x(E) = target_sum, read as an exact rational.  Points may leave the unit
+    box; they are kept."""
     return [tuple(Fraction(a, d) for a in x) for x, d in _sample_points(n, target_sum, count, rng)]

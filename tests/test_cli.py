@@ -116,6 +116,15 @@ def test_iso_both_on_an_exhaustive_negative(tmp_path, capsys, sparse_paving_pair
     assert (code, out, err) == (1, "not isomorphic (bruteforce=lattice=false)\n", "")
 
 
+def test_iso_both_reports_methods_that_disagree(tmp_path, capsys, monkeypatch):
+    p1, p2 = tmp_path / "a.matroid", tmp_path / "b.matroid"
+    lm.save(lm.mk4(), p1)
+    lm.save(lm.whirl3(), p2)
+    monkeypatch.setattr(cli, "mip_locked", lambda m1, m2: isoengine.IsoReport(True, "lattice"))
+    code, out, err = run(capsys, "iso", str(p1), str(p2), "--method", "both")
+    assert (code, out, err) == (2, "", "error: methods disagree: bruteforce=False lattice=True\n")
+
+
 def test_iso_l0_method(tmp_path, capsys):
     p1 = tmp_path / "a.matroid"
     p2 = tmp_path / "b.matroid"
@@ -428,6 +437,8 @@ def test_gen_graphic_edge_not_a_pair_refused(tmp_path, capsys, spec):
     ("graphic:3:0-3", "edge endpoint out of range: (0, 3)"),
     ("twosum:mk4+mk4@a", "twosum basepoints are <e1>,<e2>"),
     ("twosum:mk4+uniform:3@a,f0", "uniform needs (r, n)"),
+    ("twosum:mk4@a,f0", "twosum spec is twosum:<a>+<b>@<e1>,<e2>"),
+    ("twosum:twosum:mk4+mk4@a,f0+mk4@a,f0", "nested twosum specs are not supported"),
 ])
 def test_gen_malformed_spec_refused(tmp_path, capsys, spec, message):
     # each field is checked once, by the catalog constructor it goes to

@@ -1,4 +1,5 @@
 import itertools
+import re
 from collections import Counter
 from math import comb
 from random import Random
@@ -86,6 +87,21 @@ def test_from_bases_refuses_a_name_that_is_not_a_string():
     for name in (5, None):
         with pytest.raises(errors.InvalidParams, match="^matroid name %r is not a string$" % name):
             lm.from_bases(2, [(0,)], name=name)
+
+
+def test_from_bases_refuses_a_name_that_holds_a_line_break():
+    # the name is written on the header line, and load reads "\r" as a line
+    # break too, so it would refuse the file
+    for name in ("a b\nc", "\n", "a\rb"):
+        with pytest.raises(errors.InvalidParams,
+                           match="^matroid name %s holds a line break$" % re.escape(repr(name))):
+            lm.from_bases(2, [(0,)], name=name)
+
+
+def test_a_name_with_inner_spaces_round_trips(tmp_path):
+    path = tmp_path / "m.matroid"
+    lm.save(lm.from_bases(2, [(0,)], name="a b  c"), path)
+    assert lm.load(path).name == "a b  c"
 
 
 def test_with_names_refuses_a_name_that_is_not_a_string():

@@ -445,6 +445,34 @@ def test_sampler_refuses_a_size_that_is_not_an_int():
             sample_rational_points(n, 1, 1, Random(1))
 
 
+def test_sampler_refuses_a_count_that_is_not_a_nonnegative_int():
+    for count in ("x", 2.0, None, -1):
+        with pytest.raises(errors.InvalidParams, match="^count must be a nonnegative int"):
+            sample_rational_points(2, 1, count, Random(1))
+
+
+def test_sampler_refuses_a_target_that_is_not_rational():
+    for target in ("x", None, float("nan")):
+        with pytest.raises(errors.InvalidParams, match="^target_sum .* is not a rational number$"):
+            sample_rational_points(2, target, 1, Random(1))
+
+
+def test_sampler_reads_the_target_as_an_exact_rational():
+    # a rational target lands on its hyperplane, with integer numerators; an
+    # integral Fraction, string or float target draws the int target's points
+    for target in (Fraction(3, 2), "3/2", 0.5):
+        for p in sample_rational_points(3, target, 20, Random(5)):
+            assert sum(p) == Fraction(target)
+    for target in (Fraction(2), "2", 2.0):
+        rng, ref = Random(7), Random(7)
+        assert sample_rational_points(4, target, 10, rng) == \
+            reference_sample_rational_points(4, 2, 10, ref)
+        assert rng.getstate() == ref.getstate()
+    for (x, d), p in zip(_sample_points(3, Fraction(3, 2), 20, Random(5)),
+                         reference_sample_rational_points(3, Fraction(3, 2), 20, Random(5))):
+        assert all(isinstance(a, int) for a in x) and tuple(Fraction(a, d) for a in x) == p
+
+
 def test_integer_cores_match_the_fraction_oracles(corpus):
     # _member and _member_Q on the sampler's (numerators, denominator) pairs,
     # about a third of which leave the unit box
@@ -498,8 +526,8 @@ def test_lp_maximize_matches_the_reference(corpus):
 
 
 def test_a_system_is_hashed_and_compiled_from_its_rows():
-    # the cached hash and the compiled rows belong to the system object, so
-    # an equal system shares the LP cache and an edited copy reads its rows
+    # the dataclass hash reads the rows, so an equal system shares the LP
+    # cache and an edited copy is checked against its own rows
     sys = system_for(lm.mk4())
     twin = LinearSystem(sys.dimension, tuple(sys.rows))
     assert twin == sys and hash(twin) == hash(sys) == hash((sys.dimension, sys.rows))
