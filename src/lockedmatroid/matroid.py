@@ -12,11 +12,15 @@ Every rank query, rank_of included, reads one full rank table, built once
 per matroid on first use: a bytes object of 2^n ranks indexed by mask.  It
 is built by byte-lane arithmetic, with byte x of one big integer holding
 the value for the subset x, so that each pass over all 2^n subsets is a
-few integer operations.  cyclic_flats reads the table the same way, and
-validation packs the same lanes to one bit per subset to test local
-submodularity.  That is the intended scale here: the table refuses ground
-sets of more than MAX_N = 16 elements with TooLarge, whichever constructor
-made the matroid.
+few integer operations: the bases are closed downward, each independent
+set's lane gets the thermometer code of |X|, and the max over subsets is
+one OR per element.  A rank above 8, whose code a byte cannot hold, is read
+from the complement family's table, of rank n - r <= 7, as
+r(X) = r'(E-X) + |X| - (n - r).  cyclic_flats reads the table the same
+way, and validation packs the same lanes to one bit per subset to test
+local submodularity.  That is the intended scale here: the table refuses
+ground sets of more than MAX_N = 16 elements with TooLarge, whichever
+constructor made the matroid.
 
 Connectivity has one primitive, the separator lanes of Matroid._components:
 byte X of r + reversed r is r(X) + r(E-X), which equals r(E) exactly when X
@@ -29,6 +33,7 @@ cyclic flats of each.
 from __future__ import annotations
 
 import itertools
+import os
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -98,6 +103,12 @@ MAX_N = 16
 # a bytes.translate table that turns the zero lanes of a table into 1 and
 # every other lane into 0
 _ZERO_TO_ONE = b"\1" + bytes(255)
+
+# bytes.translate tables between a lane value v <= 8 and its thermometer
+# code (1 << v) - 1, the byte whose set bits are the values below v: the
+# max of two codes is their OR, and a code's popcount is its value
+_THERMOMETER = bytes((1 << min(v, 8)) - 1 for v in range(256))
+_POPCOUNT = bytes(b.bit_count() for b in range(256))
 
 
 def _refuse_large(n: int) -> None:
@@ -201,6 +212,9 @@ class Matroid:
             raise errors.InvalidParams("matroid name %r is not a string" % (name,))
         if "\n" in name or "\r" in name:  # save writes the name on the header line
             raise errors.InvalidParams("matroid name %r holds a line break" % (name,))
+        if name != name.strip():  # load strips the header line
+            raise errors.InvalidParams("matroid name %r has leading or trailing whitespace"
+                                       % (name,))
         masks = tuple(sorted(set(basis_masks)))
         if not masks:
             raise errors.EmptyBases("a matroid needs at least one basis")
@@ -303,29 +317,42 @@ class Matroid:
         return self._comps
 
     def _build_tables(self) -> None:
-        """Builds the rank table in two passes over the patterns of lane_bits(n)."""
+        """Builds the rank table in two passes over the patterns of lane_bits(n):
+        the downward closure of the bases, then a running max of thermometer
+        codes, one OR per element.  The table is r(X) = max |B & X| for every
+        equicardinal family, matroid or not; validate refuses any other
+        family before it reads the table."""
         n = self.n
         _refuse_large(n)
         size = 1 << n
         ind = bytearray(size)
         for b in self._basis_masks:
             ind[b] = 1
+        # A byte holds thermometer codes of ranks up to 8 only; above that,
+        # build the table r' of the complement family {E - B}, of rank
+        # n - r <= 7: lane X of the reversed indicator marks E - X.
+        dual = self.rank > 8
+        if dual:
+            ind.reverse()
         # Byte lane x of each integer below holds a value for the subset x.
         # Values stay below 0x80, so a lane never carries into the next.
         ind = int.from_bytes(ind, "little")
         for i, has in enumerate(lane_bits(n)):
             ind |= (ind & has) >> (8 << i)  # subsets of independent sets
-        r = (ind * 0xFF) & sum(lane_bits(n))  # |X| on the independent sets, 0 elsewhere
+        pop = sum(lane_bits(n))  # |X| on lane X
+        t = ((ind * 0xFF) & pop).to_bytes(size, "little").translate(_THERMOMETER)
+        t = int.from_bytes(t, "little")
         for i, has in enumerate(lane_bits(n)):
-            # on the lanes X that hold i: r(X) = max(r(X), r(X - i)); b + 0x80 - a
-            # keeps bit 7 exactly where b >= a, and borrows from no lane
-            shift = 8 << i
-            top = has * 0xFF
-            a = (r << shift) & top
-            b = r & top
-            ge = (((b | (has << 7)) - a) >> 7) & has
-            r ^= (a ^ b) & ((has ^ ge) * 0xFF)
-        self._ranks = r.to_bytes(size, "little")
+            # on the lanes X that hold i: r(X) = max(r(X), r(X - i)), an OR
+            t |= (t << (8 << i)) & (has * 0xFF)
+        ranks = t.to_bytes(size, "little").translate(_POPCOUNT)
+        if dual:
+            # r(X) = r'(E - X) + |X| - (n - r), exact for every equicardinal
+            # family; every lane stays in 0..n, so nothing carries or borrows
+            ranks = (int.from_bytes(ranks[::-1], "little") + pop
+                     - int.from_bytes(bytes([n - self.rank]) * size, "little"))
+            ranks = ranks.to_bytes(size, "little")
+        self._ranks = ranks
 
     def is_independent(self, elements: Iterable[int]) -> bool:
         m = _check_elements(self.n, elements)
@@ -531,12 +558,16 @@ def two_sum(m1: Matroid, m2: Matroid, e1: int, e2: int) -> Matroid:
     """2-sum of two connected matroids along the basepoints e1 in M1, e2 in M2.
 
     Ground set is (E1 minus e1) followed by (E2 minus e2); the result has
-    |E1|+|E2|-2 elements and rank r1+r2-1.  Raises TooLarge when that is
-    more than MAX_N, before it reads any basis.  The bases are the unions
-    B1 - e1 + B2 - e2 where exactly one of B1, B2 holds its basepoint,
+    |E1|+|E2|-2 elements and rank r1+r2-1.  Raises InvalidParams when a
+    summand is not a Matroid, then TooSmall, then TooLarge when the sum has
+    more than MAX_N elements, before it reads any basis.  The bases are the
+    unions B1 - e1 + B2 - e2 where exactly one of B1, B2 holds its basepoint,
     formed on masks: each summand's bases are split by the basepoint bit,
     which is squeezed out, and M2's move up by |E1| - 1 bits.
     """
+    for m in (m1, m2):
+        if not isinstance(m, Matroid):
+            raise errors.InvalidParams("2-sum summand %r is not a Matroid" % (m,))
     for m in (m1, m2):
         if m.n < 3:
             raise errors.TooSmall("2-sum needs at least 3 elements on each side")
@@ -656,13 +687,24 @@ def from_text(text: str) -> Matroid:
     return _validated(GroundSet(len(names), names), masks, name)
 
 
+def _check_path(path) -> None:
+    # open() reads an int as a file descriptor, which it would then close
+    if not isinstance(path, (str, bytes, os.PathLike)):
+        raise errors.InvalidParams("path %r is not a str, bytes or os.PathLike" % (path,))
+
+
 def save(m: Matroid, path) -> None:
+    """Write m in the text format; a path that is not a str, bytes or
+    os.PathLike raises InvalidParams."""
+    _check_path(path)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(to_text(m))
 
 
 def load(path) -> Matroid:
-    """Read a matroid file; bytes that are not UTF-8 raise FormatError."""
+    """Read a matroid file; bytes that are not UTF-8 raise FormatError, and
+    a path that is not a str, bytes or os.PathLike raises InvalidParams."""
+    _check_path(path)
     with open(path, "r", encoding="utf-8") as fh:
         try:
             text = fh.read()

@@ -1,4 +1,5 @@
 import itertools
+import os
 import re
 from collections import Counter
 from math import comb
@@ -102,6 +103,21 @@ def test_a_name_with_inner_spaces_round_trips(tmp_path):
     path = tmp_path / "m.matroid"
     lm.save(lm.from_bases(2, [(0,)], name="a b  c"), path)
     assert lm.load(path).name == "a b  c"
+
+
+def test_from_bases_refuses_a_name_with_leading_or_trailing_whitespace(tmp_path):
+    # load strips the name on the header line, so it would come back changed
+    for name in (" a", "a ", "\ta b", " ", "a b\x0c"):
+        with pytest.raises(errors.InvalidParams,
+                           match="^matroid name %s has leading or trailing whitespace$"
+                           % re.escape(repr(name))):
+            lm.from_bases(2, [(0,)], name=name)
+    with pytest.raises(errors.InvalidParams, match="leading or trailing whitespace"):
+        lm.with_names(lm.mk4(), "uvwxyz", name="x ")
+    path = tmp_path / "m.matroid"
+    for name in ("a\tb", "", "dual(a b)"):
+        lm.save(lm.from_bases(2, [(0,)], name=name), path)
+        assert lm.load(path).name == name
 
 
 def test_with_names_refuses_a_name_that_is_not_a_string():
@@ -527,6 +543,39 @@ def test_rank_table_matches_reference(corpus):
     assert lm.uniform(16, 16)._rank_table()[-1] == 16
 
 
+def equicardinal_battery():
+    """Seeded equicardinal families of 2 to 30 masks, most of them not
+    matroids: ranks 0 and n at every n, ranks 7 to 10 (both sides of the
+    switch to the complement family above rank 8) at every n from 9 to 16,
+    and 150 families of a rank from 2 to n - 2 at n <= 12 (families of
+    rank 1 or n - 1 are all matroids)."""
+    rng = Random(30)
+    shapes = [(n, r) for n in range(1, 17) for r in (0, n)]
+    shapes += [(n, r) for n in range(9, 17) for r in (7, 8, 9, 10) if r < n]
+    shapes += [(n, rng.randint(2, n - 2)) for n in (rng.randint(4, 12) for _ in range(150))]
+    battery = []
+    for n, r in shapes:
+        k = 1 if r in (0, n) else rng.randint(2, 30)
+        battery.append((n, sorted({mask_of(rng.sample(range(n), r)) for _ in range(k)})))
+    return battery
+
+
+def test_rank_table_matches_reference_on_equicardinal_families():
+    # the thermometer lanes, and above rank 8 the complement family's, are
+    # exact for every equicardinal family, so validation reads the same
+    # table on the families it rejects: from_bases answers as the exchange
+    # scan does, with the same first failing triple
+    outcomes = Counter()
+    for n, family in equicardinal_battery():
+        m = Matroid(GroundSet.default(n), family)
+        assert m._rank_table() == bytes(reference_rank_table(m)), (n, family)
+        expected = _verdict(lambda: _check_exchange(family, set(family)))
+        assert _verdict(lambda: lm.from_bases(n, map(bits_of, family))) == expected, (n, family)
+        outcomes[m.rank > 8, expected is None] += 1
+    assert outcomes == {(False, True): 48, (False, False): 136,
+                        (True, True): 10, (True, False): 17}
+
+
 def test_is_independent_matches_bases(corpus):
     for m in corpus:
         fresh = Matroid(m.ground, m._basis_masks)  # no rank table yet
@@ -840,6 +889,13 @@ def test_two_sum_errors():
         lm.two_sum(loopy, lm.uniform(2, 4), 2, 0)
 
 
+def test_two_sum_refuses_a_summand_that_is_not_a_matroid():
+    # before TooSmall, which reads the summand's size
+    for m1, m2 in ((lm.mk4(), "x"), (None, lm.mk4()), (lm.uniform(1, 2), "x")):
+        with pytest.raises(errors.InvalidParams, match="^2-sum summand .* is not a Matroid$"):
+            lm.two_sum(m1, m2, 0, 0)
+
+
 def test_two_sum_size_guard_reads_no_basis():
     # 10 + 10 - 2 = 18 elements: refused before the summands' loops,
     # coloops and connectivity (which builds their rank tables) are checked
@@ -1037,6 +1093,29 @@ def test_save_load_bit_exact(tmp_path, corpus):
         raw = path.read_bytes()
         assert b"\r" not in raw
         assert lm.load(path) == m
+
+
+def test_save_and_load_refuse_a_path_that_is_not_a_path(tmp_path):
+    # open() takes an int as a file descriptor, which it would use and close
+    read_fd, write_fd = os.pipe()
+    try:
+        for path in (write_fd, None, 1.5):
+            with pytest.raises(errors.InvalidParams,
+                               match="^path .* is not a str, bytes or os.PathLike$"):
+                lm.save(lm.mk4(), path)
+        for path in (read_fd, None, ["m.matroid"]):
+            with pytest.raises(errors.InvalidParams,
+                               match="^path .* is not a str, bytes or os.PathLike$"):
+                lm.load(path)
+        os.fstat(read_fd)  # both descriptors are still open
+        os.fstat(write_fd)
+    finally:
+        os.close(read_fd)
+        os.close(write_fd)
+    path = tmp_path / "m.matroid"
+    for p in (path, str(path), bytes(path)):
+        lm.save(lm.mk4(), p)
+        assert lm.load(p) == lm.mk4()
 
 
 # -- bit helpers ----------------------------------------------------------------------
