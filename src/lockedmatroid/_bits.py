@@ -4,7 +4,6 @@ the spanning-tree scan of graphic matroids both use."""
 
 from __future__ import annotations
 
-import functools
 from typing import Iterable, Iterator
 
 
@@ -49,15 +48,31 @@ def splits(mask: int) -> Iterator[int]:
         yield low | b
 
 
-@functools.lru_cache(maxsize=1)
-def lane_bits(n: int) -> tuple[int, ...]:
-    """HAS_0, ..., HAS_{n-1} over 2^n byte lanes, lane x being byte x of a
-    little-endian integer: HAS_i holds 1 in each lane whose index has bit i
-    and 0 in the others, a block of 2^(i+1) lanes repeated.  Every lane pass
-    reads them, so they are memoized for the most recent n only: n * 2^n
-    bytes at most, 1 MiB at n = 16."""
-    return tuple(int.from_bytes((bytes(1 << i) + b"\1" * (1 << i)) * (1 << (n - 1 - i)), "little")
-                 for i in range(n))
+# the lane constants of the largest n asked for so far: (n, HAS, ONES, POP),
+# at first those of n = 0, one lane
+_lanes: tuple[int, tuple[int, ...], int, int] = (0, (), 1, 0)
+
+
+def lane_constants(n: int) -> tuple[tuple[int, ...], int, int]:
+    """(HAS, ONES, POP) over 2^n byte lanes, lane x being byte x of a
+    little-endian integer: HAS[i] holds 1 in each lane whose index has bit i
+    and 0 in the others, a block of 2^(i+1) lanes repeated; ONES holds 1 in
+    every lane, and POP holds |x| in lane x.  Every lane pass reads them, so
+    they are memoized for the largest n asked for only: (n + 2) * 2^n bytes
+    at most, 1.125 MiB at n = 16.  A smaller n reads the low 2^n lanes of
+    the memo, which hold its own constants, one AND each, so the result is
+    a pure function of n whatever sizes came before."""
+    global _lanes
+    top, has, ones, pop = _lanes
+    if n > top:
+        has = tuple(int.from_bytes((bytes(1 << i) + b"\1" * (1 << i)) * (1 << (n - 1 - i)),
+                                   "little") for i in range(n))
+        ones = int.from_bytes(b"\1" * (1 << n), "little")
+        _lanes = top, has, ones, pop = n, has, ones, sum(has)
+    if n == top:
+        return has, ones, pop
+    low = (1 << (8 << n)) - 1
+    return tuple(h & low for h in has[:n]), ones & low, pop & low
 
 
 def subset_bits(n: int) -> Iterator[int]:

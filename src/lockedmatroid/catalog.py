@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 from . import errors
 from ._bits import find
-from .matroid import GroundSet, Matroid, _refuse_large, from_bases, relax
+from .matroid import GroundSet, Matroid, _refuse_large, _tuple_of, from_bases, relax
 
 # K4 on vertices 0..3; edge order fixes the element labels a..f so that the
 # triangles come out as {a,b,d}, {a,c,f}, {b,c,e} and the rim {d,e,f}.
@@ -67,12 +67,13 @@ def graphic(n_vertices: int, edges: Sequence[tuple[int, int]],
             names: Optional[Sequence[str]] = None, name: str = "graphic") -> Matroid:
     """Cycle matroid of a connected multigraph: bases are the spanning trees.
     A multigraph is connected exactly when it has one, so DisconnectedGraph
-    is raised when the scan of the edge subsets finds none.  An edge that is
-    not a pair of vertices, or a non-integer vertex, raises InvalidParams."""
+    is raised when the scan of the edge subsets finds none.  Edges that are
+    not a collection, an edge that is not a pair of vertices, or a
+    non-integer vertex raises InvalidParams."""
     n_vertices = _integer(n_vertices)
+    edges = tuple(map(_edge, _tuple_of(edges, "edge list")))
     if n_vertices < 1 or not edges:
         raise errors.InvalidParams("need at least one vertex and one edge")
-    edges = tuple(map(_edge, edges))
     for (u, v) in edges:
         if not (0 <= u < n_vertices and 0 <= v < n_vertices):
             raise errors.InvalidParams("edge endpoint out of range: %r" % ((u, v),))
@@ -128,7 +129,10 @@ def vamos() -> Matroid:
 
 def catalog(name: str, *params) -> Matroid:
     """Build a named matroid: uniform(r, n), graphic(nv, edges), mk4,
-    whirl3, q6, p6 or vamos."""
+    whirl3, q6, p6 or vamos.  Any other name, a string or not, raises
+    UnknownName."""
+    if not isinstance(name, str):
+        raise errors.UnknownName("unknown catalog name %r" % (name,))
     simple = {"mk4": mk4, "whirl3": whirl3, "q6": q6, "p6": p6, "vamos": vamos}
     if name in simple:
         if params:
@@ -142,4 +146,4 @@ def catalog(name: str, *params) -> Matroid:
         if len(params) != 2:
             raise errors.InvalidParams("graphic needs (n_vertices, edges)")
         return graphic(*params)
-    raise errors.UnknownName("unknown catalog name %r" % name)
+    raise errors.UnknownName("unknown catalog name %r" % (name,))

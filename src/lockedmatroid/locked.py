@@ -137,7 +137,8 @@ def _locked_iter(m: Matroid) -> Iterator[int]:
 
 def locked_structure(m: Matroid) -> LockedStructure:
     """Enumerate the locked subsets and assemble the full quadruple.  The rank
-    table and the cyclic flats read one memo of lane patterns, lane_bits(n)."""
+    table and the cyclic flats read one memo of lane constants,
+    lane_constants(n)."""
     return _assemble(m, _locked_iter(m))
 
 

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
 from . import errors
-from ._bits import bits_of, lane_bits, mask_of, subset_bits, subset_key
+from ._bits import bits_of, lane_constants, mask_of, subset_bits, subset_key
 
 
 @dataclass(frozen=True)
@@ -100,10 +100,6 @@ def _tuple_of(items: Iterable, what: str) -> tuple:
 # refuses larger ground sets before it allocates.
 MAX_N = 16
 
-# a bytes.translate table that turns the zero lanes of a table into 1 and
-# every other lane into 0
-_ZERO_TO_ONE = b"\1" + bytes(255)
-
 # bytes.translate tables between a lane value v <= 8 and its thermometer
 # code (1 << v) - 1, the byte whose set bits are the values below v: the
 # max of two codes is their OR, and a code's popcount is its value
@@ -146,15 +142,17 @@ def _check_exchange(masks: Sequence[int], mask_set: set[int]) -> None:
 def _rank_steps(ranks: bytes, n: int) -> Iterator[tuple[int, int]]:
     """(HAS_e, D_e) for e = 0, ..., n-1, over the byte lanes of a rank
     table, one lane per subset X: lane X of D_e holds r(X+e) - r(X) on the
-    lanes X without e and 0 on the others.  It is one subtraction, and
-    every lane of it is 0 or 1, with no borrow, because r is monotone and
-    grows by at most one."""
-    size = 1 << n
+    lanes X without e and 0 on the others.  It is one biased subtraction:
+    each lane of (r shifted down by 2^e lanes, OR 0x80) minus r lies in
+    0x70..0x90, since ranks are at most 16, so no lane borrows; on a lane X
+    without e it is 0x80 + r(X+e) - r(X), and r is monotone and grows by at
+    most one, so bit 0 is the step, which one AND with the lanes without e
+    keeps.  The constants are lane_constants(n)'s, a pure function of n."""
+    has, ones, _ = lane_constants(n)
     r = int.from_bytes(ranks, "little")
-    ones = int.from_bytes(b"\1" * size, "little")
-    for e, has in enumerate(lane_bits(n)):
-        rest = (ones ^ has) * 0xFF  # the lanes without e
-        yield has, ((r >> (8 << e)) & rest) - (r & rest)
+    bias = ones << 7
+    for e, h in enumerate(has):
+        yield h, (((r >> (8 << e)) | bias) - r) & (ones ^ h)
 
 
 def _locally_submodular(ranks: bytes, n: int) -> bool:
@@ -206,8 +204,10 @@ class Matroid:
 
     def __init__(self, ground: GroundSet, basis_masks: Iterable[int], name: str = "M",
                  index_map: Optional[dict] = None):
-        # Internal constructor: trusts that the masks form a matroid.
-        # Use from_bases() for validated construction from raw input.
+        # Internal constructor: trusts that the masks form a matroid, but
+        # refuses what its rank table cannot read: masks that are not ints,
+        # or not subsets of the ground set, or of unequal sizes.  Use
+        # from_bases() for validated construction from raw input.
         if not isinstance(name, str):
             raise errors.InvalidParams("matroid name %r is not a string" % (name,))
         if "\n" in name or "\r" in name:  # save writes the name on the header line
@@ -215,9 +215,19 @@ class Matroid:
         if name != name.strip():  # load strips the header line
             raise errors.InvalidParams("matroid name %r has leading or trailing whitespace"
                                        % (name,))
-        masks = tuple(sorted(set(basis_masks)))
+        try:
+            masks = tuple(sorted(set(basis_masks)))
+            cards = set(map(int.bit_count, masks))
+        except TypeError:
+            raise errors.InvalidParams("basis masks %r are not a collection of ints"
+                                       % (basis_masks,)) from None
         if not masks:
             raise errors.EmptyBases("a matroid needs at least one basis")
+        if masks[0] < 0 or masks[-1] >> ground.n:
+            raise errors.OutOfRange("basis mask %d is not a subset of 0..%d"
+                                    % (masks[0] if masks[0] < 0 else masks[-1], ground.n - 1))
+        if len(cards) != 1:
+            raise errors.UnequalCardinality("bases of different sizes: %s" % sorted(cards))
         self.ground = ground
         self.rank = masks[0].bit_count()
         self.name = name
@@ -288,9 +298,9 @@ class Matroid:
         once, on first use, and shared by every connectivity question on M.
 
         Byte lane X of r + reversed r holds r(X) + r(E-X), which is at least
-        r(E) and at most |X| + |E-X| = n <= 16, so the sum and the subtraction of r(E)
-        from every lane neither carry nor borrow: lane X is 0 exactly when X
-        is a separator.  Every nonzero separator is a union of components,
+        r(E) and at most |X| + |E-X| = n <= 16, so the sum does not carry:
+        lane X is r(E) exactly when X is a separator, which one translate
+        marks.  Every nonzero separator is a union of components,
         so the least one is a component C; the separators that avoid C are
         the unions of the other components, so clearing every lane that
         meets C and taking the least nonzero separator again gives the next
@@ -299,29 +309,29 @@ class Matroid:
         if self._comps is None:
             ranks = self._rank_table()
             n, full = self.n, self.full_mask
-            size = 1 << n
-            ones = int.from_bytes(b"\1" * size, "little")
-            excess = (int.from_bytes(ranks, "little") + int.from_bytes(ranks[::-1], "little")
-                      - ranks[full] * ones)
-            lanes = excess.to_bytes(size, "little").translate(_ZERO_TO_ONE)
+            size, r_e = 1 << n, ranks[full]
+            both = int.from_bytes(ranks, "little") + int.from_bytes(ranks[::-1], "little")
+            lanes = both.to_bytes(size, "little").translate(bytes(r_e) + b"\1" + bytes(255 - r_e))
             comps = [lanes.find(1, 1)]  # lane 0, the empty set, is a separator
             if comps[0] != full:
+                has = lane_constants(n)[0]
                 seps = int.from_bytes(lanes, "little")
                 covered = comps[0]
                 while covered != full:
                     for e in bits_of(comps[-1]):
-                        seps &= ~lane_bits(n)[e]
+                        seps &= ~has[e]
                     comps.append(seps.to_bytes(size, "little").find(1, 1))
                     covered |= comps[-1]
             self._comps = comps
         return self._comps
 
     def _build_tables(self) -> None:
-        """Builds the rank table in two passes over the patterns of lane_bits(n):
-        the downward closure of the bases, then a running max of thermometer
-        codes, one OR per element.  The table is r(X) = max |B & X| for every
-        equicardinal family, matroid or not; validate refuses any other
-        family before it reads the table."""
+        """Builds the rank table in two passes over the HAS patterns of
+        lane_constants(n), memoized for the largest n asked for only and a
+        pure function of n: the downward closure of the bases, then a
+        running max of thermometer codes, one OR per element.  The table is
+        r(X) = max |B & X| for every equicardinal family, matroid or not;
+        the constructor refuses any other family."""
         n = self.n
         _refuse_large(n)
         size = 1 << n
@@ -337,20 +347,19 @@ class Matroid:
         # Byte lane x of each integer below holds a value for the subset x.
         # Values stay below 0x80, so a lane never carries into the next.
         ind = int.from_bytes(ind, "little")
-        for i, has in enumerate(lane_bits(n)):
-            ind |= (ind & has) >> (8 << i)  # subsets of independent sets
-        pop = sum(lane_bits(n))  # |X| on lane X
+        has, ones, pop = lane_constants(n)  # pop: |X| on lane X
+        for i, h in enumerate(has):
+            ind |= (ind & h) >> (8 << i)  # subsets of independent sets
         t = ((ind * 0xFF) & pop).to_bytes(size, "little").translate(_THERMOMETER)
         t = int.from_bytes(t, "little")
-        for i, has in enumerate(lane_bits(n)):
+        for i, h in enumerate(has):
             # on the lanes X that hold i: r(X) = max(r(X), r(X - i)), an OR
-            t |= (t << (8 << i)) & (has * 0xFF)
+            t |= (t << (8 << i)) & (h * 0xFF)
         ranks = t.to_bytes(size, "little").translate(_POPCOUNT)
         if dual:
             # r(X) = r'(E - X) + |X| - (n - r), exact for every equicardinal
             # family; every lane stays in 0..n, so nothing carries or borrows
-            ranks = (int.from_bytes(ranks[::-1], "little") + pop
-                     - int.from_bytes(bytes([n - self.rank]) * size, "little"))
+            ranks = int.from_bytes(ranks[::-1], "little") + pop - (n - self.rank) * ones
             ranks = ranks.to_bytes(size, "little")
         self._ranks = ranks
 
@@ -384,18 +393,15 @@ class Matroid:
     def validate(self) -> None:
         """Re-run full basis-axiom validation, as from_bases does.
 
-        Checks equicardinality, then that the rank table is locally
-        submodular, which holds exactly when the basis exchange axiom does;
-        the table stays as this matroid's memo.  Raises UnequalCardinality,
-        TooLarge (n > MAX_N, from the rank table) or ExchangeViolation with
-        a concrete triple: on a rejected family the pairwise exchange scan,
-        run over the masks in increasing order, names the first failing
-        (B1, B2, e).
+        The constructor has already refused a family of unequal sizes; this
+        checks that the rank table is locally submodular, which holds
+        exactly when the basis exchange axiom does; the table stays as this
+        matroid's memo.  Raises TooLarge (n > MAX_N, from the rank table) or
+        ExchangeViolation with a concrete triple: on a rejected family the
+        pairwise exchange scan, run over the masks in increasing order,
+        names the first failing (B1, B2, e).
         """
         masks = self._basis_masks
-        cards = {b.bit_count() for b in masks}
-        if len(cards) != 1:
-            raise errors.UnequalCardinality("bases of different sizes: %s" % sorted(cards))
         if _locally_submodular(self._rank_table(), self.n):
             return
         _check_exchange(masks, set(masks))
@@ -404,8 +410,9 @@ class Matroid:
 
 
 def _validated(ground: GroundSet, masks: Iterable[int], name: str) -> Matroid:
-    """The tail that from_bases and from_text share: EmptyBases, then
-    Matroid.validate on the new matroid, whose rank table stays as its memo."""
+    """The tail that from_bases and from_text share: EmptyBases and
+    UnequalCardinality from the constructor, then Matroid.validate on the
+    new matroid, whose rank table stays as its memo."""
     m = Matroid(ground, masks, name)
     m.validate()
     return m
@@ -480,12 +487,15 @@ def restriction(m: Matroid, elements: Iterable[int]) -> Matroid:
 def cyclic_flats(ranks: bytes, n: int, comp: int) -> Iterator[int]:
     """The cyclic flats of M|comp, as masks in increasing order, read from
     M's rank table in byte lanes, one lane per subset X, with the lanes
-    D_e(X) = r(X+e) - r(X) of _rank_steps on the patterns of lane_bits(n)
-    for each e in comp (0 on the lanes X with e).  X is a cyclic flat when
-    D_e(X) = 1 for every e in comp\\X (X is closed in comp) and
-    D_e(X-e) = 0 for every e in X (X is a union of circuits)."""
+    D_e(X) = r(X+e) - r(X) of _rank_steps for each e in comp (0 on the
+    lanes X with e), which read lane_constants(n), a pure function of n.
+    X is a cyclic flat when D_e(X) = 1 for every e in comp\\X (X is closed
+    in comp) and D_e(X-e) = 0 for every e in X (X is a union of circuits).
+    comp is nonempty."""
     size = 1 << n
-    flats = int.from_bytes(b"\1" * size, "little")
+    # every lane's bit 0 set: the ANDs below read bit 0 of each lane only,
+    # and the first element of comp leaves every lane 0 or 1
+    flats = -1
     for e, (has, d) in enumerate(_rank_steps(ranks, n)):
         if not comp >> e & 1:
             flats &= ~has  # X inside comp

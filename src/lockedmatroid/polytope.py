@@ -74,7 +74,10 @@ def build_P(s: LockedStructure) -> LinearSystem:
 def _integral(values: Sequence) -> tuple[list[int], int]:
     """Exact rationals over one common denominator d: values[i] == ints[i] / d,
     with d the lcm of the reduced denominators; InvalidParams on a value
-    that Fraction cannot read, such as NaN, an infinity, None or "x"."""
+    that Fraction cannot read, such as NaN, an infinity, None or "x", and on
+    a str, bytes or bytearray, whose characters or bytes are not a vector."""
+    if isinstance(values, (str, bytes, bytearray)):
+        raise errors.InvalidParams("%r is not a list of rational numbers" % (values,))
     try:
         fracs = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
     except (TypeError, ValueError, OverflowError, ZeroDivisionError):
@@ -227,6 +230,8 @@ def _sample_points(n: int, target_sum: int, count: int,
         raise errors.InvalidParams("sample points need at least one coordinate, got n=%r" % (n,))
     if not isinstance(count, int) or count < 0:
         raise errors.InvalidParams("count must be a nonnegative int, got %r" % (count,))
+    if not isinstance(rng, Random):
+        raise errors.InvalidParams("rng %r is not a random.Random" % (rng,))
     try:
         (target,), q = _integral((target_sum,))
     except errors.InvalidParams:

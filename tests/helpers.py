@@ -465,6 +465,22 @@ def reference_rank_table(m) -> list[int]:
     return ranks
 
 
+def reference_rank_steps(ranks: bytes, n: int) -> list[tuple[int, int]]:
+    """matroid._rank_steps as it was before the biased subtraction: for each
+    e, both r shifted down by 2^e lanes and r itself are masked to the lanes
+    without e by a 0xFF product, then subtracted, on HAS patterns built
+    for this call."""
+    size = 1 << n
+    r = int.from_bytes(ranks, "little")
+    ones = int.from_bytes(b"\1" * size, "little")
+    steps = []
+    for e in range(n):
+        has = int.from_bytes((bytes(1 << e) + b"\1" * (1 << e)) * (1 << (n - 1 - e)), "little")
+        rest = (ones ^ has) * 0xFF  # the lanes without e
+        steps.append((has, ((r >> (8 << e)) & rest) - (r & rest)))
+    return steps
+
+
 def separator(ranks, x: int, c: int = 0) -> Optional[int]:
     """A separator of the minor (M/C)|X, read from M's rank table: a submask
     A of X that holds X's lowest element, with A != X and

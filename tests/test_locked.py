@@ -4,8 +4,8 @@ from random import Random
 import pytest
 
 import lockedmatroid as lm
-from lockedmatroid import errors, locked
-from lockedmatroid._bits import bits_of, lane_bits, subset_key
+from lockedmatroid import _bits, errors, locked
+from lockedmatroid._bits import bits_of, subset_key
 from lockedmatroid.matroid import GroundSet, Matroid
 from lockedmatroid.cli import parse_gen_spec
 from helpers import (components, naive_is_cyclic_flat, naive_is_locked, naive_locked_sets,
@@ -365,25 +365,30 @@ def alternating_sizes(corpus):
     return [x for i, m in enumerate(corpus) for x in (m, big[i % len(big)])]
 
 
-def test_locked_structure_lists_the_lane_patterns_once(corpus):
+def test_locked_structure_lists_the_lane_patterns_once(corpus, monkeypatch):
     # the rank table, the components and the cyclic flats of one call all
-    # read the memoized patterns: built once for a new size, not at all for
-    # the size already held; the structure is the one built on a table that
-    # was already there
-    def misses(m):
-        before = lane_bits.cache_info().misses
-        s = lm.locked_structure(m)
-        return lane_bits.cache_info().misses - before, s
-
-    lane_bits.cache_clear()
-    for m in alternating_sizes(corpus):
-        assert misses(Matroid(m.ground, m._basis_masks)) == (1, lm.locked_structure(m)), m.name
-        assert misses(Matroid(m.ground, m._basis_masks))[0] == 0, m.name
+    # read the memoized lane constants: built once for a size larger than
+    # any before, and not at all for a size at or below the largest held,
+    # so alternating sizes rebuild nothing; the structure is the one built
+    # on a table that was already there
+    ms = alternating_sizes(corpus)  # builds tables up to n = 16
+    empty = (0, (), 1, 0)  # n = 0's constants, as at import
+    monkeypatch.setattr(_bits, "_lanes", empty)
+    builds = top = 0
+    for m in ms:
+        before = _bits._lanes
+        s = lm.locked_structure(Matroid(m.ground, m._basis_masks))
+        builds += _bits._lanes is not before
+        top = max(top, m.n)
+        assert _bits._lanes[0] == top and s == lm.locked_structure(m), m.name
+    # n = 3, then the stress tier's 12, 14, 15 and 16, each larger than any
+    # before it
+    assert builds == 5
     # seventeen elements are refused before any pattern is built
-    lane_bits.cache_clear()
+    monkeypatch.setattr(_bits, "_lanes", empty)
     with pytest.raises(errors.TooLarge, match="got 17$"):
         lm.locked_structure(Matroid(GroundSet.default(17), [0b11]))
-    assert lane_bits.cache_info().misses == 0
+    assert _bits._lanes is empty
 
 
 def test_locked_structure_on_alternating_sizes_matches_the_references(corpus):

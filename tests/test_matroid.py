@@ -9,14 +9,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import lockedmatroid as lm
-from lockedmatroid import errors
-from lockedmatroid._bits import bits_of, lane_bits, mask_of
+from lockedmatroid import _bits, errors
+from lockedmatroid._bits import bits_of, lane_constants, mask_of
 from lockedmatroid.matroid import (GroundSet, Matroid, _check_exchange, _locally_submodular,
-                                   cyclic_flats)
+                                   _rank_steps, cyclic_flats)
 from helpers import (basis_scan_coloops, basis_scan_loops, components, is_cyclic_flat,
                      naive_connected, naive_dual_bases, naive_is_cyclic_flat,
                      naive_minor_connected, naive_rank, reference_bits_of, reference_closures,
-                     reference_locally_submodular, reference_rank_table, reference_two_sum,
+                     reference_locally_submodular, reference_rank_steps, reference_rank_table,
+                     reference_two_sum,
                      separator, shuffled_direct_sum, spanning_trees)
 from test_stress_tier import STRESS_TIER, _mk4_chain
 
@@ -309,6 +310,28 @@ def test_from_bases_size_guard():
     assert m._ranks is None  # refused before any 2^n table
 
 
+@pytest.mark.parametrize("masks, error, message", [
+    ("x", errors.InvalidParams, "^basis masks 'x' are not a collection of ints$"),
+    ([1, "x"], errors.InvalidParams, r"^basis masks \[1, 'x'\] are not a collection of ints$"),
+    (5, errors.InvalidParams, "^basis masks 5 are not a collection of ints$"),
+    ([1.0], errors.InvalidParams, "not a collection of ints$"),
+    (None, errors.InvalidParams, "not a collection of ints$"),
+    ([0b1000], errors.OutOfRange, r"^basis mask 8 is not a subset of 0\.\.2$"),
+    ([0b11, 0b1001], errors.OutOfRange, r"^basis mask 9 is not a subset of 0\.\.2$"),
+    ([-1], errors.OutOfRange, r"^basis mask -1 is not a subset of 0\.\.2$"),
+    ([0b001, 0b110], errors.UnequalCardinality, r"^bases of different sizes: \[1, 2\]$"),
+    ([], errors.EmptyBases, "^a matroid needs at least one basis$"),
+])
+def test_constructor_refuses_masks_its_table_cannot_read(masks, error, message):
+    # the trusting constructor still trusts the exchange axiom, but not the
+    # masks' type, range or sizes; unequal sizes get from_bases' refusal
+    with pytest.raises(error, match=message):
+        Matroid(GroundSet.default(3), masks)
+    if error is errors.UnequalCardinality:
+        with pytest.raises(error, match=message):
+            lm.from_bases(3, map(bits_of, masks))
+
+
 def test_rank_table_refuses_a_ground_set_over_max_n():
     # the internal constructor takes any masks; the table's one writer
     # refuses before it allocates, whichever query asks first
@@ -357,6 +380,23 @@ def test_graphic_connectivity_matches_search():
         else:
             assert len(reach) == nv
             assert set(m.bases) == set(spanning_trees(nv, edges))
+
+
+def test_graphic_refuses_edges_that_are_not_a_collection():
+    for edges in (5, None, 1.5):
+        with pytest.raises(errors.InvalidParams, match="^edge list .* is not a collection$"):
+            lm.graphic(4, edges)
+        with pytest.raises(errors.InvalidParams, match="^edge list .* is not a collection$"):
+            lm.catalog("graphic", 4, edges)
+    # any iterable of pairs is read, a generator included
+    assert lm.graphic(3, ((u, u + 1) for u in range(2))) == lm.graphic(3, ((0, 1), (1, 2)))
+
+
+@pytest.mark.parametrize("name", [[None], None, ("mk4",), {"mk4": 1}, 5, "MK4"])
+def test_catalog_refuses_a_name_it_does_not_know(name):
+    # a name that is not a string, hashable or not, is unknown like any other
+    with pytest.raises(errors.UnknownName, match="^unknown catalog name "):
+        lm.catalog(name)
 
 
 def test_graphic_refuses_an_edge_that_is_not_a_pair():
@@ -574,6 +614,37 @@ def test_rank_table_matches_reference_on_equicardinal_families():
         outcomes[m.rank > 8, expected is None] += 1
     assert outcomes == {(False, True): 48, (False, False): 136,
                         (True, True): 10, (True, False): 17}
+
+
+def step_battery():
+    """2,000 seeded equicardinal families of 1 to 30 masks at n <= 12, most
+    of them not matroids: 1,600 of a rank from 0 to n, and 400 at n = 9..12
+    of rank 7 to 10, both sides of the switch to the complement family."""
+    rng = Random(31)
+    shapes = [(n, rng.randint(0, n)) for n in (rng.randint(1, 12) for _ in range(1600))]
+    shapes += [(n, rng.randint(7, min(10, n - 1))) for n in (rng.randint(9, 12) for _ in range(400))]
+    return [(n, sorted({mask_of(rng.sample(range(n), r)) for _ in range(rng.randint(1, 30))}))
+            for n, r in shapes]
+
+
+def test_rank_steps_and_tables_match_the_references(corpus):
+    # the biased subtraction against the 0xFF-masked one it replaced, lane
+    # for lane, and the table against the per-subset loops, on every kind of
+    # table the package builds: the lane battery (the corpus, the stress
+    # tier up to n = 16 and their duals) and equicardinal families that
+    # validation accepts or rejects, tables built in a seeded order of sizes
+    ms = lane_battery(corpus)
+    ms += [Matroid(GroundSet.default(n), family) for n, family in step_battery()]
+    Random(32).shuffle(ms)
+    outcomes = Counter()
+    for m in ms:
+        fresh = Matroid(m.ground, m._basis_masks)
+        table = fresh._rank_table()
+        assert table == bytes(reference_rank_table(m)), (m.n, m._basis_masks)
+        assert list(_rank_steps(table, m.n)) == reference_rank_steps(table, m.n), m.name
+        outcomes[m.rank > 8, _locally_submodular(table, m.n)] += 1
+    assert outcomes == {(False, True): 1064, (False, False): 755,
+                        (True, True): 138, (True, False): 113}
 
 
 def test_is_independent_matches_bases(corpus):
@@ -1120,28 +1191,46 @@ def test_save_and_load_refuse_a_path_that_is_not_a_path(tmp_path):
 
 # -- bit helpers ----------------------------------------------------------------------
 
-def naive_lane_bits(n):
-    # lane x of HAS_i is bit i of x
-    return tuple(int.from_bytes(bytes(x >> i & 1 for x in range(1 << n)), "little")
-                 for i in range(n))
+def naive_lane_constants(n):
+    # lane x of HAS_i is bit i of x, of ONES 1 and of POP |x|
+    size = 1 << n
+    return (tuple(int.from_bytes(bytes(x >> i & 1 for x in range(size)), "little")
+                  for i in range(n)),
+            int.from_bytes(b"\1" * size, "little"),
+            int.from_bytes(bytes(x.bit_count() for x in range(size)), "little"))
 
 
-def test_lane_bits_match_the_naive_patterns():
-    for n in range(1, 17):
-        assert lane_bits(n) == naive_lane_bits(n), n
+EMPTY_LANES = (0, (), 1, 0)  # n = 0's constants, as at import
 
 
-def test_lane_bits_memo_holds_the_most_recent_size_only():
-    # alternating sizes rebuild the patterns and never hand back another
-    # size's; a repeated size is a hit on the same tuple
-    want = {n: naive_lane_bits(n) for n in (8, 12, 16)}
-    lane_bits.cache_clear()
-    for n in (16, 8, 16, 12):
-        got = lane_bits(n)
-        assert type(got) is tuple and got == want[n], n
-    assert lane_bits(12) is got
-    info = lane_bits.cache_info()
-    assert (info.hits, info.misses, info.maxsize, info.currsize) == (1, 4, 1, 1)
+def test_lane_constants_match_the_naive_patterns(monkeypatch):
+    # from an empty memo, sizes in a shuffled order: each size is read from
+    # whichever larger size the memo holds, or builds the memo itself, and
+    # the second round reads every size from n = 16's
+    monkeypatch.setattr(_bits, "_lanes", EMPTY_LANES)
+    want = {n: naive_lane_constants(n) for n in range(1, 17)}
+    sizes = list(want)
+    Random(31).shuffle(sizes)
+    for n in sizes + sizes[::-1]:
+        got = lane_constants(n)
+        assert type(got[0]) is tuple and got == want[n], n
+
+
+def test_lane_constants_memo_holds_the_largest_size_only(monkeypatch):
+    # only a size larger than any before replaces the memo; a smaller one
+    # reads it and leaves it as it is, and the largest size gets the memo's
+    # own patterns back
+    monkeypatch.setattr(_bits, "_lanes", EMPTY_LANES)
+    held = []
+    for n in (8, 12, 8, 16, 12, 8, 16, 3):
+        lane_constants(n)
+        held.append(_bits._lanes[0])
+    assert held == [8, 12, 12, 16, 16, 16, 16, 16]
+    top, has, ones, pop = _bits._lanes
+    assert len(has) == top == 16 and ones.bit_length() <= 8 << 16  # one size
+    assert lane_constants(16)[0] is has
+    memo = _bits._lanes
+    assert lane_constants(9) == naive_lane_constants(9) and _bits._lanes is memo
 
 
 def test_bits_of_matches_the_bit_walk():

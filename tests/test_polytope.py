@@ -326,6 +326,20 @@ def test_greedy_max_basis_refuses_weights_that_are_not_a_collection():
         lm.greedy_max_basis(lm.mk4(), 5)
 
 
+@pytest.mark.parametrize("vector", ["101010", b"\0" * 6, b"\1" * 6, bytearray(6), "111000"])
+def test_vectors_refuse_strings_and_bytes(vector):
+    # the characters or bytes of a str, bytes or bytearray are not a point
+    # or a weight vector, even where each one would read as a number
+    m = lm.mk4()
+    sys = system_for(m)
+    for call in (lambda: member(sys, vector), lambda: member_Q(m, vector),
+                 lambda: lp_maximize(sys, vector), lambda: lm.greedy_max_basis(m, vector)):
+        with pytest.raises(errors.InvalidParams, match="is not a list of rational numbers$"):
+            call()
+    # a list of the same characters is still read value by value
+    assert member(sys, list("111000")) == member(sys, [1, 1, 1, 0, 0, 0])
+
+
 def test_greedy_max_basis_refuses_weights_that_are_not_rational():
     with pytest.raises(errors.InvalidParams, match="is not a list of rational numbers$"):
         lm.greedy_max_basis(lm.mk4(), ["x"] * 6)
@@ -449,6 +463,12 @@ def test_sampler_refuses_a_count_that_is_not_a_nonnegative_int():
     for count in ("x", 2.0, None, -1):
         with pytest.raises(errors.InvalidParams, match="^count must be a nonnegative int"):
             sample_rational_points(2, 1, count, Random(1))
+
+
+def test_sampler_refuses_a_generator_that_is_not_a_random():
+    for rng in (None, 5, "x", Random):
+        with pytest.raises(errors.InvalidParams, match="^rng .* is not a random.Random$"):
+            sample_rational_points(6, 5, 1, rng)
 
 
 def test_sampler_refuses_a_target_that_is_not_rational():
