@@ -49,6 +49,7 @@ def uniform(r: int, n: int, prefix: str = "e", name: Optional[str] = None) -> Ma
     r, n = _integer(r), _integer(n)
     if n < 1 or r < 0 or r > n:
         raise errors.InvalidParams("uniform needs 0 <= r <= n, n >= 1")
+    _refuse_large(n)  # before n names are built
     ground = GroundSet.default(n, prefix)
     bases = itertools.combinations(range(n), r)
     return from_bases(n, bases, names=ground.names,

@@ -7,11 +7,13 @@ are those of its connected components.  The locked structure bundles the
 parallel closures P, the coparallel closures S, the locked family L and
 the ranks rho of these sets, of the closures' complements, of {} and E.
 
-Lockedness is read from the list Z of cyclic flats of each component C,
-which matroid.cyclic_flats reads from the rank table as byte lanes (Bonin
-and de Mier, "The lattice of cyclic flats of a matroid", 2008).  A locked
-L is in Z, because M|L, connected of rank >= 2, has no coloops, and
-(M/L)|(C\\L), connected on >= 2 elements, has no loops.  For L in Z:
+Lockedness is read from cyclic flats (Bonin and de Mier, "The lattice of
+cyclic flats of a matroid", 2008), which matroid.cyclic_flats lists once.
+As M has no loops, those inside a component C are the list Z of cyclic
+flats of M|C: closure in M|C is closure in M met with C, and an element
+outside C raises the rank of every subset of C.  A locked L is in Z, as
+M|L, connected of rank >= 2, has no coloops, and (M/L)|(C\\L), connected
+on >= 2 elements, has no loops.  For L in Z:
 
 - M|L is connected exactly when no nonempty proper subset A of L in Z has
   r(A) + r(L\\A) = r(L).  Such an A separates M|L.  Conversely, let K be a
@@ -97,10 +99,8 @@ def is_locked(m: Matroid, subset) -> bool:
     if lm == 0 or lm == m.full_mask:
         raise errors.NotProperSubset("locked subsets are proper and nonempty")
     comp = next(c for c in m._components() if c & lm)
-    if lm & ~comp:
-        return False
     ranks = m._rank_table()
-    flats = list(cyclic_flats(ranks, m.n, comp))
+    flats = [x for x in cyclic_flats(ranks, m.n) if x | comp == comp]
     return lm in flats and _is_locked_in_component(ranks, comp, flats, lm)
 
 
@@ -125,11 +125,12 @@ def _is_locked_in_component(ranks, comp: int, flats: list[int], lm: int) -> bool
 
 def _locked_iter(m: Matroid) -> Iterator[int]:
     """Masks of the locked subsets, component by component, in increasing
-    integer order within each; callers that need an order sort.  Each
-    component's cyclic flats are listed once and are the only candidates."""
+    integer order within each; callers that need an order sort.  M has no
+    loops; its cyclic flats inside each component are the only candidates."""
     ranks = m._rank_table()
+    every = list(cyclic_flats(ranks, m.n))
     for comp in m._components():
-        flats = list(cyclic_flats(ranks, m.n, comp))
+        flats = [x for x in every if x | comp == comp]
         for x in flats:
             if _is_locked_in_component(ranks, comp, flats, x):
                 yield x

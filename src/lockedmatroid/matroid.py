@@ -484,22 +484,19 @@ def restriction(m: Matroid, elements: Iterable[int]) -> Matroid:
     return minor(m, delete=bits_of(m.full_mask & ~keep))
 
 
-def cyclic_flats(ranks: bytes, n: int, comp: int) -> Iterator[int]:
-    """The cyclic flats of M|comp, as masks in increasing order, read from
-    M's rank table in byte lanes, one lane per subset X, with the lanes
-    D_e(X) = r(X+e) - r(X) of _rank_steps for each e in comp (0 on the
-    lanes X with e), which read lane_constants(n), a pure function of n.
-    X is a cyclic flat when D_e(X) = 1 for every e in comp\\X (X is closed
-    in comp) and D_e(X-e) = 0 for every e in X (X is a union of circuits).
-    comp is nonempty."""
+def cyclic_flats(ranks: bytes, n: int) -> Iterator[int]:
+    """The cyclic flats of M, as masks in increasing order, read from its
+    rank table in byte lanes, one lane per subset X, with the lanes
+    D_e(X) = r(X+e) - r(X) of _rank_steps (0 on the lanes X with e), which
+    read lane_constants(n).  X is a cyclic flat when D_e(X) = 1 for every e
+    outside X (X is closed) and D_e(X-e) = 0 for every e in X (X is a union
+    of circuits).  When M has no loops, those inside a component C are the
+    cyclic flats of M|C, as the locked module docstring shows."""
     size = 1 << n
     # every lane's bit 0 set: the ANDs below read bit 0 of each lane only,
-    # and the first element of comp leaves every lane 0 or 1
+    # and the first element leaves every lane 0 or 1
     flats = -1
     for e, (has, d) in enumerate(_rank_steps(ranks, n)):
-        if not comp >> e & 1:
-            flats &= ~has  # X inside comp
-            continue
         flats &= d | (has ^ (d << (8 << e)))
     lanes = flats.to_bytes(size, "little")
     x = lanes.find(1)
@@ -676,10 +673,10 @@ def from_text(text: str) -> Matroid:
     if not lines[1].startswith("elements "):
         raise errors.FormatError("second line must be 'elements <names>'")
     names = tuple(s.strip() for s in lines[1][len("elements "):].split(","))
-    bit = {nm: 1 << i for i, nm in enumerate(names)}
-    if len(bit) != len(names):
+    if len(set(names)) != len(names):
         raise errors.FormatError("duplicate element names")
-    _refuse_large(len(names))
+    _refuse_large(len(names))  # before anything of n bits per name is built
+    bit = {nm: 1 << i for i, nm in enumerate(names)}
     masks = []
     for ln in lines[2:]:
         if ln != "basis" and not ln.startswith("basis "):

@@ -24,7 +24,11 @@ zero-locked route with its hand-written counted comparisons, before the
 masks and functools.cmp_to_key), and `ReferenceSimplexProgram` and
 `reference_lp_maximize` (the simplex that divided every updated row by its
 gcd and summed a Fraction witness, before unit pivots skipped the gcd and
-the LP answered on integers).  `pg32_blocks` and `pasch_trade` build
+the LP answered on integers), and `reference_component_flats` (one
+cyclic-flat sweep per component, before one sweep served every
+component).  `cyclic_flat_iso` decides matroid isomorphism from the
+cyclic flats and their ranks, with a checked element witness, apart from
+the locked lattice.  `pg32_blocks` and `pasch_trade` build
 Steiner triple systems on 15 points, and `steiner_matroid` their sparse
 paving matroids.  `sparse_paving` builds seeded sparse paving matroids
 from a greedy packing of circuit-hyperplanes.
@@ -41,12 +45,12 @@ from typing import Optional
 
 from lockedmatroid import errors
 from lockedmatroid._bits import bits_of, mask_of
-from lockedmatroid.dagiso import CanonicalForm, ColoredDigraph, _digest, _profile
+from lockedmatroid.dagiso import CanonicalForm, ColoredDigraph, _digest, _profile, are_isomorphic
 from lockedmatroid.isoengine import IsoReport
 from lockedmatroid.locked import _locked_iter
 from lockedmatroid.matroid import (GroundSet, Matroid, _check_elements, _refuse_large,
                                    _reject_disconnected, _reject_loops_coloops, closures,
-                                   from_bases, is_connected)
+                                   cyclic_flats, from_bases, is_connected)
 from lockedmatroid.polytope import MAX_DENOMINATOR, _integral
 from lockedmatroid.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, SimplexProgram
 
@@ -79,15 +83,6 @@ def basis_scan_coloops(m: Matroid) -> tuple[int, ...]:
 def naive_dual_bases(n, bases):
     full = set(range(n))
     return [tuple(sorted(full - set(b))) for b in bases]
-
-
-def naive_restriction_bases(n, bases, keep):
-    """Bases of M|keep, as subsets of `keep` (original labels).  A set of size
-    equal to its rank is independent."""
-    keep = sorted(set(keep))
-    best = naive_rank(bases, keep)
-    return [c for c in itertools.combinations(keep, best)
-            if naive_rank(bases, c) == best]
 
 
 def naive_is_locked(n, bases, subset) -> bool:
@@ -479,6 +474,50 @@ def reference_rank_steps(ranks: bytes, n: int) -> list[tuple[int, int]]:
         rest = (ones ^ has) * 0xFF  # the lanes without e
         steps.append((has, ((r >> (8 << e)) & rest) - (r & rest)))
     return steps
+
+
+def reference_component_flats(ranks: bytes, n: int, comp: int) -> list[int]:
+    """matroid.cyclic_flats as it was with a component argument: the cyclic
+    flats of M|comp, in increasing order, from one sweep over all n
+    elements per component that drops the lanes of the sets meeting an
+    element outside comp.  The steps are reference_rank_steps'."""
+    flats = -1
+    for e, (has, d) in enumerate(reference_rank_steps(ranks, n)):
+        if not comp >> e & 1:
+            flats &= ~has  # X inside comp
+            continue
+        flats &= d | (has ^ (d << (8 << e)))
+    lanes = flats.to_bytes(1 << n, "little")
+    return [x for x, v in enumerate(lanes) if v]
+
+
+def cyclic_flat_iso(m1: Matroid, m2: Matroid) -> tuple[bool, Optional[tuple[int, ...]]]:
+    """(answer, element map) for matroid isomorphism from the cyclic flats,
+    without the paper's axioms or the locked lattice.  A matroid is
+    determined by its cyclic flats and their ranks, as r(X) is the least
+    r(F) + |X - F| over cyclic flats F (Bonin and de Mier 2008), so a
+    bijection of E is an isomorphism exactly when it maps the cyclic flats
+    onto cyclic flats of equal rank.  Each matroid is encoded with one
+    vertex per element, one vertex per cyclic flat coloured by its rank and
+    size, and an arc e -> F for each e in F; dagiso.are_isomorphic compares
+    the encodings, and the element part of a "yes" witness is checked on
+    the basis masks."""
+    def encode(m: Matroid) -> ColoredDigraph:
+        ranks = m._rank_table()
+        flats = list(cyclic_flats(ranks, m.n))
+        # sizes are at most MAX_N = 16, so each (rank, size) gets its own colour
+        colors = [0] * m.n + [1 + ranks[f] * 17 + f.bit_count() for f in flats]
+        arcs = tuple((e, m.n + i) for i, f in enumerate(flats) for e in bits_of(f))
+        return ColoredDigraph(len(colors), arcs, tuple(colors))
+
+    answer, witness = are_isomorphic(encode(m1), encode(m2))
+    if not answer:
+        return False, None
+    elements = witness[:m1.n]
+    image = {sum(1 << elements[e] for e in bits_of(b)) for b in m1._basis_masks}
+    if image != set(m2._basis_masks):
+        raise AssertionError("the element map does not carry bases onto bases")
+    return True, elements
 
 
 def separator(ranks, x: int, c: int = 0) -> Optional[int]:

@@ -8,8 +8,10 @@ import pytest
 import lockedmatroid as lm
 from lockedmatroid import cli, dagiso, errors
 from lockedmatroid.matroid import GroundSet, Matroid
-from helpers import reference_zero_locked, shuffled_direct_sum
-from test_stress_tier import _mk4_chain
+import helpers
+from helpers import (cyclic_flat_iso, pasch_trade, pg32_blocks, reference_zero_locked,
+                     shuffled_direct_sum, sparse_paving, steiner_matroid)
+from test_stress_tier import STRESS_TIER, _mk4_chain
 
 
 def uniform_part(r, n):
@@ -294,3 +296,59 @@ def test_lattice_verdicts_take_the_first_leaf_path(monkeypatch):
             assert lm.mip_locked(m, lm.relabel(m, perm), route=route).answer, (m.name, route)
     for m in (lm.vamos(), lm.uniform(8, 16)):
         assert lm.tsd(m).answer, m.name
+
+
+def _relabelled(m, seed):
+    perm = list(range(m.n))
+    Random(seed).shuffle(perm)
+    return lm.relabel(m, perm)
+
+
+def cyclic_flat_pairs(corpus):
+    """(name, m1, m2, answer): each corpus matroid, the n = 14 M(K4) chain,
+    M(K6), U(7,14) and sparse paving matroids at n = 14 and 16 against a
+    seeded relabelling; two sparse paving seeds at n = 16; PG(3,2) against
+    a relabelling and against its Pasch trade."""
+    pg = steiner_matroid(pg32_blocks())
+    traded = steiner_matroid(pasch_trade(pg32_blocks(), Random(1)))
+    sp16 = sparse_paving(16, 8, 1)
+    ms = list(corpus) + [STRESS_TIER[name]() for name in ("mk4chain3", "mk6", "uniform(7,14)")]
+    ms += [sparse_paving(14, 7, 1), sp16, pg]
+    pairs = [(m.name, m, _relabelled(m, i), True) for i, m in enumerate(ms)]
+    return pairs + [("sparse paving seeds 1, 2", sp16, sparse_paving(16, 8, 2), False),
+                    ("Pasch trade", pg, traded, False)]
+
+
+def test_cyclic_flat_oracle_agrees_with_mip_locked(corpus):
+    # the oracle reads neither the paper's axioms nor the locked lattice, and
+    # every "yes" carries an element map checked on the basis masks
+    pairs = cyclic_flat_pairs(corpus)
+    assert len(pairs) == 29
+    for name, m1, m2, want in pairs:
+        answer, witness = cyclic_flat_iso(m1, m2)
+        assert answer == want and (witness is not None) == want, name
+        for route in ("labels", "series"):
+            assert lm.mip_locked(m1, m2, route=route).answer == want, (name, route)
+
+
+def test_cyclic_flat_oracle_checks_its_witness(monkeypatch):
+    # an element map that does not carry bases onto bases is refused
+    monkeypatch.setattr(helpers, "are_isomorphic", lambda g1, g2: (True, range(g1.vertex_count)))
+    with pytest.raises(AssertionError, match="does not carry bases onto bases"):
+        cyclic_flat_iso(lm.mk4(), lm.whirl3())
+    assert cyclic_flat_iso(lm.mk4(), lm.mk4()) == (True, range(6))
+
+
+def test_cyclic_flat_oracle_agrees_with_bruteforce_on_the_corpus(corpus):
+    # every pair of corpus matroids of equal size and rank: 30 pairs, two of
+    # them isomorphic, M(K4) and the Vamos matroid against their duals
+    answers = []
+    for m1, m2 in itertools.combinations(corpus, 2):
+        if (m1.n, m1.rank) != (m2.n, m2.rank):
+            continue
+        answer = cyclic_flat_iso(m1, m2)[0]
+        assert answer == lm.mip_bruteforce(m1, m2).answer, (m1.name, m2.name)
+        for route in ("labels", "series"):
+            assert lm.mip_locked(m1, m2, route=route).answer == answer, (m1.name, m2.name)
+        answers.append(answer)
+    assert (len(answers), sum(answers)) == (30, 2)

@@ -1,15 +1,17 @@
 import itertools
+from collections import Counter
 from random import Random
 
 import pytest
 
 import lockedmatroid as lm
-from lockedmatroid import _bits, errors, locked
+from lockedmatroid import _bits, errors, locked, matroid
 from lockedmatroid._bits import bits_of, subset_key
-from lockedmatroid.matroid import GroundSet, Matroid
+from lockedmatroid.matroid import GroundSet, Matroid, cyclic_flats
 from lockedmatroid.cli import parse_gen_spec
 from helpers import (components, naive_is_cyclic_flat, naive_is_locked, naive_locked_sets,
-                     reference_locked_iter, reference_rank_table, shuffled_direct_sum)
+                     reference_component_flats, reference_locked_iter, reference_rank_table,
+                     shuffled_direct_sum)
 from test_matroid import lane_battery
 from test_stress_tier import STRESS_TIER
 
@@ -328,6 +330,57 @@ def test_locked_sets_are_cyclic_flats_of_their_component(corpus):
             comp = next(c for c in comps if c >> x[0] & 1)
             assert naive_is_cyclic_flat(m.bases, bits_of(comp), x), (m.name, x)
         assert sorted(locked._locked_iter(m)) == sorted(reference_locked_iter(m)), m.name
+
+
+def test_component_shares_of_the_sweep_match_the_reference(corpus):
+    # on a matroid without loops, the cyclic flats of M inside a component
+    # are the cyclic flats of that component: each share of the one sweep
+    # equals the per-component sweep it replaced
+    checked = Counter()
+    for m in _cyclic_flat_battery(corpus) + lane_battery(corpus):
+        if m.loops():
+            continue
+        ranks = m._rank_table()
+        every = list(cyclic_flats(ranks, m.n))
+        comps = m._components()
+        for comp in comps:
+            share = [x for x in every if x | comp == comp]
+            assert share == reference_component_flats(ranks, m.n, comp), (m.name, comp)
+        checked[len(comps)] += 1
+    # 133 of the 136 matroids, by component count: the direct sums and their
+    # duals, U(4,4) and U(16,16), whose elements are coloops; the three of
+    # rank 0, all loops, are left out
+    assert checked == {1: 123, 2: 4, 3: 2, 4: 3, 16: 1}
+
+
+def test_one_rank_step_sweep_per_call(corpus, monkeypatch):
+    # locked_structure, k_locked_decision and is_locked each sweep the rank
+    # steps once, whatever the component count
+    sums = [m for m in _cyclic_flat_battery(corpus) if len(m._components()) > 1]
+    assert sorted(len(m._components()) for m in sums) == [2, 2, 2, 2, 3, 3, 4, 4]
+    calls = [0]
+    original = matroid._rank_steps
+
+    def counted(*args):
+        calls[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(matroid, "_rank_steps", counted)
+
+    def sweeps(query):
+        calls[0] = 0
+        answer = query()
+        assert calls[0] == 1, m.bases
+        return answer
+
+    for m in sums:
+        s = sweeps(lambda: lm.locked_structure(m))
+        assert sweeps(lambda: lm.k_locked_decision(m, 2)).structure == s
+        first, second = m._components()[:2]
+        # a locked set, a component and a set that meets two components
+        queries = list(s.locked[:1]) + [bits_of(first), (bits_of(first)[0], bits_of(second)[0])]
+        for x in queries:
+            assert sweeps(lambda: lm.is_locked(m, x)) == (x in s.locked), (m.bases, x)
 
 
 def test_locked_iter_matches_reference(corpus):

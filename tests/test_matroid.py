@@ -1,6 +1,7 @@
 import itertools
 import os
 import re
+import tracemalloc
 from collections import Counter
 from math import comb
 from random import Random
@@ -773,16 +774,33 @@ def test_is_cyclic_flat_matches_definition(corpus):
     ms.append(lm.from_bases(*shuffled_direct_sum(parts, Random(3))))
     for m in ms:
         ranks = m._rank_table()
+        every = list(cyclic_flats(ranks, m.n))
+        assert every == [x for x in range(1 << m.n) if is_cyclic_flat(ranks, m.full_mask, x)]
         for comp in components(ranks, m.full_mask):
             ground = bits_of(comp)
             for k in range(len(ground) + 1):
                 for sub in itertools.combinations(ground, k):
                     assert (is_cyclic_flat(ranks, comp, mask_of(sub))
                             == naive_is_cyclic_flat(m.bases, ground, sub)), (m.name, sub)
-            # the lane filter yields exactly these, in increasing order
+            # the component's share of the one lane sweep is exactly these,
+            # in increasing order
             flats = [x for x in range(comp + 1) if x & ~comp == 0
                      and is_cyclic_flat(ranks, comp, x)]
-            assert list(cyclic_flats(ranks, m.n, comp)) == flats, m.name
+            assert [x for x in every if x | comp == comp] == flats, m.name
+
+
+def test_cyclic_flats_with_loops_hold_every_loop():
+    # the sweep lists the cyclic flats of M whatever M is; with a loop every
+    # flat holds it, so no share of a loopless component is its own list,
+    # which is why the locked layer refuses loops before the sweep
+    loop, u23 = (1, [()]), (3, list(itertools.combinations(range(3), 2)))
+    for parts in ((loop, u23), (u23, loop, loop), (u23, (1, [(0,)]), loop)):
+        m = lm.from_bases(*shuffled_direct_sum(parts, Random(7)))
+        ranks = m._rank_table()
+        loops = mask_of(m.loops())
+        every = list(cyclic_flats(ranks, m.n))
+        assert every == [x for x in range(1 << m.n) if is_cyclic_flat(ranks, m.full_mask, x)]
+        assert every[0] == loops and all(x & loops == loops for x in every), m.bases
 
 
 def test_lane_components_match_recursive_split(corpus):
@@ -1155,6 +1173,35 @@ def test_from_text_errors_keep_their_order(text, exc, message):
     with pytest.raises(exc) as info:
         lm.from_text(text)
     assert type(info.value) is exc and str(info.value) == message
+
+
+def _peak_bytes(call):
+    """The tracemalloc peak while call runs, which must raise TooLarge."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(errors.TooLarge, match="capped at 16, got "):
+            call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_from_text_refuses_many_names_in_bounded_memory():
+    # the size check comes before the per-name bit masks, which would hold
+    # one integer of up to 40,000 bits for each of 40,000 names; a duplicate
+    # name among them is still reported first
+    names = ",".join("e%d" % i for i in range(40000))
+    assert _peak_bytes(lambda: lm.from_text("matroid w\nelements %s\nbasis e0\n" % names)) \
+        < 20 * 2**20
+    with pytest.raises(errors.FormatError, match="^duplicate element names$"):
+        lm.from_text("matroid w\nelements %s,e7\nbasis e0\n" % names)
+
+
+def test_uniform_refuses_a_large_n_before_naming_its_elements():
+    assert _peak_bytes(lambda: lm.uniform(2, 10**5)) < 2**20
+    # bad parameters are still refused first
+    with pytest.raises(errors.InvalidParams, match="^uniform needs 0 <= r <= n, n >= 1$"):
+        lm.uniform(10**5 + 1, 10**5)
 
 
 def test_save_load_bit_exact(tmp_path, corpus):
