@@ -68,8 +68,9 @@ def graphic(n_vertices: int, edges: Sequence[tuple[int, int]],
             names: Optional[Sequence[str]] = None, name: str = "graphic") -> Matroid:
     """Cycle matroid of a connected multigraph: bases are the spanning trees.
     A multigraph is connected exactly when it has one, so DisconnectedGraph
-    is raised when the scan of the edge subsets finds none.  Edges that are
-    not a collection, an edge that is not a pair of vertices, or a
+    is raised when the scan of the edge subsets finds none, or before the
+    scan when a spanning tree would need more edges than there are.  Edges
+    that are not a collection, an edge that is not a pair of vertices, or a
     non-integer vertex raises InvalidParams."""
     n_vertices = _integer(n_vertices)
     edges = tuple(map(_edge, _tuple_of(edges, "edge list")))
@@ -80,6 +81,8 @@ def graphic(n_vertices: int, edges: Sequence[tuple[int, int]],
             raise errors.InvalidParams("edge endpoint out of range: %r" % ((u, v),))
     m = len(edges)
     _refuse_large(m)
+    if n_vertices - 1 > m:  # before combinations allocates n_vertices - 1 indices
+        raise errors.DisconnectedGraph("input graph is not connected")
     bases = []
     for comb in itertools.combinations(range(m), n_vertices - 1):
         parent = list(range(n_vertices))

@@ -24,8 +24,7 @@ from .lattice import augmented_lattice, dot_text, label_text, reduced_lattice, s
 from .locked import locked_structure, structure_text
 from .matroid import Matroid, _reject_disconnected, is_connected, load, save, two_sum, with_names
 from .polytope import (
-    _member,
-    _member_Q,
+    _pq_disagreements,
     _sample_points,
     build_P,
     greedy_max_basis,
@@ -205,7 +204,7 @@ def _cmd_polytope(args) -> int:
 
     if m.n <= 6:
         pts = _sample_points(m.n, m.rank, args.points, rng)
-        bad = sum(1 for x, d in pts if _member(system, x, d)[0] != _member_Q(m, x, d))
+        bad = _pq_disagreements(system, m, pts)
         print("pq-agreement %s (%d points)" %
               ("pass" if bad == 0 else "FAIL", len(pts)))
     else:

@@ -11,11 +11,17 @@ without box rows.  Whether the rows imply 0 <= x(e) <= 1 is checked by
 LP (polytope verify's box-implied line), not assumed: they need not, as on
 U(1,2), where P = S = E and x = (2, -1) meets every row.
 Membership, 0/1 vertex extraction and exact LP optimization all run with
-zero tolerance.  The membership checks run on integers: ``_member`` and
-``_member_Q`` read a point as numerators over one positive denominator,
-``_sample_points`` draws points in that form, and ``zero_one_vertices``
-counts each subset's elements in a row by ``bit_count``; ``member`` and
-``member_Q`` are the Fraction-accepting wrappers.
+zero tolerance.  The membership checks run on integers: ``_member`` reads a
+point as numerators over one positive denominator, one row at a time, and
+``_sample_points`` draws points in that form.  The exhaustive scans run on
+lanes.  ``_lane_misses`` gives each point of a batch one wide lane, sums
+x(A) for every subset A and every point at once, and reads both the rows
+and every subset rank from that one table; ``_pq_disagreements`` runs it
+over fixed-size batches, and ``_member_Q`` is its one-point call.
+``zero_one_vertices`` gives each subset one byte lane of
+``lane_constants(n)`` and checks a row on all of them with one biased
+compare; it refuses a dimension above MAX_N = 16 with TooLarge.
+``member`` and ``member_Q`` are the Fraction-accepting wrappers.
 ``lp_maximize`` solves on integers too: it checks the simplex's integer
 witness with ``_member`` and the objective identity, and builds its
 Fractions only at the return.  greedy_max_basis supplies the independent
@@ -33,12 +39,15 @@ from random import Random
 from typing import Optional, Sequence
 
 from . import errors, simplex
-from ._bits import mask_of
+from ._bits import bits_of, lane_constants, mask_of
 from .locked import LockedStructure
-from .matroid import Matroid
+from .matroid import MAX_N, Matroid
 
 MAX_DENOMINATOR = 64  # of a sample_rational_points coordinate
 _DEN_BITS = MAX_DENOMINATOR.bit_length()  # of the words randint(1, MAX_DENOMINATOR) draws
+# the most lanes one batch of _pq_disagreements' table holds: 2^n per point,
+# so 256 points a batch at n = 6, and one point at n >= 14
+_BATCH_LANES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -106,21 +115,73 @@ def member(sys: LinearSystem, point: Sequence) -> tuple[bool, Optional[Row]]:
     return _member(sys, x, d)
 
 
+def _pack(values, width: int, bias: int) -> int:
+    """values as one integer of width-byte lanes, lane j holding values[j] + bias,
+    which must lie in 0 .. 2^(8 width) - 1."""
+    return int.from_bytes(b"".join(map(int.to_bytes, map(bias.__add__, values),
+                                       itertools.repeat(width), itertools.repeat("little"))),
+                          "little")
+
+
+def _lane_misses(m: Matroid, rows: Sequence[Row],
+                 points: Sequence[tuple[Sequence[int], int]]) -> tuple[bytes, bytes]:
+    """Which of the points, each numerators over one d > 0, miss P (the rows)
+    and which miss Q (member_Q's system): two strings of one byte per point,
+    1 where it misses and 0 where it lies inside.
+
+    Point j owns lane j, a field of W bits, of every packed integer.  The
+    table holds x(A) for every subset A and every point at once, built by the
+    low-bit recurrence, and both systems read it: a row is one table entry,
+    read as the set of its support.  A check of v >= 0 is the top bit of
+    2^(W-1) + v; W exceeds the bit length of n * max |x| + max(n, |bound|) *
+    max d, which bounds every |v| compared, so no lane carries or borrows."""
+    ranks = m._rank_table()
+    cols = tuple(zip(*(x for x, _ in points)))
+    dens = [d for _, d in points]
+    k = (m.n * max((abs(a) for col in cols for a in col), default=0)
+         + max(m.n, max((abs(row.bound) for row in rows), default=0)) * max(dens))
+    width = (k.bit_length() + 8) // 8  # bytes per lane
+    top = int.from_bytes((bytes(width - 1) + b"\x80") * len(points), "little")
+    den = _pack(dens, width, 0)
+    x = [_pack(col, width, 1 << 8 * width - 1) - top for col in cols]
+    caps = [top + r * den for r in range(m.rank + 1)]
+    sums = [0] * (1 << m.n)
+    in_q = top
+    for a in range(1, 1 << m.n):
+        low = a & -a
+        s = sums[a] = sums[a ^ low] + x[low.bit_length() - 1]
+        in_q &= caps[ranks[a]] - s  # x(A) <= d r(A)
+    # x(E) >= d r(E); with x(E - e) <= d r(E - e), it gives 0 <= x(e), and
+    # x(e) <= d r(e) <= d, so the box needs no check of its own
+    in_q &= top + sums[-1] - m.rank * den
+    in_p = top
+    for row in rows:
+        s, bound = sums[mask_of(row.support)], row.bound * den
+        if row.rel != ">=":
+            in_p &= top + bound - s
+        if row.rel != "<=":
+            in_p &= top + s - bound
+    size, shift = len(points) * width, 8 * width - 1
+    return (((top ^ in_p) >> shift).to_bytes(size, "little")[::width],
+            ((top ^ in_q) >> shift).to_bytes(size, "little")[::width])
+
+
 def _member_Q(m: Matroid, x: Sequence[int], d: int) -> bool:
     """member_Q on the point x / d: integer numerators over one d > 0."""
-    ranks = m._rank_table()
-    if sum(x) != d * m.rank:
-        return False
-    if any(c < 0 or c > d for c in x):
-        return False
-    size = 1 << m.n
-    sums = [0] * size
-    for mask in range(1, size):
-        low = mask & -mask
-        sums[mask] = sums[mask ^ low] + x[low.bit_length() - 1]
-        if sums[mask] > d * ranks[mask]:
-            return False
-    return True
+    return not _lane_misses(m, (), ((x, d),))[1][0]
+
+
+def _pq_disagreements(sys: LinearSystem, m: Matroid,
+                      points: Sequence[tuple[Sequence[int], int]]) -> int:
+    """How many of the points, each numerators over one d > 0, lie in exactly
+    one of P, cut out by sys's rows, and Q, member_Q's system: one lane pass
+    per batch of at most _BATCH_LANES >> n points."""
+    step = max(1, _BATCH_LANES >> m.n)
+    bad = 0
+    for i in range(0, len(points), step):
+        miss_p, miss_q = _lane_misses(m, sys.rows, points[i:i + step])
+        bad += sum(map(int.__ne__, miss_p, miss_q))
+    return bad
 
 
 def member_Q(m: Matroid, point: Sequence) -> bool:
@@ -136,20 +197,37 @@ def member_Q(m: Matroid, point: Sequence) -> bool:
 def zero_one_vertices(sys: LinearSystem, cardinality: int) -> tuple[tuple[int, ...], ...]:
     """All 0/1 points of the given cardinality satisfying the system,
     as subsets in canonical order.  A cardinality that is not a
-    nonnegative int raises InvalidParams."""
+    nonnegative int, or a dimension that is not, raises InvalidParams, and
+    a dimension above MAX_N raises TooLarge.
+
+    Subset X owns byte lane X of lane_constants(n): a row's count, the sum
+    of its elements' HAS patterns, holds |X & row| <= n in lane X, and
+    0x80 + b - count keeps its top bit exactly when count <= b.  A bound
+    clamped to -1 .. n + 1 keeps every answer, and every lane in 0x6F ..
+    0x91, so no lane borrows."""
     if not isinstance(cardinality, int) or cardinality < 0:
         raise errors.InvalidParams("cardinality must be a nonnegative int, got %r"
                                    % (cardinality,))
-    rows = {"==": [], "<=": [], ">=": []}
+    n = sys.dimension
+    if not isinstance(n, int) or n < 0:
+        raise errors.InvalidParams("dimension must be a nonnegative int, got %r" % (n,))
+    if n > MAX_N:
+        raise errors.TooLarge("0/1 vertices scan all 2^n subsets; dimension capped at %d, "
+                              "got %d" % (MAX_N, n))
+    if cardinality > n:
+        return ()
+    has, ones, pop = lane_constants(n)
+    full = (1 << n) - 1
+    ok = (ones << 7) & (pop + (0x80 - cardinality) * ones) & ((0x80 + cardinality) * ones - pop)
     for row in sys.rows:
-        rows[row.rel].append((mask_of(row.support), row.bound))
-    eq, le, ge = rows["=="], rows["<="], rows[">="]
-    bits = [1 << i for i in range(sys.dimension)]
-    return tuple(comb for comb, c in zip(itertools.combinations(range(sys.dimension), cardinality),
-                                         map(sum, itertools.combinations(bits, cardinality)))
-                 if all((c & a).bit_count() == b for a, b in eq)
-                 and all((c & a).bit_count() <= b for a, b in le)
-                 and all((c & a).bit_count() >= b for a, b in ge))
+        count = sum(map(has.__getitem__, bits_of(mask_of(row.support) & full)))
+        bound = min(max(row.bound, -1), n + 1)
+        if row.rel != ">=":
+            ok &= (0x80 + bound) * ones - count
+        if row.rel != "<=":
+            ok &= count + (0x80 - bound) * ones
+    kept = itertools.compress(range(full + 1), (ok >> 7).to_bytes(full + 1, "little"))
+    return tuple(sorted(map(bits_of, kept)))
 
 
 @lru_cache(maxsize=128)

@@ -26,7 +26,9 @@ masks and functools.cmp_to_key), and `ReferenceSimplexProgram` and
 gcd and summed a Fraction witness, before unit pivots skipped the gcd and
 the LP answered on integers), and `reference_component_flats` (one
 cyclic-flat sweep per component, before one sweep served every
-component).  `cyclic_flat_iso` decides matroid isomorphism from the
+component), and `reference_zero_one_vertices` (the scan of every
+r-subset by `itertools.combinations` and bit counts, before the byte
+lanes).  `cyclic_flat_iso` decides matroid isomorphism from the
 cyclic flats and their ranks, with a checked element witness, apart from
 the locked lattice.  `pg32_blocks` and `pasch_trade` build
 Steiner triple systems on 15 points, and `steiner_matroid` their sparse
@@ -241,6 +243,22 @@ def fraction_member_Q(m, point) -> bool:
         return False
     return all(sum((x[e] for e in a), Fraction(0)) <= naive_rank(m.bases, a)
                for k in range(1, m.n + 1) for a in itertools.combinations(range(m.n), k))
+
+
+def reference_zero_one_vertices(sys, cardinality: int) -> tuple[tuple[int, ...], ...]:
+    """polytope.zero_one_vertices by one pass over the subsets of the given
+    cardinality in itertools.combinations order, each row checked by the bit
+    count of its support within the subset."""
+    rows = {"==": [], "<=": [], ">=": []}
+    for row in sys.rows:
+        rows[row.rel].append((sum(1 << i for i in set(row.support)), row.bound))
+    eq, le, ge = rows["=="], rows["<="], rows[">="]
+    bits = [1 << i for i in range(sys.dimension)]
+    return tuple(comb for comb, c in zip(itertools.combinations(range(sys.dimension), cardinality),
+                                         map(sum, itertools.combinations(bits, cardinality)))
+                 if all((c & a).bit_count() == b for a, b in eq)
+                 and all((c & a).bit_count() <= b for a, b in le)
+                 and all((c & a).bit_count() >= b for a, b in ge))
 
 
 def reference_sample_rational_points(n: int, target_sum: int, count: int,

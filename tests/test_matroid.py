@@ -359,6 +359,22 @@ def test_size_guard_reads_no_basis():
         lm.graphic(10, k10)  # 45 edges; C(45, 9) edge subsets, none scanned
 
 
+def test_graphic_refuses_too_few_edges_in_bounded_memory():
+    # a spanning tree needs n_vertices - 1 edges, so fewer edges are refused
+    # before itertools.combinations allocates an index array per vertex
+    tracemalloc.start()
+    try:
+        with pytest.raises(errors.DisconnectedGraph, match="^input graph is not connected$"):
+            lm.graphic(10**6, ((0, 1), (1, 2), (0, 2)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    with pytest.raises(errors.DisconnectedGraph):
+        lm.graphic(5, ((0, 1), (1, 2), (2, 3)))
+    assert lm.graphic(4, ((0, 1), (1, 2), (2, 3))).bases == ((0, 1, 2),)
+
+
 def test_graphic_connectivity_matches_search():
     # a multigraph is connected exactly when some edge subset is a spanning
     # tree: graphic's DisconnectedGraph must agree with a reachability search

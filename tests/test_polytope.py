@@ -8,12 +8,17 @@ import pytest
 
 import lockedmatroid as lm
 from lockedmatroid import errors
-from lockedmatroid.polytope import (LinearSystem, Row, _member, _member_Q, _program,
-                                    _sample_points, build_P, lp_maximize, member, member_Q,
-                                    sample_rational_points)
+from lockedmatroid import _bits
+from lockedmatroid.polytope import (LinearSystem, Row, _lane_misses, _member, _member_Q,
+                                    _pq_disagreements, _program, _sample_points, build_P,
+                                    lp_maximize, member, member_Q, sample_rational_points)
 from helpers import (exhaustive_max_basis, fraction_member, fraction_member_Q,
-                     reference_lp_maximize, reference_sample_rational_points, sparse_paving)
+                     reference_lp_maximize, reference_sample_rational_points,
+                     reference_zero_one_vertices, sparse_paving)
 from test_stress_tier import STRESS_TIER
+
+# the stress-tier inputs at n = 14, 15 and 16 that the vertex scans add
+STRESS_VERTEX_INPUTS = ("mk4chain3", "mk6", "uniform(8,16)")
 
 
 def system_for(m):
@@ -159,7 +164,7 @@ def test_member_and_member_q_match_fraction_oracle(corpus):
 # -- zero_one_vertices -------------------------------------------------------------
 
 def test_vertices_equal_bases(corpus):
-    for m in corpus:
+    for m in list(corpus) + [STRESS_TIER[name]() for name in STRESS_VERTEX_INPUTS]:
         sys = system_for(m)
         assert lm.zero_one_vertices(sys, m.rank) == m.bases, m.name
 
@@ -179,24 +184,76 @@ def _member_scan(sys, cardinality):
     return tuple(out)
 
 
+def _lowered(sys, i, by=1):
+    """sys with the bound of row i lowered by `by`, raised if it is negative."""
+    rows = list(sys.rows)
+    rows[i] = dataclasses.replace(rows[i], bound=rows[i].bound - by)
+    return LinearSystem(sys.dimension, tuple(rows))
+
+
 def test_vertex_masks_match_the_member_scan(corpus):
-    # row masks and bit counts against one member call per point, on the
+    # row lanes and biased compares against one member call per point, on the
     # corpus systems and with each row's bound lowered by one, which leaves
-    # some, or no, points
+    # some, or no, points; the stress-tier systems at n = 14..16 lower the
+    # first row of each tag only, since the member scan takes ~1 s a system
     sizes = set()
-    for m in corpus:
+    stress = [STRESS_TIER[name]() for name in STRESS_VERTEX_INPUTS]
+    for m, every_row in [(m, True) for m in corpus] + [(m, False) for m in stress]:
         sys = system_for(m)
         assert lm.zero_one_vertices(sys, m.rank) == _member_scan(sys, m.rank), m.name
+        first = {}
         for i, row in enumerate(sys.rows):
-            rows = list(sys.rows)
-            rows[i] = dataclasses.replace(row, bound=row.bound - 1)
-            low = LinearSystem(sys.dimension, tuple(rows))
+            first.setdefault(row.tag, i)
+        for i in range(len(sys.rows)) if every_row else sorted(first.values()):
+            low = _lowered(sys, i)
             for k in {m.rank, m.rank - 1}:
                 got = lm.zero_one_vertices(low, k)
                 assert got == _member_scan(low, k), (m.name, i, k)
                 if k == m.rank:
                     sizes.add("empty" if not got else "all" if got == m.bases else "part")
     assert sizes == {"empty", "part", "all"}
+
+
+def test_vertices_match_the_combinations_scan(corpus):
+    # the byte lanes against the itertools.combinations scan they replaced:
+    # lowered bounds, bounds far outside 0..n (clamped to -1..n+1 before the
+    # byte compare), and every cardinality from 0 to n + 2
+    rng = Random(33)
+    seen = set()
+    for m in list(corpus) + [lm.uniform(6, 12)]:
+        sys = system_for(m)
+        systems = [sys] + [_lowered(sys, i) for i in range(len(sys.rows))]
+        for _ in range(18):
+            by = rng.choice((-1, 1)) * rng.choice((m.n, m.n + 1, m.n + 2, 3 * m.n, 10**30))
+            systems.append(_lowered(sys, rng.randrange(len(sys.rows)), by))
+        for low in systems:
+            for k in range(m.n + 3):
+                got = lm.zero_one_vertices(low, k)
+                assert got == reference_zero_one_vertices(low, k), (m.name, low, k)
+                seen.add("some" if got else "none")
+    # a row on no element, and rows whose every bound is far out of range
+    for rel, bound in itertools.product(("<=", ">=", "=="), (-10**30, -5, -1, 0, 1, 4, 5, 6, 10**30)):
+        for support in ((), (0, 2, 3), (0, 1, 2, 3, 4)):
+            sys = LinearSystem(5, (Row(support, rel, bound, "x"),))
+            for k in range(7):
+                assert lm.zero_one_vertices(sys, k) == reference_zero_one_vertices(sys, k)
+    assert lm.zero_one_vertices(LinearSystem(0, ()), 0) == ((),)
+    assert lm.zero_one_vertices(LinearSystem(0, ()), 1) == ()
+    assert seen == {"some", "none"}
+
+
+def test_vertices_refuse_a_large_dimension_before_the_lane_constants():
+    # the lane constants keep the largest n ever asked for, so a dimension
+    # above MAX_N is refused before they are built
+    before = _bits._lanes[0]
+    for n in (17, 24):
+        with pytest.raises(errors.TooLarge, match="^0/1 vertices scan all 2\\^n subsets; "
+                                                  "dimension capped at 16, got %d$" % n):
+            lm.zero_one_vertices(LinearSystem(n, (Row(tuple(range(n)), "==", 3, "eq1"),)), 3)
+        assert _bits._lanes[0] == before
+    for n in (-1, 2.0, "3", None):
+        with pytest.raises(errors.InvalidParams, match="^dimension must be a nonnegative int"):
+            lm.zero_one_vertices(LinearSystem(n, ()), 0)
 
 
 def test_vertices_refuse_a_bad_cardinality():
@@ -493,25 +550,110 @@ def test_sampler_reads_the_target_as_an_exact_rational():
         assert all(isinstance(a, int) for a in x) and tuple(Fraction(a, d) for a in x) == p
 
 
+def _edge_points(m, rng):
+    """Points on and next to the bounds, over a denominator of at least
+    2^200: a basis vector, the midpoint of two bases, a basis moved by one
+    unit from one element to another, and a point far off the box with
+    negative coordinates; each lies on x(E) = r(E)."""
+    d = (1 << 200) + rng.randrange(1 << 200)
+    b1, b2 = rng.choice(m.bases), rng.choice(m.bases)
+    v1 = [d * (e in b1) for e in range(m.n)]
+    v2 = [d * (e in b2) for e in range(m.n)]
+    moved = list(v1)
+    moved[rng.randrange(m.n)] += 1
+    moved[rng.randrange(m.n)] -= 1
+    far = [rng.randint(-3 * d, 3 * d) for _ in range(m.n - 1)]
+    far.append(m.rank * d - sum(far))
+    return [(v1, d), ([a + b for a, b in zip(v1, v2)], 2 * d), (moved, d), (far, d)]
+
+
+def _on_a_bound(sys, m, point):
+    """Whether the point meets some row, or some x(A) <= r(A), with equality."""
+    sums = {a: sum((point[e] for e in range(m.n) if a >> e & 1), Fraction(0))
+            for a in range(1, 1 << m.n)}
+    ranks = m._rank_table()
+    return (any(sums[a] == ranks[a] for a in sums if a != (1 << m.n) - 1)
+            or any(row.support and sums[_bits.mask_of(row.support)] == row.bound
+                   for row in sys.rows if row.rel != "=="))
+
+
 def test_integer_cores_match_the_fraction_oracles(corpus):
-    # _member and _member_Q on the sampler's (numerators, denominator) pairs,
-    # about a third of which leave the unit box
+    # _member, _member_Q and the batched lane kernel on the sampler's
+    # (numerators, denominator) pairs, about a third of which leave the unit
+    # box, and on points on and next to the bounds over denominators of at
+    # least 2^200, some far off the box with negative coordinates; on odd
+    # seeds one row's bound is lowered, so that P and Q differ
     small = [m for m in corpus if m.n <= 6]
-    seen = {"outside box": 0, "in Q": 0, "in P": 0}
+    seen = {"outside box": 0, "negative": 0, "in Q": 0, "in P": 0, "on a bound": 0,
+            "huge denominator": 0, "Q but not P": 0}
     for seed in range(200):
         rng = Random(seed)
         m = small[seed % len(small)]
         sys = system_for(m)
-        for x, d in _sample_points(m.n, m.rank, 3, rng):
+        if seed % 2:
+            sys = _lowered(sys, rng.randrange(len(sys.rows)))
+        batch = _sample_points(m.n, m.rank, 3, rng) + _edge_points(m, rng)
+        want_p, want_q = [], []
+        for x, d in batch:
             point = tuple(Fraction(a, d) for a in x)
             in_p = _member(sys, x, d)
             assert in_p == fraction_member(sys, point), (m.name, point)
             in_q = _member_Q(m, x, d)
             assert in_q == fraction_member_Q(m, point), (m.name, point)
+            want_p.append(not in_p[0])
+            want_q.append(not in_q)
             seen["outside box"] += any(c < 0 or c > 1 for c in point)
+            seen["negative"] += any(c < 0 for c in point)
             seen["in Q"] += in_q
             seen["in P"] += in_p[0]
+            seen["on a bound"] += _on_a_bound(sys, m, point)
+            seen["huge denominator"] += d >= 1 << 200
+            seen["Q but not P"] += in_q and not in_p[0]
+        assert _lane_misses(m, sys.rows, batch) == (bytes(want_p), bytes(want_q)), m.name
+        assert _pq_disagreements(sys, m, batch) == sum(map(int.__ne__, want_p, want_q))
     assert min(seen.values()) > 50, seen
+
+
+def test_lanes_hold_the_extreme_sums(corpus):
+    # a lane is the bit length of the bound on every |v| compared, plus a sign
+    # bit, in whole bytes; at bit lengths of whole bytes, coordinates of
+    # -x and +x, or a row bound of 2^bits - 7 on 0/1 points, fill a lane but
+    # for its sign bit, so a lane one bit narrower would borrow from its
+    # neighbour
+    m = next(m for m in corpus if m.name == "uniform(3,6)")
+    inside = ((1, 1, 1, 0, 0, 0), 1)
+    for bits in (8, 16, 64, 200):
+        x = ((1 << bits) - 7) // m.n  # n * x + n * d < 2^bits <= 2 * (n * x - r)
+        far = LinearSystem(m.n, (Row((0,), ">=", (1 << bits) - 7, "x"),))
+        for sys in (system_for(m), far):
+            for batch in ([((-x,) * 6, 1), inside, ((x,) * 6, 1), inside],
+                          [inside, ((x, -x) * 3, 1), inside], [inside, ((0, 1, 1, 1, 0, 0), 1)]):
+                want = (bytes(not fraction_member(sys, [Fraction(a, d) for a in p])[0]
+                              for p, d in batch),
+                        bytes(not fraction_member_Q(m, [Fraction(a, d) for a in p])
+                              for p, d in batch))
+                assert _lane_misses(m, sys.rows, batch) == want, (bits, batch)
+
+
+@pytest.mark.parametrize("count", [0, 1, 255, 256, 257, 1000])
+def test_pq_disagreements_match_the_per_point_scan(corpus, count):
+    # across batch boundaries (256 points a batch at n = 6, 1024 at n = 4):
+    # the count of points in exactly one of P and Q, point by point
+    for name in ("mk4", "uniform(2,4)", "p6"):
+        m = next(m for m in corpus if m.name == name)
+        sys = system_for(m)
+        pts = _sample_points(m.n, m.rank, count, Random(count))
+        want = sum(1 for x, d in pts
+                   if fraction_member(sys, [Fraction(a, d) for a in x])[0]
+                   != fraction_member_Q(m, [Fraction(a, d) for a in x]))
+        assert _pq_disagreements(sys, m, pts) == want, (name, count)
+    # a system whose first row is lowered disagrees with Q on some points
+    m = next(m for m in corpus if m.name == "mk4")
+    low = _lowered(system_for(m), 1)
+    pts = _sample_points(m.n, m.rank, count, Random(count))
+    want = sum(1 for x, d in pts if _member(low, x, d)[0] != _member_Q(m, x, d))
+    assert _pq_disagreements(low, m, pts) == want
+    assert count < 200 or want > 0
 
 
 def test_lp_maximize_matches_the_reference(corpus):
