@@ -24,11 +24,12 @@ from .lattice import augmented_lattice, dot_text, label_text, reduced_lattice, s
 from .locked import locked_structure, structure_text
 from .matroid import Matroid, _reject_disconnected, is_connected, load, save, two_sum, with_names
 from .polytope import (
+    _lp_maximize,
     _pq_disagreements,
+    _program,
     _sample_points,
     build_P,
     greedy_max_basis,
-    lp_maximize,
     zero_one_vertices,
 )
 
@@ -180,24 +181,27 @@ def _cmd_polytope(args) -> int:
     print("vertices-match %s (%d bases)" %
           ("pass" if verts == m.bases else "FAIL", len(m._basis_masks)))
 
+    # one program per line; its (num, den) optima are not reduced, so compare ratios
+    program = _program(system, True)
     agree = 0
     for _ in range(args.trials):
         w = [rng.randint(-10, 10) for _ in range(m.n)]
-        opt, _ = lp_maximize(system, w)
-        if opt == greedy_max_basis(m, w)[0]:
+        (num, den), _ = _lp_maximize(system, program, w)
+        if num == greedy_max_basis(m, w)[0] * den:
             agree += 1
     print("lp-greedy %s (%d/%d trials)" %
           ("pass" if agree == args.trials else "FAIL", agree, args.trials))
 
+    program = _program(system, False)
     boxed = True
     try:
         for i in range(m.n):
             w = [0] * m.n
             w[i] = 1
-            hi, _ = lp_maximize(system, w, add_box=False)
+            (hn, hd), _ = _lp_maximize(system, program, w)
             w[i] = -1
-            lo, _ = lp_maximize(system, w, add_box=False)
-            boxed = boxed and 0 <= -lo and hi <= 1
+            (ln, _), _ = _lp_maximize(system, program, w)
+            boxed = boxed and ln <= 0 and hn <= hd
     except errors.Unbounded:
         boxed = False  # some x(e) is unbounded over the rows, so they miss the box
     print("box-implied %s" % ("pass" if boxed else "FAIL"))

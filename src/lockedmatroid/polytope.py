@@ -22,10 +22,16 @@ over fixed-size batches, and ``_member_Q`` is its one-point call.
 ``lane_constants(n)`` and checks a row on all of them with one biased
 compare; it refuses a dimension above MAX_N = 16 with TooLarge.
 ``member`` and ``member_Q`` are the Fraction-accepting wrappers.
-``lp_maximize`` solves on integers too: it checks the simplex's integer
-witness with ``_member`` and the objective identity, and builds its
-Fractions only at the return.  greedy_max_basis supplies the independent
-combinatorial optimum the LP answers are compared against.
+``_lp_maximize`` is the integer LP core: it solves integer weights on a
+given ``_program`` of the system, checks the simplex's integer witness
+with ``_member`` and the objective identity, and returns the optimum as
+(numerator, denominator) and the witness as (numerators, d).
+``lp_maximize`` is its Fraction view, and ``polytope verify`` looks each
+program up once per line (the boxed one for lp-greedy, the free one for
+box-implied) and compares the optima on integers.  greedy_max_basis
+supplies the independent combinatorial optimum the LP answers are
+compared against.  A LinearSystem holds only rows that every reader
+reads alike: supports of distinct coordinates, int bounds.
 """
 
 from __future__ import annotations
@@ -60,12 +66,34 @@ class Row:
     def __post_init__(self):
         if self.rel not in simplex.RELATIONS:
             raise errors.InvalidParams("unknown constraint relation %r" % (self.rel,))
+        support = self.support
+        if (not isinstance(support, tuple) or not all(isinstance(e, int) for e in support)
+                or len(set(support)) != len(support)):
+            raise errors.InvalidParams("row support must be a tuple of distinct ints, got %r"
+                                       % (support,))
+        if not isinstance(self.bound, int):
+            raise errors.InvalidParams("row bound must be an int, got %r" % (self.bound,))
 
 
 @dataclass(frozen=True)
 class LinearSystem:
+    """Rows over the coordinates 0 .. dimension - 1: a dimension that is not
+    a nonnegative int, or rows that are not a tuple of Row, raise
+    InvalidParams, and a support element outside the coordinates OutOfRange,
+    so every reader sees the same rows."""
     dimension: int
     rows: tuple[Row, ...]
+
+    def __post_init__(self):
+        n = self.dimension
+        if not isinstance(n, int) or n < 0:
+            raise errors.InvalidParams("dimension must be a nonnegative int, got %r" % (n,))
+        if not isinstance(self.rows, tuple) or not all(isinstance(r, Row) for r in self.rows):
+            raise errors.InvalidParams("rows must be a tuple of Row, got %r" % (self.rows,))
+        for row in self.rows:
+            for e in row.support:
+                if not 0 <= e < n:
+                    raise errors.OutOfRange("row support element %r not in 0..%d" % (e, n - 1))
 
 
 def build_P(s: LockedStructure) -> LinearSystem:
@@ -197,8 +225,8 @@ def member_Q(m: Matroid, point: Sequence) -> bool:
 def zero_one_vertices(sys: LinearSystem, cardinality: int) -> tuple[tuple[int, ...], ...]:
     """All 0/1 points of the given cardinality satisfying the system,
     as subsets in canonical order.  A cardinality that is not a
-    nonnegative int, or a dimension that is not, raises InvalidParams, and
-    a dimension above MAX_N raises TooLarge.
+    nonnegative int raises InvalidParams, and a dimension above MAX_N
+    raises TooLarge.
 
     Subset X owns byte lane X of lane_constants(n): a row's count, the sum
     of its elements' HAS patterns, holds |X & row| <= n in lane X, and
@@ -209,8 +237,6 @@ def zero_one_vertices(sys: LinearSystem, cardinality: int) -> tuple[tuple[int, .
         raise errors.InvalidParams("cardinality must be a nonnegative int, got %r"
                                    % (cardinality,))
     n = sys.dimension
-    if not isinstance(n, int) or n < 0:
-        raise errors.InvalidParams("dimension must be a nonnegative int, got %r" % (n,))
     if n > MAX_N:
         raise errors.TooLarge("0/1 vertices scan all 2^n subsets; dimension capped at %d, "
                               "got %d" % (MAX_N, n))
@@ -220,7 +246,7 @@ def zero_one_vertices(sys: LinearSystem, cardinality: int) -> tuple[tuple[int, .
     full = (1 << n) - 1
     ok = (ones << 7) & (pop + (0x80 - cardinality) * ones) & ((0x80 + cardinality) * ones - pop)
     for row in sys.rows:
-        count = sum(map(has.__getitem__, bits_of(mask_of(row.support) & full)))
+        count = sum(map(has.__getitem__, row.support))
         bound = min(max(row.bound, -1), n + 1)
         if row.rel != ">=":
             ok &= (0x80 + bound) * ones - count
@@ -248,6 +274,27 @@ def _program(sys: LinearSystem, add_box: bool) -> simplex.SimplexProgram:
     return simplex.SimplexProgram(sys.dimension, constraints, nonneg=False)
 
 
+def _lp_maximize(sys: LinearSystem, program: simplex.SimplexProgram, weights: Sequence[int]
+                 ) -> tuple[tuple[int, int], tuple[tuple[int, ...], int]]:
+    """lp_maximize on integer weights over program, one of sys's _program
+    results: the optimum as (numerator, denominator) and the witness as
+    (numerators, d), both denominators positive, the witness checked
+    against sys's rows and the objective on integers."""
+    status, value, witness = program.maximize_integral(weights)
+    if status == simplex.INFEASIBLE:
+        raise errors.Infeasible("system has no feasible point")
+    if status == simplex.UNBOUNDED:
+        raise errors.Unbounded("objective is unbounded over the system")
+    x, d = witness
+    ok, bad_row = _member(sys, x, d)
+    if not ok:
+        raise errors.LockedMatroidError("LP witness violates %r" % (bad_row,))
+    num, den = value
+    if sum(w * c for w, c in zip(weights, x)) * den != num * d:
+        raise errors.LockedMatroidError("LP witness does not attain the optimum")
+    return value, witness
+
+
 def lp_maximize(sys: LinearSystem, weights: Sequence, add_box: bool = True
                 ) -> tuple[Fraction, tuple[Fraction, ...]]:
     """Exact maximum of weights . x over the system.
@@ -259,18 +306,7 @@ def lp_maximize(sys: LinearSystem, weights: Sequence, add_box: bool = True
     ints, scale = _integral(weights)
     if len(ints) != sys.dimension:
         raise errors.DimensionMismatch("weight vector dimension mismatch")
-    status, value, witness = _program(sys, add_box).maximize_integral(ints)
-    if status == simplex.INFEASIBLE:
-        raise errors.Infeasible("system has no feasible point")
-    if status == simplex.UNBOUNDED:
-        raise errors.Unbounded("objective is unbounded over the system")
-    x, d = witness
-    ok, bad_row = _member(sys, x, d)
-    if not ok:
-        raise errors.LockedMatroidError("LP witness violates %r" % (bad_row,))
-    num, den = value
-    if sum(w * c for w, c in zip(ints, x)) * den != num * d:
-        raise errors.LockedMatroidError("LP witness does not attain the optimum")
+    (num, den), (x, d) = _lp_maximize(sys, _program(sys, add_box), ints)
     return Fraction(num, den * scale), tuple(Fraction(a, d) for a in x)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import inspect
 import typing
@@ -7,7 +8,7 @@ from random import Random
 import pytest
 
 import lockedmatroid as lm
-from lockedmatroid import cli, isoengine
+from lockedmatroid import cli, isoengine, polytope
 from lockedmatroid.cli import main
 
 
@@ -314,6 +315,104 @@ def test_polytope_verify_reports_a_box_the_rows_miss(tmp_path, capsys):
     assert out == ("# format: 1\n# seed: 1\nmatroid uniform(1,2) n=2 rank=1\n"
                    "vertices-match pass (2 bases)\nlp-greedy pass (20/20 trials)\n"
                    "box-implied FAIL\npq-agreement pass (200 points)\n")
+
+
+def _verify_with_rows(tmp_path, capsys, monkeypatch, m, rows):
+    """polytope verify on m with build_P's system replaced by rows(system)."""
+    build_p = cli.build_P
+    monkeypatch.setattr(cli, "build_P", lambda s: rows(build_p(s)))
+    p = tmp_path / "m.matroid"
+    lm.save(m, p)
+    return run(capsys, "polytope", "verify", str(p))
+
+
+def test_polytope_verify_fails_lp_greedy_on_a_missing_row(tmp_path, capsys, monkeypatch):
+    # without its locked rows, M(K4)'s LP reaches the triangles, which
+    # outweigh every basis on some trials: the integer compare of the LP
+    # optimum with the greedy total fails there
+    def unlocked(system):
+        return lm.LinearSystem(system.dimension,
+                               tuple(r for r in system.rows if r.tag != "locked"))
+    code, out, err = _verify_with_rows(tmp_path, capsys, monkeypatch, lm.mk4(), unlocked)
+    assert (code, err) == (0, "")
+    assert "\nlp-greedy FAIL (18/20 trials)\nbox-implied pass\n" in out
+
+
+@pytest.mark.parametrize("i, rel, bound, tops", [
+    (1, "<=", 2, [2, 0, 1, 0, 1, 0, 1, 0]),
+    (5, ">=", -1, [1, 1, 1, 0, 1, 0, 1, 0])])
+def test_polytope_verify_fails_box_implied_on_a_finite_bound(tmp_path, capsys, monkeypatch,
+                                                             i, rel, bound, tops):
+    # U(2,4)'s rows with x(0) <= 1 raised to 2, or x(0) >= 0 lowered to -1:
+    # every free LP is bounded, and x(0) reaches 2 or -1, so the box fails
+    # through the integer compare, not the Unbounded catch
+    def loose(system):
+        rows = list(system.rows)
+        assert (rows[i].support, rows[i].rel) == ((0,), rel)
+        rows[i] = dataclasses.replace(rows[i], bound=bound)
+        return lm.LinearSystem(system.dimension, tuple(rows))
+    m = lm.uniform(2, 4)
+    code, out, err = _verify_with_rows(tmp_path, capsys, monkeypatch, m, loose)
+    assert (code, err) == (0, "")
+    assert "\nlp-greedy pass (20/20 trials)\nbox-implied FAIL\n" in out
+    system = loose(lm.build_P(lm.locked_structure(m)))
+    got = [lm.lp_maximize(system, [s * (j == e) for j in range(4)], add_box=False)[0]
+           for e in range(4) for s in (1, -1)]
+    assert got == tops
+
+
+def test_polytope_verify_reads_the_optima_as_unreduced_pairs(tmp_path, capsys, monkeypatch):
+    # the simplex does not reduce its (num, den) pairs, so the command must
+    # compare them as ratios: every pair scaled by 3 prints the same lines
+    p = str(tmp_path / "m.matroid")
+    for spec in ("mk4", "vamos", "uniform:1,2"):
+        assert run(capsys, "gen", spec, p)[0] == 0
+        want = run(capsys, "polytope", "verify", p, "--points", "5")
+        core = cli._lp_maximize
+
+        def scaled(system, program, weights):
+            (num, den), witness = core(system, program, weights)
+            return (3 * num, 3 * den), witness
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_lp_maximize", scaled)
+            assert run(capsys, "polytope", "verify", p, "--points", "5") == want, spec
+
+
+@pytest.mark.parametrize("spec", ["mk4", "vamos", "uniform:5,10"])
+def test_polytope_verify_looks_each_program_up_once(tmp_path, capsys, spec):
+    # one lookup of the boxed program for lp-greedy and one of the free
+    # program for box-implied, whatever --trials and n are
+    p = str(tmp_path / "m.matroid")
+    assert run(capsys, "gen", spec, p)[0] == 0
+    for trials in ("0", "1", "20"):
+        polytope._program.cache_clear()
+        code, _, err = run(capsys, "polytope", "verify", p, "--trials", trials, "--points", "5")
+        info = polytope._program.cache_info()
+        assert (code, err, info.hits, info.misses) == (0, "", 0, 2), (spec, trials)
+
+
+_POLYTOPE_SPECS = ("uniform:1,2", "uniform:5,10",
+                   "graphic:5:0-1,0-2,0-3,0-4,1-2,1-3,1-4,2-3,2-4,3-4", "twosum:mk4+mk4@a,f0")
+
+
+def test_polytope_verify_pinned(tmp_path, capsys, corpus):
+    # sha256 over (argv, exit code, stdout, stderr) of polytope verify on the
+    # corpus, U(1,2), U(5,10), M(K5) and M(K4)+M(K4), computed at the commit
+    # whose command compared the LP optima as Fractions
+    paths = []
+    for i, m in enumerate(corpus):
+        paths.append(tmp_path / ("%02d.matroid" % i))
+        lm.save(m, paths[-1])
+    for i, spec in enumerate(_POLYTOPE_SPECS):
+        paths.append(tmp_path / ("g%d.matroid" % i))
+        assert run(capsys, "gen", spec, str(paths[-1]))[0] == 0
+    h = hashlib.sha256()
+    for p in paths:
+        for options in ((), ("--seed", "9"), ("--trials", "3", "--points", "17")):
+            result = run(capsys, "polytope", "verify", str(p), *options)
+            h.update(repr((["polytope", "verify", p.name, *options],) + result).encode("utf-8"))
+    assert len(paths) == len(corpus) + 4 == 25
+    assert h.hexdigest() == "d0ecde64b5730cba1563017b349c5cbb9c06122d78925faf606a6af74d420a3f"
 
 
 def test_repeated_element_in_a_basis_line_exit_2(tmp_path, capsys):

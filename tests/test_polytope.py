@@ -9,9 +9,10 @@ import pytest
 import lockedmatroid as lm
 from lockedmatroid import errors
 from lockedmatroid import _bits
-from lockedmatroid.polytope import (LinearSystem, Row, _lane_misses, _member, _member_Q,
-                                    _pq_disagreements, _program, _sample_points, build_P,
-                                    lp_maximize, member, member_Q, sample_rational_points)
+from lockedmatroid.polytope import (LinearSystem, Row, _integral, _lane_misses, _lp_maximize,
+                                    _member, _member_Q, _pq_disagreements, _program,
+                                    _sample_points, build_P, lp_maximize, member, member_Q,
+                                    sample_rational_points)
 from helpers import (exhaustive_max_basis, fraction_member, fraction_member_Q,
                      reference_lp_maximize, reference_sample_rational_points,
                      reference_zero_one_vertices, sparse_paving)
@@ -685,6 +686,71 @@ def test_lp_maximize_matches_the_reference(corpus):
                 assert all(type(v) is Fraction for v in (got[0],) + got[1])
                 outcomes.add("optimal")
     assert outcomes == {"optimal", "Unbounded", "Infeasible"}
+
+
+def test_lp_maximize_is_the_fraction_view_of_the_integer_core(corpus):
+    # on the battery of test_lp_maximize_matches_the_reference: the same
+    # optimum and witness as (num, den) and (numerators, d) pairs over
+    # positive denominators, or an exception of the same type
+    systems = [system_for(m) for m in corpus]
+    systems += [system_for(build()) for build in STRESS_TIER.values()]
+    systems.append(system_for(sparse_paving(12, 6, 1)))
+    eq1 = systems[0].rows[:1]
+    systems += [LinearSystem(3, eq1 + (Row((0,), ">=", b, "box"),)) for b in (0, 2)]
+    rng = Random(23)
+    outcomes = set()
+    for sys in systems:
+        for _ in range(3):
+            w = [rng.randint(-10, 10) for _ in range(sys.dimension)]
+            w[rng.randrange(sys.dimension)] = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+            ints, scale = _integral(w)
+            for add_box in (True, False):
+                try:
+                    got = lp_maximize(sys, w, add_box=add_box)
+                except errors.LockedMatroidError as exc:
+                    with pytest.raises(errors.LockedMatroidError) as core:
+                        _lp_maximize(sys, _program(sys, add_box), ints)
+                    assert type(core.value) is type(exc)
+                    outcomes.add(type(exc).__name__)
+                    continue
+                (num, den), (x, d) = _lp_maximize(sys, _program(sys, add_box), ints)
+                assert den > 0 and d > 0 and len(x) == sys.dimension
+                assert got == (Fraction(num, den * scale), tuple(Fraction(a, d) for a in x))
+                outcomes.add("optimal")
+    assert outcomes == {"optimal", "Unbounded", "Infeasible"}
+
+
+def test_a_system_refuses_rows_its_readers_cannot_read():
+    # a repeated or out-of-range support element, a list, or a bound that is
+    # not an int used to be read three ways by member, zero_one_vertices and
+    # lp_maximize; the system refuses them when it is built
+    for build in (lambda: LinearSystem(2, (Row((0, 0), "<=", 1, "x"),)),
+                  lambda: LinearSystem(2, (Row([0, 1], "<=", 1, "x"),)),
+                  lambda: LinearSystem(2, (Row(0, "<=", 1, "x"),)),
+                  lambda: LinearSystem(2, (Row((0, 1.0), "<=", 1, "x"),)),
+                  lambda: LinearSystem(2, (Row(("0",), "<=", 1, "x"),))):
+        with pytest.raises(errors.InvalidParams, match="^row support must be a tuple of "
+                                                       "distinct ints, got "):
+            build()
+    for bound in (0.5, Fraction(1, 2), Fraction(1), "1", None):
+        with pytest.raises(errors.InvalidParams, match="^row bound must be an int, got "):
+            LinearSystem(2, (Row((0, 1), "<=", bound, "x"),))
+    row = Row((0, 1), "<=", 1, "x")
+    for rows in ([row], (row, "x"), None, row):
+        with pytest.raises(errors.InvalidParams, match="^rows must be a tuple of Row, got "):
+            LinearSystem(2, rows)
+    for n in (-1, 2.0, "3", None):
+        with pytest.raises(errors.InvalidParams, match="^dimension must be a nonnegative int"):
+            LinearSystem(n, ())
+    for support, n in (((0, 2), 2), ((-1,), 2), ((0,), 0), ((5, 0), 3)):
+        with pytest.raises(errors.OutOfRange, match="^row support element -?\\d+ not in 0\\.\\.%d$"
+                                                    % (n - 1)):
+            LinearSystem(n, (Row(support, "<=", 1, "x"),))
+    # what the readers read stays readable, an empty support included
+    sys = LinearSystem(3, (Row((), "<=", 0, "x"), Row((2, 0), ">=", -1, "x"), row))
+    assert lm.member(sys, (1, 0, 1)) == (True, None)
+    assert lm.zero_one_vertices(sys, 1) == ((0,), (1,), (2,))
+    assert lm.lp_maximize(sys, (1, 1, 1))[0] == 2
 
 
 def test_a_system_is_hashed_and_compiled_from_its_rows():
