@@ -101,6 +101,11 @@ def subset_key(t: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
     return (len(t), t)
 
 
+def mask_key(x: int) -> tuple[int, tuple[int, ...]]:
+    """subset_key of bits_of(x): masks sort in the canonical subset order."""
+    return (x.bit_count(), bits_of(x))
+
+
 def subset_text(names: tuple[str, ...], t: tuple[int, ...]) -> str:
     """A subset written with element names, as "{a,b}"."""
     return "{%s}" % ",".join(names[i] for i in t)

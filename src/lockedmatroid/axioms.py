@@ -54,7 +54,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
 from . import errors
-from ._bits import bits_of, mask_of, splits, subset_key, subset_text
+from ._bits import bits_of, complement, mask_of, splits, subset_key, subset_text
 from .locked import LockedStructure, _stored_domain, locked_structure
 from .matroid import Matroid, _check_elements, _refuse_large
 
@@ -127,8 +127,9 @@ class RankExtender:
                 raise errors.InvalidParams("rank %r of %r is not an int" % (val, t))
             self.base[_checked_mask(n, t)] = val
         # after the index checks: the domain complements classes by mask_of
-        missing = [x for x in _stored_domain(n, s.parallel, s.coparallel, s.locked)
-                   if x not in s.rho]
+        domain = _stored_domain(tuple(range(n)), lambda x: complement(n, x),
+                                s.parallel, s.coparallel, s.locked)
+        missing = [x for x in domain if x not in s.rho]
         if missing:
             raise errors.DomainMismatch("missing stored ranks for %r" % (missing[:3],))
         self.full = (1 << n) - 1

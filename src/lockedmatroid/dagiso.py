@@ -39,6 +39,7 @@ from __future__ import annotations
 
 from collections.abc import Collection
 from dataclasses import dataclass
+from functools import cached_property
 from operator import itemgetter
 from typing import Optional
 
@@ -66,24 +67,28 @@ class ColoredDigraph:
             raise errors.InvalidParams("colors must be integers")
         if any(c < 0 for c in self.colors):
             raise errors.InvalidParams("colors must be nonnegative")
-        if _well_formed(self.arcs, n):
-            return
-        # the first bad arc sets the error
+        # one pass; the first bad arc sets the error
         for arc in self.arcs:
-            if not (isinstance(arc, tuple) and len(arc) == 2
-                    and all(isinstance(x, int) for x in arc)):
+            if not (isinstance(arc, tuple) and len(arc) == 2):
                 raise errors.InvalidParams("arc is not a pair of integers: %r" % (arc,))
             u, v = arc
+            if not (isinstance(u, int) and isinstance(v, int)):
+                raise errors.InvalidParams("arc is not a pair of integers: %r" % (arc,))
             if not (0 <= u < n and 0 <= v < n):
                 raise errors.OutOfRange("arc endpoint out of range: %r" % (arc,))
 
-
-def _well_formed(arcs, n: int) -> bool:
-    """One bulk check that a tuple of arcs holds pairs of ints in range(n)."""
-    if type(arcs) is not tuple or set(map(type, arcs)) - {tuple} or set(map(len, arcs)) - {2}:
-        return False
-    ends = [x for arc in arcs for x in arc]
-    return not ends or (set(map(type, ends)) == {int} and 0 <= min(ends) and max(ends) < n)
+    @cached_property
+    def _adjacency(self) -> tuple[list[list[int]], list[list[int]]]:
+        """(in-neighbours, out-neighbours) of each vertex, from one pass
+        over the arcs in arc order, made on first use and kept; their
+        lengths are the degrees.  _profile, _search and its neighbour sets
+        all read it, and none changes it."""
+        ins: list[list[int]] = [[] for _ in range(self.vertex_count)]
+        outs: list[list[int]] = [[] for _ in range(self.vertex_count)]
+        for u, v in self.arcs:
+            outs[u].append(v)
+            ins[v].append(u)
+        return ins, outs
 
 
 @dataclass(frozen=True)
@@ -149,13 +154,9 @@ def _search(g: ColoredDigraph, first_leaf: bool = False) -> tuple[list[int], tup
     n = g.vertex_count
     if n == 0:
         return [], ((), ())
-    in_adj = [[] for _ in range(n)]
-    out_adj = [[] for _ in range(n)]
-    for (u, v) in g.arcs:
-        out_adj[u].append(v)
-        in_adj[v].append(u)
-    nbrs = [set(in_adj[v]) | set(out_adj[v]) for v in range(n)]
-    degree_keys = [_degree_key(in_adj[v], out_adj[v]) for v in range(n)]
+    in_adj, out_adj = g._adjacency
+    nbrs = [{*ins, *outs} for ins, outs in zip(in_adj, out_adj)]
+    degree_keys = list(map(_degree_key, in_adj, out_adj))
 
     def refine(col: list[int], cells: dict[int, list[int]], marked: list[int]) -> None:
         # Each round splits every cell by its vertices' keys, all read before
@@ -301,11 +302,8 @@ def _profile(g: ColoredDigraph) -> tuple[tuple, list[int], list[int]]:
     """(invariants, in-degrees, out-degrees): the invariants are the vertex
     count, the arc count and the sorted (colour, in-degree, out-degree)
     profile, equal on isomorphic digraphs."""
-    ind = [0] * g.vertex_count
-    outd = [0] * g.vertex_count
-    for (u, v) in g.arcs:
-        outd[u] += 1
-        ind[v] += 1
+    ins, outs = g._adjacency
+    ind, outd = list(map(len, ins)), list(map(len, outs))
     return (g.vertex_count, len(g.arcs), sorted(zip(g.colors, ind, outd))), ind, outd
 
 

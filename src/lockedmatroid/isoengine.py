@@ -120,7 +120,7 @@ def mip_locked(m1: Matroid, m2: Matroid, route: str = "labels") -> IsoReport:
     after both structures are built, when either matroid is disconnected.
     """
     if route not in ("labels", "series"):
-        raise errors.InvalidParams("unknown mip_locked route %r" % route)
+        raise errors.InvalidParams("unknown mip_locked route %r" % (route,))
     s1, s2 = locked_structure(m1), locked_structure(m2)
     _reject_disconnected(m1)
     _reject_disconnected(m2)

@@ -196,7 +196,10 @@ def to_colored(d: LabeledDag) -> ColoredDigraph:
 
 
 def label_text(lab: tuple[int, ...]) -> str:
-    """A vertex label as text: "(c,r)" for a pair, "m" for one number."""
+    """A vertex label as text: "(c,r)" for a pair, "m" for one number;
+    LabelArityMismatch for any other length."""
+    if len(lab) not in (1, 2):
+        raise errors.LabelArityMismatch("a label is one or two numbers: %r" % (lab,))
     return "(%d,%d)" % lab if len(lab) == 2 else "%d" % lab
 
 

@@ -46,8 +46,8 @@ from fractions import Fraction
 from typing import Iterator, Optional
 
 from . import errors
-from ._bits import bits_of, complement, mask_of, subset_key, subset_text
-from .matroid import Matroid, _check_elements, _reject_loops_coloops, closures, cyclic_flats
+from ._bits import bits_of, complement, mask_key, subset_key, subset_text
+from .matroid import Matroid, _check_elements, _closure_masks, _reject_loops_coloops, cyclic_flats
 
 
 @dataclass(frozen=True)
@@ -66,13 +66,13 @@ class LockedStructure:
         return self.rho[tuple(range(self.ground_size))]
 
 
-def _stored_domain(n: int, parallel, coparallel, locked) -> list[tuple[int, ...]]:
-    """The subsets whose ranks a structure stores: empty, E, each parallel
-    and then each coparallel class followed by its complement, then the
-    locked sets."""
-    out = [(), tuple(range(n))]
+def _stored_domain(full, complement_of, parallel, coparallel, locked) -> list:
+    """The subsets whose ranks a structure stores, as tuples or as masks,
+    whichever full (E) and complement_of take: {}, E, each parallel and then
+    each coparallel class followed by its complement, then the locked sets."""
+    out = [complement_of(full), full]
     for x in itertools.chain(parallel, coparallel):
-        out += (x, complement(n, x))
+        out += (x, complement_of(x))
     return out + list(locked)
 
 
@@ -144,11 +144,19 @@ def locked_structure(m: Matroid) -> LockedStructure:
 
 
 def _assemble(m: Matroid, locked_masks) -> LockedStructure:
-    parallel, coparallel = closures(m)
-    locked = tuple(sorted((bits_of(x) for x in locked_masks), key=subset_key))
-    ranks = m._rank_table()
-    rho = {x: ranks[mask_of(x)] for x in _stored_domain(m.n, parallel, coparallel, locked)}
-    return LockedStructure(m.n, m.names, parallel, coparallel, locked, rho)
+    """The structure from the locked masks: every stored subset stays a mask
+    until its one conversion to a tuple, which is both its rho key and its
+    entry in P, S or L."""
+    parallel, coparallel = _closure_masks(m)
+    full = m.full_mask
+    masks = _stored_domain(full, full.__xor__, parallel, coparallel,
+                           sorted(locked_masks, key=mask_key))
+    keys = list(map(bits_of, masks))
+    rho = dict(zip(keys, map(m._rank_table().__getitem__, masks)))
+    co = 2 + 2 * len(parallel)  # keys[co:lo] alternate coparallel classes and complements
+    lo = co + 2 * len(coparallel)
+    return LockedStructure(m.n, m.names, tuple(keys[2:co:2]), tuple(keys[co:lo:2]),
+                           tuple(keys[lo:]), rho)
 
 
 def k_locked_decision(m: Matroid, k: int, c=1) -> KLockedVerdict:

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
 from . import errors
-from ._bits import bits_of, lane_constants, mask_of, subset_bits, subset_key
+from ._bits import bits_of, lane_constants, mask_key, mask_of, subset_bits
 
 
 @dataclass(frozen=True)
@@ -515,7 +515,7 @@ def find_separator(m: Matroid) -> Optional[tuple[int, ...]]:
     comps = m._components()
     if len(comps) == 1:
         return None
-    return min((bits_of(c) for c in comps), key=subset_key)
+    return bits_of(min(comps, key=mask_key))
 
 
 def is_connected(m: Matroid) -> bool:
@@ -545,20 +545,42 @@ def closures(m: Matroid) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, 
     Parallel classes are the maximal sets of pairwise rank-1 pairs; coparallel
     classes are the parallel classes of the dual.  Without loops and coloops
     both relations are equivalences, so each family partitions E and the
-    class of e is every f related to it.
+    class of e is every f related to it.  The tuple view of _closure_masks.
     """
+    parallel, coparallel = _closure_masks(m)
+    return tuple(map(bits_of, parallel)), tuple(map(bits_of, coparallel))
+
+
+def _closure_masks(m: Matroid) -> tuple[list[int], list[int]]:
+    """closures(m) as masks, each family sorted by mask_key.  The class of
+    e is found from its least element only: with no loops, f is parallel to
+    e exactly when r({e,f}) <= 1; with no coloops, coparallel exactly when
+    f = e or r(E-e-f) < r(E)."""
     ranks = m._rank_table()  # first: a ground set over MAX_N is refused as such
     _reject_loops_coloops(m)
-    n = m.n
     full = m.full_mask
     r_e = ranks[full]
-    bit = [1 << f for f in range(n)]
-    # with no loops, f is parallel to e exactly when r({e,f}) <= 1; with no
-    # coloops, coparallel exactly when f = e or r(E-e-f) < r(E)
-    parallel = {tuple(f for f in range(n) if ranks[bit[e] | bit[f]] <= 1) for e in range(n)}
-    coparallel = {tuple(f for f in range(n) if f == e or ranks[full ^ bit[e] ^ bit[f]] < r_e)
-                  for e in range(n)}
-    return tuple(sorted(parallel, key=subset_key)), tuple(sorted(coparallel, key=subset_key))
+    bit = [1 << f for f in range(m.n)]
+    parallel, coparallel = [], []
+    seen_p = seen_c = 0
+    for e, b in enumerate(bit):
+        if not seen_p & b:
+            x = b
+            for f in bit[e + 1:]:
+                if ranks[b | f] <= 1:
+                    x |= f
+            seen_p |= x
+            parallel.append(x)
+        if not seen_c & b:
+            x, rest = b, full ^ b
+            for f in bit[e + 1:]:
+                if ranks[rest ^ f] < r_e:
+                    x |= f
+            seen_c |= x
+            coparallel.append(x)
+    parallel.sort(key=mask_key)
+    coparallel.sort(key=mask_key)
+    return parallel, coparallel
 
 
 def two_sum(m1: Matroid, m2: Matroid, e1: int, e2: int) -> Matroid:

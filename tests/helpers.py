@@ -18,7 +18,10 @@ walks before the separator lanes and the cyclic-flat pair test), and
 integer one), and `reference_bits_of`, `reference_closures` and
 `reference_shape_arcs` (the bit walk, the per-pair lambdas and the
 pairwise lattice scans before the byte tables, the per-element
-comprehensions and the per-element bitmasks), and `reference_two_sum` and
+comprehensions and the per-element bitmasks), and
+`reference_locked_structure` (the structure assembled from tuples, each
+stored rank read through mask_of, before its subsets stayed masks), and
+`reference_two_sum` and
 `reference_zero_locked` (the 2-sum through per-basis index remaps and the
 zero-locked route with its hand-written counted comparisons, before the
 masks and functools.cmp_to_key), and `ReferenceSimplexProgram` and
@@ -46,10 +49,10 @@ from random import Random
 from typing import Optional
 
 from lockedmatroid import errors
-from lockedmatroid._bits import bits_of, mask_of
+from lockedmatroid._bits import bits_of, mask_of, subset_key
 from lockedmatroid.dagiso import CanonicalForm, ColoredDigraph, _digest, _profile, are_isomorphic
 from lockedmatroid.isoengine import IsoReport
-from lockedmatroid.locked import _locked_iter
+from lockedmatroid.locked import LockedStructure, _locked_iter
 from lockedmatroid.matroid import (GroundSet, Matroid, _check_elements, _refuse_large,
                                    _reject_disconnected, _reject_loops_coloops, closures,
                                    cyclic_flats, from_bases, is_connected)
@@ -724,6 +727,31 @@ def reference_closures(m):
 
     return (classes(lambda e, f: ranks[(1 << e) | (1 << f)] == 1),
             classes(lambda e, f: ranks[full ^ (1 << e) ^ (1 << f)] == r_e - 1))
+
+
+def reference_locked_structure(m):
+    """locked.locked_structure as it was assembled before its subsets stayed
+    masks: the closures as sets of per-element tuples, the locked sets
+    through bits_of and a sort by subset_key, and every stored rank read by
+    mask_of of its tuple, in the stored-domain order ({}, E, each parallel
+    and then each coparallel class with its complement, the locked sets).
+    The locked masks are the package's own enumeration."""
+    ranks = m._rank_table()
+    _reject_loops_coloops(m)
+    n, full = m.n, m.full_mask
+    r_e = ranks[full]
+    bit = [1 << f for f in range(n)]
+    parallel = {tuple(f for f in range(n) if ranks[bit[e] | bit[f]] <= 1) for e in range(n)}
+    coparallel = {tuple(f for f in range(n) if f == e or ranks[full ^ bit[e] ^ bit[f]] < r_e)
+                  for e in range(n)}
+    parallel = tuple(sorted(parallel, key=subset_key))
+    coparallel = tuple(sorted(coparallel, key=subset_key))
+    locked = tuple(sorted((bits_of(x) for x in _locked_iter(m)), key=subset_key))
+    domain = [(), tuple(range(n))]
+    for x in itertools.chain(parallel, coparallel):
+        domain += (x, bits_of(full ^ mask_of(x)))
+    rho = {x: ranks[mask_of(x)] for x in domain + list(locked)}
+    return LockedStructure(n, m.names, parallel, coparallel, locked, rho)
 
 
 def reference_shape_arcs(s) -> list[tuple[int, int]]:

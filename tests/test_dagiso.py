@@ -1,4 +1,5 @@
 import collections
+import functools
 import hashlib
 import itertools
 from random import Random
@@ -61,14 +62,14 @@ def test_colored_digraph_refusals(args, error, message):
     (((0, 1), 7, (0, 2)), errors.InvalidParams, "arc is not a pair of integers: 7"),
 ])
 def test_first_bad_arc_sets_the_error(arcs, error, message):
-    # the bulk check accepts only well-formed arc tuples; otherwise the
-    # per-arc loop reports the first bad arc, whatever follows it
+    # the one pass over the arcs reports the first bad arc, whatever
+    # follows it
     with pytest.raises(error, match="^%s$" % message):
         ColoredDigraph(2, arcs, (0, 0))
 
 
 def test_arcs_the_bulk_check_leaves_to_the_loop():
-    # bools and tuple subclasses are ints and tuples to the per-arc loop,
+    # bools and tuple subclasses are ints and tuples to the arc check,
     # and a list of arcs is read as before
     Arc = collections.namedtuple("Arc", "u v")
     for arcs in (((True, 0),), (Arc(0, 1), (1, 1)), [(0, 1), (1, 0)], ()):
@@ -472,3 +473,34 @@ def test_isomorphic_raises_when_the_leaf_map_fails(monkeypatch):
     monkeypatch.setattr(dagiso, "_profile", lambda g: ((), [], []))
     with pytest.raises(errors.LockedMatroidError, match="carry arcs onto arcs"):
         dagiso.isomorphic(path, other)
+
+
+def test_one_arc_pass_per_digraph(corpus, structures, monkeypatch):
+    # each digraph's in- and out-neighbours, in arc order, against a naive
+    # scan, and _profile's degrees are their lengths; isomorphic builds them
+    # once per digraph, whether it answers from the first leaves or falls
+    # back to are_isomorphic's two full searches
+    build = ColoredDigraph.__dict__["_adjacency"]
+    built = collections.Counter()
+
+    def counted(g):
+        built[id(g)] += 1
+        return build.func(g)
+
+    patched = functools.cached_property(counted)
+    patched.__set_name__(ColoredDigraph, "_adjacency")
+    monkeypatch.setattr(ColoredDigraph, "_adjacency", patched)
+    pairs = list(_two_search_oracle_pairs(corpus, structures))
+    pairs += [(g, _relabelled(rng, g)) for g, rng in _multi_digraph_battery()]
+    answers = collections.Counter()
+    for g1, g2 in pairs:
+        built.clear()
+        answers[dagiso.isomorphic(g1, g2)] += 1
+        assert set(built.values()) <= {1}, (g1, g2)
+        for g in (g1, g2):
+            ins, outs = g._adjacency
+            n = g.vertex_count
+            assert ins == [[u for u, v in g.arcs if v == x] for x in range(n)], g
+            assert outs == [[v for u, v in g.arcs if u == x] for x in range(n)], g
+            assert dagiso._profile(g)[1:] == ([*map(len, ins)], [*map(len, outs)]), g
+    assert min(answers.values()) > 100

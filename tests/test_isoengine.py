@@ -252,8 +252,9 @@ def test_tsd_witness_from_bruteforce():
 
 
 def test_mip_locked_unknown_route():
-    for route in ("bogus", "both"):
-        with pytest.raises(errors.InvalidParams):
+    # a tuple route is named in the message, not read as its arguments
+    for route in ("bogus", "both", (), ("a", "b")):
+        with pytest.raises(errors.InvalidParams, match="^unknown mip_locked route "):
             lm.mip_locked(lm.mk4(), lm.mk4(), route=route)
 
 

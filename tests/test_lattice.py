@@ -1,4 +1,6 @@
 import itertools
+import re
+from dataclasses import replace
 from random import Random
 
 import pytest
@@ -346,3 +348,13 @@ def test_dot_deterministic():
     assert '  v0 [label="0"];' in out1
     aug = lm.dot_text(lm.augmented_lattice(s))
     assert '  v0 [label="(0,0)"];' in aug
+
+
+def test_dot_refuses_a_label_of_another_arity():
+    # a label is one number (reduced) or two (augmented); an empty or a
+    # three-number label is refused as series_encode refuses a pair
+    d = lm.reduced_lattice(lm.locked_structure(lm.mk4()))
+    for lab in ((), (1, 2, 3)):
+        bad = replace(d, labels=d.labels[:3] + (lab,) + d.labels[4:])
+        with pytest.raises(errors.LabelArityMismatch, match=re.escape(repr(lab))):
+            lm.dot_text(bad)

@@ -10,8 +10,9 @@ from lockedmatroid._bits import bits_of, subset_key
 from lockedmatroid.matroid import GroundSet, Matroid, cyclic_flats
 from lockedmatroid.cli import parse_gen_spec
 from helpers import (components, naive_is_cyclic_flat, naive_is_locked, naive_locked_sets,
-                     reference_component_flats, reference_locked_iter, reference_rank_table,
-                     shuffled_direct_sum)
+                     reference_component_flats, reference_locked_iter,
+                     reference_locked_structure, reference_rank_table, shuffled_direct_sum,
+                     sparse_paving)
 from test_matroid import lane_battery
 from test_stress_tier import STRESS_TIER
 
@@ -454,3 +455,47 @@ def test_locked_structure_on_alternating_sizes_matches_the_references(corpus):
         assert fresh._rank_table() == bytes(reference_rank_table(fresh)), fresh.name
         want = sorted((bits_of(x) for x in reference_locked_iter(fresh)), key=subset_key)
         assert list(s.locked) == want, fresh.name
+
+
+def _fields(s):
+    return (s.ground_size, s.names, s.parallel, s.coparallel, s.locked, list(s.rho.items()))
+
+
+def test_mask_assembly_matches_the_tuple_path(corpus):
+    # the structure assembled on masks against the tuple-path assembly it
+    # replaced: every field, and rho's keys, values and insertion order, on
+    # the corpus and seeded relabellings of it (where a class of two or more
+    # elements may hold smaller elements than a singleton, so the order by
+    # size and then elements is not the order of the masks), more seeded
+    # 2-sums, the stress tier, seeded sparse paving matroids and
+    # M(K4)+M(K4) at a cut vertex, which is disconnected; the closures are
+    # the same families as tuples
+    rng = Random(35)
+    ms = list(corpus) + lm.seeded_two_sums(2) + lm.seeded_two_sums(3)
+    ms += [lm.relabel(m, rng.sample(range(m.n), m.n)) for m in corpus for _ in range(3)]
+    ms += [build() for build in STRESS_TIER.values()]
+    ms += [sparse_paving(12, 6, 1), sparse_paving(14, 7, 1), sparse_paving(14, 7, 2)]
+    ms.append(parse_gen_spec("graphic:7:0-1,0-2,0-3,1-2,1-3,2-3,3-4,3-5,3-6,4-5,4-6,5-6"))
+    assert not lm.is_connected(ms[-1])
+    for m in ms:
+        for x in (m, m.dual()):
+            want = reference_locked_structure(x)
+            got = lm.locked_structure(Matroid(x.ground, x._basis_masks))
+            assert _fields(got) == _fields(want), x.name
+            assert lm.closures(x) == (want.parallel, want.coparallel), x.name
+            verdict = lm.k_locked_decision(x, 2, 2)
+            assert verdict.yes and _fields(verdict.structure) == _fields(want), x.name
+
+
+def test_mask_assembly_refuses_as_the_tuple_path_did():
+    # TooLarge, then the least loop, then the least coloop, with the same
+    # messages
+    cases = [Matroid(GroundSet.default(17), [0b11]), lm.uniform(0, 3), lm.uniform(3, 3),
+             lm.from_bases(3, [(1,)]), lm.from_bases(4, [(0, 3)])]
+    for m in cases:
+        refusals = []
+        for f in (reference_locked_structure, lm.locked_structure, lm.closures):
+            with pytest.raises(errors.LockedMatroidError) as exc:
+                f(Matroid(m.ground, m._basis_masks))
+            refusals.append((type(exc.value), str(exc.value)))
+        assert refusals[0] == refusals[1] == refusals[2], m
