@@ -23,15 +23,7 @@ from .isoengine import mip_bruteforce, mip_locked, mip_zero_locked, tsd
 from .lattice import augmented_lattice, dot_text, label_text, reduced_lattice, series_encode
 from .locked import locked_structure, structure_text
 from .matroid import Matroid, _reject_disconnected, is_connected, load, save, two_sum, with_names
-from .polytope import (
-    _lp_maximize,
-    _pq_disagreements,
-    _program,
-    _sample_points,
-    build_P,
-    greedy_max_basis,
-    zero_one_vertices,
-)
+from .polytope import build_P, verify_lines
 
 DEFAULT_SEED = 1
 
@@ -176,43 +168,8 @@ def _cmd_polytope(args) -> int:
     print("# format: 1")
     print("# seed: %d" % args.seed)
     print("matroid %s n=%d rank=%d" % (m.name, m.n, m.rank))
-
-    verts = zero_one_vertices(system, m.rank)
-    print("vertices-match %s (%d bases)" %
-          ("pass" if verts == m.bases else "FAIL", len(m._basis_masks)))
-
-    # one program per line; its (num, den) optima are not reduced, so compare ratios
-    program = _program(system, True)
-    agree = 0
-    for _ in range(args.trials):
-        w = [rng.randint(-10, 10) for _ in range(m.n)]
-        (num, den), _ = _lp_maximize(system, program, w)
-        if num == greedy_max_basis(m, w)[0] * den:
-            agree += 1
-    print("lp-greedy %s (%d/%d trials)" %
-          ("pass" if agree == args.trials else "FAIL", agree, args.trials))
-
-    program = _program(system, False)
-    boxed = True
-    try:
-        for i in range(m.n):
-            w = [0] * m.n
-            w[i] = 1
-            (hn, hd), _ = _lp_maximize(system, program, w)
-            w[i] = -1
-            (ln, _), _ = _lp_maximize(system, program, w)
-            boxed = boxed and ln <= 0 and hn <= hd
-    except errors.Unbounded:
-        boxed = False  # some x(e) is unbounded over the rows, so they miss the box
-    print("box-implied %s" % ("pass" if boxed else "FAIL"))
-
-    if m.n <= 6:
-        pts = _sample_points(m.n, m.rank, args.points, rng)
-        bad = _pq_disagreements(system, m, pts)
-        print("pq-agreement %s (%d points)" %
-              ("pass" if bad == 0 else "FAIL", len(pts)))
-    else:
-        print("pq-agreement skipped (n=%d)" % m.n)
+    for line in verify_lines(m, system, rng, args.trials, args.points):
+        print(line)
     return 0
 
 

@@ -39,7 +39,6 @@ from __future__ import annotations
 
 from collections.abc import Collection
 from dataclasses import dataclass
-from functools import cached_property
 from operator import itemgetter
 from typing import Optional
 
@@ -67,7 +66,10 @@ class ColoredDigraph:
             raise errors.InvalidParams("colors must be integers")
         if any(c < 0 for c in self.colors):
             raise errors.InvalidParams("colors must be nonnegative")
-        # one pass; the first bad arc sets the error
+        # one pass: the first bad arc sets the error, and each arc that
+        # passes joins the in- and out-neighbour lists, in arc order
+        ins: list[list[int]] = [[] for _ in range(n)]
+        outs: list[list[int]] = [[] for _ in range(n)]
         for arc in self.arcs:
             if not (isinstance(arc, tuple) and len(arc) == 2):
                 raise errors.InvalidParams("arc is not a pair of integers: %r" % (arc,))
@@ -76,19 +78,11 @@ class ColoredDigraph:
                 raise errors.InvalidParams("arc is not a pair of integers: %r" % (arc,))
             if not (0 <= u < n and 0 <= v < n):
                 raise errors.OutOfRange("arc endpoint out of range: %r" % (arc,))
-
-    @cached_property
-    def _adjacency(self) -> tuple[list[list[int]], list[list[int]]]:
-        """(in-neighbours, out-neighbours) of each vertex, from one pass
-        over the arcs in arc order, made on first use and kept; their
-        lengths are the degrees.  _profile, _search and its neighbour sets
-        all read it, and none changes it."""
-        ins: list[list[int]] = [[] for _ in range(self.vertex_count)]
-        outs: list[list[int]] = [[] for _ in range(self.vertex_count)]
-        for u, v in self.arcs:
             outs[u].append(v)
             ins[v].append(u)
-        return ins, outs
+        # not a field, so equality, hash and repr never read it; the lengths
+        # are the degrees, and _profile and _search read it but never change it
+        object.__setattr__(self, "_adjacency", (ins, outs))
 
 
 @dataclass(frozen=True)

@@ -197,9 +197,13 @@ def to_colored(d: LabeledDag) -> ColoredDigraph:
 
 def label_text(lab: tuple[int, ...]) -> str:
     """A vertex label as text: "(c,r)" for a pair, "m" for one number;
-    LabelArityMismatch for any other length."""
+    LabelArityMismatch for any other length, and InvalidParams for an entry
+    that is not a nonnegative int (a bool is one, as in ColoredDigraph)."""
     if len(lab) not in (1, 2):
         raise errors.LabelArityMismatch("a label is one or two numbers: %r" % (lab,))
+    for x in lab:  # a loop, not all(): label_text runs once per printed vertex
+        if not isinstance(x, int) or x < 0:
+            raise errors.InvalidParams("a label holds nonnegative ints: %r" % (lab,))
     return "(%d,%d)" % lab if len(lab) == 2 else "%d" % lab
 
 

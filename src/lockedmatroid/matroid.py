@@ -683,9 +683,11 @@ def to_text(m: Matroid) -> str:
 
 def from_text(text: str) -> Matroid:
     """Parse the text format, each basis line straight to a mask, and
-    validate as from_bases does.  Raises FormatError on a malformed line and
-    TooLarge past MAX_N elements, right after the elements line and before
-    any basis line is read."""
+    validate as from_bases does.  Raises InvalidParams on a non-str, FormatError
+    on a malformed line and TooLarge past MAX_N elements, right after the
+    elements line and before any basis line is read."""
+    if not isinstance(text, str):
+        raise errors.InvalidParams("matroid text must be a str, got %r" % (type(text).__name__,))
     lines = [ln.rstrip("\r") for ln in text.split("\n") if ln.strip() != ""]
     if len(lines) < 3:
         raise errors.FormatError("matroid file needs a header and at least one basis")
@@ -717,22 +719,26 @@ def from_text(text: str) -> Matroid:
 
 
 def _check_path(path) -> None:
-    # open() reads an int as a file descriptor, which it would then close
+    # open() reads an int as a file descriptor, which it would then close,
+    # and raises ValueError on a NUL byte
     if not isinstance(path, (str, bytes, os.PathLike)):
         raise errors.InvalidParams("path %r is not a str, bytes or os.PathLike" % (path,))
+    if "\0" in os.fsdecode(path):
+        raise errors.InvalidParams("path %r holds a NUL byte" % (path,))
 
 
 def save(m: Matroid, path) -> None:
     """Write m in the text format; a path that is not a str, bytes or
-    os.PathLike raises InvalidParams."""
+    os.PathLike, or that holds a NUL byte, raises InvalidParams."""
     _check_path(path)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(to_text(m))
 
 
 def load(path) -> Matroid:
-    """Read a matroid file; bytes that are not UTF-8 raise FormatError, and
-    a path that is not a str, bytes or os.PathLike raises InvalidParams."""
+    """Read a matroid file; bytes that are not UTF-8 raise FormatError, a
+    path that is not a str, bytes or os.PathLike, or that holds a NUL byte,
+    raises InvalidParams, and a missing file FileNotFoundError."""
     _check_path(path)
     with open(path, "r", encoding="utf-8") as fh:
         try:

@@ -17,7 +17,7 @@ point as numerators over one positive denominator, one row at a time, and
 lanes.  ``_lane_misses`` gives each point of a batch one wide lane, sums
 x(A) for every subset A and every point at once, and reads both the rows
 and every subset rank from that one table; ``_pq_disagreements`` runs it
-over fixed-size batches, and ``_member_Q`` is its one-point call.
+over fixed-size batches, and ``member_Q`` makes its one-point call.
 ``zero_one_vertices`` gives each subset one byte lane of
 ``lane_constants(n)`` and checks a row on all of them with one biased
 compare; it refuses a dimension above MAX_N = 16 with TooLarge.
@@ -26,12 +26,13 @@ compare; it refuses a dimension above MAX_N = 16 with TooLarge.
 given ``_program`` of the system, checks the simplex's integer witness
 with ``_member`` and the objective identity, and returns the optimum as
 (numerator, denominator) and the witness as (numerators, d).
-``lp_maximize`` is its Fraction view, and ``polytope verify`` looks each
-program up once per line (the boxed one for lp-greedy, the free one for
-box-implied) and compares the optima on integers.  greedy_max_basis
-supplies the independent combinatorial optimum the LP answers are
-compared against.  A LinearSystem holds only rows that every reader
-reads alike: supports of distinct coordinates, int bounds.
+``lp_maximize`` is its Fraction view.  greedy_max_basis supplies the
+independent combinatorial optimum the LP answers are compared against.
+``verify_lines`` owns polytope verify's four checks and yields their lines,
+which the CLI prints; each LP line looks its program up once (boxed for
+lp-greedy, free for box-implied) and compares the optima on integers.
+A LinearSystem holds only rows that every reader reads alike: supports of
+distinct coordinates, int bounds.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from random import Random
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from . import errors, simplex
 from ._bits import bits_of, lane_constants, mask_of
@@ -194,11 +195,6 @@ def _lane_misses(m: Matroid, rows: Sequence[Row],
             ((top ^ in_q) >> shift).to_bytes(size, "little")[::width])
 
 
-def _member_Q(m: Matroid, x: Sequence[int], d: int) -> bool:
-    """member_Q on the point x / d: integer numerators over one d > 0."""
-    return not _lane_misses(m, (), ((x, d),))[1][0]
-
-
 def _pq_disagreements(sys: LinearSystem, m: Matroid,
                       points: Sequence[tuple[Sequence[int], int]]) -> int:
     """How many of the points, each numerators over one d > 0, lie in exactly
@@ -219,7 +215,7 @@ def member_Q(m: Matroid, point: Sequence) -> bool:
     x, d = _integral(point)
     if len(x) != m.n:
         raise errors.DimensionMismatch("point dimension mismatch")
-    return _member_Q(m, x, d)
+    return not _lane_misses(m, (), ((x, d),))[1][0]
 
 
 def zero_one_vertices(sys: LinearSystem, cardinality: int) -> tuple[tuple[int, ...], ...]:
@@ -380,3 +376,42 @@ def sample_rational_points(n: int, target_sum: int, count: int,
     x(E) = target_sum, read as an exact rational.  Points may leave the unit
     box; they are kept."""
     return [tuple(Fraction(a, d) for a in x) for x, d in _sample_points(n, target_sum, count, rng)]
+
+
+def verify_lines(m: Matroid, system: LinearSystem, rng: Random, trials: int,
+                 points: int) -> Iterator[str]:
+    """polytope verify's four check lines for m and system, build_P of m's
+    locked structure, each computed when the next one is asked for:
+    lp-greedy draws trials weight vectors from rng, then pq-agreement
+    draws points sample points, for n <= 6 only."""
+    verts = zero_one_vertices(system, m.rank)
+    yield ("vertices-match %s (%d bases)"
+           % ("pass" if verts == m.bases else "FAIL", len(m._basis_masks)))
+    # one program per line; its (num, den) optima are not reduced, so compare ratios
+    program = _program(system, True)
+    agree = 0
+    for _ in range(trials):
+        w = [rng.randint(-10, 10) for _ in range(m.n)]
+        (num, den), _ = _lp_maximize(system, program, w)
+        if num == greedy_max_basis(m, w)[0] * den:
+            agree += 1
+    yield "lp-greedy %s (%d/%d trials)" % ("pass" if agree == trials else "FAIL", agree, trials)
+    program = _program(system, False)
+    boxed = True
+    try:
+        for i in range(m.n):
+            w = [0] * m.n
+            w[i] = 1
+            (hn, hd), _ = _lp_maximize(system, program, w)
+            w[i] = -1
+            (ln, _), _ = _lp_maximize(system, program, w)
+            boxed = boxed and ln <= 0 and hn <= hd
+    except errors.Unbounded:
+        boxed = False  # some x(e) is unbounded over the rows, so they miss the box
+    yield "box-implied %s" % ("pass" if boxed else "FAIL")
+    if m.n <= 6:
+        pts = _sample_points(m.n, m.rank, points, rng)
+        bad = _pq_disagreements(system, m, pts)
+        yield "pq-agreement %s (%d points)" % ("pass" if bad == 0 else "FAIL", len(pts))
+    else:
+        yield "pq-agreement skipped (n=%d)" % m.n

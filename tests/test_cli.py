@@ -8,7 +8,7 @@ from random import Random
 import pytest
 
 import lockedmatroid as lm
-from lockedmatroid import cli, isoengine, polytope
+from lockedmatroid import cli, errors, isoengine, polytope
 from lockedmatroid.cli import main
 
 
@@ -368,14 +368,27 @@ def test_polytope_verify_reads_the_optima_as_unreduced_pairs(tmp_path, capsys, m
     for spec in ("mk4", "vamos", "uniform:1,2"):
         assert run(capsys, "gen", spec, p)[0] == 0
         want = run(capsys, "polytope", "verify", p, "--points", "5")
-        core = cli._lp_maximize
+        core = polytope._lp_maximize
 
         def scaled(system, program, weights):
             (num, den), witness = core(system, program, weights)
             return (3 * num, 3 * den), witness
         with monkeypatch.context() as patch:
-            patch.setattr(cli, "_lp_maximize", scaled)
+            patch.setattr(polytope, "_lp_maximize", scaled)
             assert run(capsys, "polytope", "verify", p, "--points", "5") == want, spec
+
+
+def test_polytope_verify_keeps_the_lines_before_an_error(tmp_path, capsys, monkeypatch):
+    # the lines are printed as they are computed: an error in the lp-greedy
+    # check leaves the header and the vertices-match line on stdout
+    def broken(system, program, weights):
+        raise errors.LockedMatroidError("simplex broke")
+    p = tmp_path / "mk4.matroid"
+    lm.save(lm.mk4(), p)
+    monkeypatch.setattr(polytope, "_lp_maximize", broken)
+    assert run(capsys, "polytope", "verify", str(p)) == (
+        2, "# format: 1\n# seed: 1\nmatroid mk4 n=6 rank=3\nvertices-match pass (16 bases)\n",
+        "error: simplex broke\n")
 
 
 @pytest.mark.parametrize("spec", ["mk4", "vamos", "uniform:5,10"])

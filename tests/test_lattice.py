@@ -358,3 +358,15 @@ def test_dot_refuses_a_label_of_another_arity():
         bad = replace(d, labels=d.labels[:3] + (lab,) + d.labels[4:])
         with pytest.raises(errors.LabelArityMismatch, match=re.escape(repr(lab))):
             lm.dot_text(bad)
+
+
+def test_dot_refuses_a_label_entry_that_is_not_a_nonnegative_int():
+    # ("a",) raised TypeError, (1.5, 2) printed as (1,2) and (-1,) as -1;
+    # a bool is an int, as ColoredDigraph reads it
+    d = lm.reduced_lattice(lm.locked_structure(lm.mk4()))
+    for lab in (("a",), (1.5, 2), (-1,)):
+        bad = replace(d, labels=d.labels[:3] + (lab,) + d.labels[4:])
+        with pytest.raises(errors.InvalidParams, match=re.escape(repr(lab))):
+            lm.dot_text(bad)
+    ok = replace(d, labels=d.labels[:3] + ((True,),) + d.labels[4:])
+    assert '  v3 [label="1"];' in lm.dot_text(ok)

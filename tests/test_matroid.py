@@ -1252,6 +1252,35 @@ def test_save_and_load_refuse_a_path_that_is_not_a_path(tmp_path):
         assert lm.load(p) == lm.mk4()
 
 
+class _NulPath:
+    def __fspath__(self):
+        return "a\0b"
+
+
+def test_save_and_load_refuse_a_path_that_holds_a_nul_byte(tmp_path):
+    # open() raised ValueError: embedded null byte
+    for path in ("a\0b", b"a\0b", _NulPath(), str(tmp_path / "m\0.matroid")):
+        with pytest.raises(errors.InvalidParams, match="holds a NUL byte$"):
+            lm.save(lm.mk4(), path)
+        with pytest.raises(errors.InvalidParams, match="holds a NUL byte$"):
+            lm.load(path)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_load_of_a_missing_file_raises_file_not_found(tmp_path):
+    # an OSError, which the CLI reports as an error line with exit code 2
+    with pytest.raises(FileNotFoundError):
+        lm.load(tmp_path / "missing.matroid")
+
+
+@pytest.mark.parametrize("text", [b"\0", b"matroid m\nelements a\nbasis a\n", None, 5,
+                                  ["matroid m", "elements a", "basis a"]])
+def test_from_text_refuses_text_that_is_not_a_str(text):
+    # bytes leaked TypeError from str.split's argument
+    with pytest.raises(errors.InvalidParams, match="^matroid text must be a str, got "):
+        lm.from_text(text)
+
+
 # -- bit helpers ----------------------------------------------------------------------
 
 def naive_lane_constants(n):

@@ -10,8 +10,8 @@ import lockedmatroid as lm
 from lockedmatroid import errors
 from lockedmatroid import _bits
 from lockedmatroid.polytope import (LinearSystem, Row, _integral, _lane_misses, _lp_maximize,
-                                    _member, _member_Q, _pq_disagreements, _program,
-                                    _sample_points, build_P, lp_maximize, member, member_Q,
+                                    _member, _pq_disagreements, _program, _sample_points,
+                                    build_P, lp_maximize, member, member_Q,
                                     sample_rational_points)
 from helpers import (exhaustive_max_basis, fraction_member, fraction_member_Q,
                      reference_lp_maximize, reference_sample_rational_points,
@@ -579,7 +579,7 @@ def _on_a_bound(sys, m, point):
 
 
 def test_integer_cores_match_the_fraction_oracles(corpus):
-    # _member, _member_Q and the batched lane kernel on the sampler's
+    # _member, member_Q's one-point lane pass and the batched lane kernel on the sampler's
     # (numerators, denominator) pairs, about a third of which leave the unit
     # box, and on points on and next to the bounds over denominators of at
     # least 2^200, some far off the box with negative coordinates; on odd
@@ -599,7 +599,7 @@ def test_integer_cores_match_the_fraction_oracles(corpus):
             point = tuple(Fraction(a, d) for a in x)
             in_p = _member(sys, x, d)
             assert in_p == fraction_member(sys, point), (m.name, point)
-            in_q = _member_Q(m, x, d)
+            in_q = member_Q(m, point)
             assert in_q == fraction_member_Q(m, point), (m.name, point)
             want_p.append(not in_p[0])
             want_q.append(not in_q)
@@ -652,7 +652,8 @@ def test_pq_disagreements_match_the_per_point_scan(corpus, count):
     m = next(m for m in corpus if m.name == "mk4")
     low = _lowered(system_for(m), 1)
     pts = _sample_points(m.n, m.rank, count, Random(count))
-    want = sum(1 for x, d in pts if _member(low, x, d)[0] != _member_Q(m, x, d))
+    want = sum(1 for x, d in pts
+               if _member(low, x, d)[0] != member_Q(m, [Fraction(a, d) for a in x]))
     assert _pq_disagreements(low, m, pts) == want
     assert count < 200 or want > 0
 

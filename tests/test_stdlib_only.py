@@ -1,6 +1,7 @@
 """Static checks of the package source: every import in src/lockedmatroid
-is package-relative or names a standard-library module, and no check
-relies on an `assert` statement, which `python -O` removes."""
+is package-relative or names a standard-library module, no check
+relies on an `assert` statement, which `python -O` removes, and the CLI
+reaches no private name of the polytope module."""
 
 import ast
 import sys
@@ -64,3 +65,29 @@ def test_assert_lines_sees_nested_asserts():
            "        return [z for z in ()]\n"
            "x = 'assert not a statement'\n")
     assert assert_lines(src) == [1, 4]
+
+
+def private_imports(source: str, module: str) -> list[str]:
+    """Underscore-prefixed names that `source` imports from the package
+    module `module`, relatively or by its full name."""
+    froms = ((1, module), (0, "lockedmatroid." + module))
+    return [a.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and (node.level, node.module) in froms
+            for a in node.names if a.name.startswith("_")]
+
+
+def test_cli_imports_no_private_polytope_name():
+    source = (PACKAGE / "cli.py").read_text(encoding="utf-8")
+    assert "polytope" in source
+    assert private_imports(source, "polytope") == []
+
+
+def test_private_imports_sees_every_form():
+    src = ("from .polytope import build_P, _program\n"
+           "from .polytope import (\n    _lp_maximize,\n    verify_lines,\n)\n"
+           "from .matroid import _reject_disconnected\n"
+           "from lockedmatroid.polytope import _member\n"
+           "def f():\n"
+           "    from .polytope import _sample_points as draw\n")
+    assert private_imports(src, "polytope") == ["_program", "_lp_maximize", "_member",
+                                                "_sample_points"]
