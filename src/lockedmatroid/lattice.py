@@ -197,8 +197,11 @@ def to_colored(d: LabeledDag) -> ColoredDigraph:
 
 def label_text(lab: tuple[int, ...]) -> str:
     """A vertex label as text: "(c,r)" for a pair, "m" for one number;
-    LabelArityMismatch for any other length, and InvalidParams for an entry
-    that is not a nonnegative int (a bool is one, as in ColoredDigraph)."""
+    InvalidParams for a label that is not a tuple, LabelArityMismatch for a
+    tuple of any other length, and InvalidParams for an entry that is not a
+    nonnegative int (a bool is one, as in ColoredDigraph)."""
+    if not isinstance(lab, tuple):
+        raise errors.InvalidParams("a label is a tuple: %r" % (lab,))
     if len(lab) not in (1, 2):
         raise errors.LabelArityMismatch("a label is one or two numbers: %r" % (lab,))
     for x in lab:  # a loop, not all(): label_text runs once per printed vertex

@@ -16,11 +16,11 @@ few integer operations: the bases are closed downward, each independent
 set's lane gets the thermometer code of |X|, and the max over subsets is
 one OR per element.  A rank above 8, whose code a byte cannot hold, is read
 from the complement family's table, of rank n - r <= 7, as
-r(X) = r'(E-X) + |X| - (n - r).  cyclic_flats reads the table the same
-way, and validation packs the same lanes to one bit per subset to test
-local submodularity.  That is the intended scale here: the table refuses
-ground sets of more than MAX_N = 16 elements with TooLarge, whichever
-constructor made the matroid.
+r(X) = r'(E-X) + |X| - (n - r).  cyclic_flats and validation read the
+table the same way, through the (HAS_e, D_e) pairs of _rank_steps, which
+validation packs to one bit per subset to test local submodularity.  That
+is the intended scale here: the table refuses ground sets of more than
+MAX_N = 16 elements with TooLarge, whichever constructor made the matroid.
 
 Connectivity has one primitive, the separator lanes of Matroid._components:
 byte X of r + reversed r is r(X) + r(E-X), which equals r(E) exactly when X
@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
 from . import errors
-from ._bits import bits_of, lane_constants, mask_key, mask_of, subset_bits
+from ._bits import bits_of, lane_constants, mask_key, mask_of
 
 
 @dataclass(frozen=True)
@@ -160,24 +160,27 @@ def _locally_submodular(ranks: bytes, n: int) -> bool:
     r(X) + r(X+e+f) <= r(X+e) + r(X+f) for every X and e, f outside it.
 
     By unit increase it can fail only where D_e(X) = D_f(X) = 0 and
-    D_f(X+e) = 1.  Each D_e of _rank_steps is packed to one bit per subset:
-    three shifts gather the 0/1 lanes 8k..8k+7 into the low bits of lane 8k,
-    and a slice keeps every eighth byte.  With Z_e the subsets X without e
-    where D_e(X) = 0, the table fails exactly when (D_f >> 2^e) & Z_e & Z_f
-    is nonzero for some e < f.  The packed integers take 2^n bits each, an
+    D_f(X+e) = 1.  Each pair (HAS_e, D_e) of _rank_steps is packed, as
+    W_e = D_e | HAS_e, to one bit per subset: three shifts gather the 0/1
+    lanes 8k..8k+7 into the low bits of lane 8k, and a slice keeps every
+    eighth byte.  Z_e = ~W_e is the subsets X without e where D_e(X) = 0,
+    and the table fails exactly when (W_f >> 2^e) & Z_e & Z_f is nonzero
+    for some e < f: Z_f keeps only X without f, so X+e lacks f too, and
+    there W_f(X+e) = D_f(X+e).  The packed integers take 2^n bits each, an
     eighth of a lane table.
     """
     size = 1 << n
     everything = (1 << size) - 1
     zeros = []  # Z_e for each e scanned so far
-    for (_, lanes), has in zip(_rank_steps(ranks, n), subset_bits(n)):
+    for has, lanes in _rank_steps(ranks, n):
+        lanes |= has
         lanes |= lanes >> 7
         lanes |= lanes >> 14
         lanes |= lanes >> 28
-        d = int.from_bytes(lanes.to_bytes(size, "little")[::8], "little")
-        z = everything ^ d ^ has
+        w = int.from_bytes(lanes.to_bytes(size, "little")[::8], "little")
+        z = everything ^ w
         for e, z_e in enumerate(zeros):
-            if (d >> (1 << e)) & z_e & z:
+            if (w >> (1 << e)) & z_e & z:
                 return False
         zeros.append(z)
     return True
@@ -720,10 +723,14 @@ def from_text(text: str) -> Matroid:
 
 def _check_path(path) -> None:
     # open() reads an int as a file descriptor, which it would then close,
-    # and raises ValueError on a NUL byte
-    if not isinstance(path, (str, bytes, os.PathLike)):
-        raise errors.InvalidParams("path %r is not a str, bytes or os.PathLike" % (path,))
-    if "\0" in os.fsdecode(path):
+    # and raises ValueError on a NUL byte; os.fsdecode takes a str, bytes or
+    # a path-like returning one, and raises TypeError on anything else
+    try:
+        text = os.fsdecode(path)
+    except TypeError:
+        raise errors.InvalidParams("path %r is not a str, bytes or os.PathLike"
+                                   % (path,)) from None
+    if "\0" in text:
         raise errors.InvalidParams("path %r holds a NUL byte" % (path,))
 
 

@@ -362,9 +362,10 @@ def test_dot_refuses_a_label_of_another_arity():
 
 def test_dot_refuses_a_label_entry_that_is_not_a_nonnegative_int():
     # ("a",) raised TypeError, (1.5, 2) printed as (1,2) and (-1,) as -1;
-    # a bool is an int, as ColoredDigraph reads it
+    # a label that is not a tuple raised TypeError from the %d format or from
+    # len(); a bool is an int, as ColoredDigraph reads it
     d = lm.reduced_lattice(lm.locked_structure(lm.mk4()))
-    for lab in (("a",), (1.5, 2), (-1,)):
+    for lab in (("a",), (1.5, 2), (-1,), [1, 2], [3], 7, None):
         bad = replace(d, labels=d.labels[:3] + (lab,) + d.labels[4:])
         with pytest.raises(errors.InvalidParams, match=re.escape(repr(lab))):
             lm.dot_text(bad)

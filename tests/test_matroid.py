@@ -1229,15 +1229,21 @@ def test_save_load_bit_exact(tmp_path, corpus):
         assert lm.load(path) == m
 
 
+class _IntPath:
+    def __fspath__(self):
+        return 5
+
+
 def test_save_and_load_refuse_a_path_that_is_not_a_path(tmp_path):
-    # open() takes an int as a file descriptor, which it would use and close
+    # open() takes an int as a file descriptor, which it would use and close;
+    # os.fspath raised TypeError on a path-like that returns an int
     read_fd, write_fd = os.pipe()
     try:
-        for path in (write_fd, None, 1.5):
+        for path in (write_fd, None, 1.5, _IntPath()):
             with pytest.raises(errors.InvalidParams,
                                match="^path .* is not a str, bytes or os.PathLike$"):
                 lm.save(lm.mk4(), path)
-        for path in (read_fd, None, ["m.matroid"]):
+        for path in (read_fd, None, ["m.matroid"], _IntPath()):
             with pytest.raises(errors.InvalidParams,
                                match="^path .* is not a str, bytes or os.PathLike$"):
                 lm.load(path)
